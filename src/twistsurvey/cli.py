@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
     RangeError,
 )
-from .qseries import build_F
+from .qseries import build_F, theta_difference
 from .sieve import build_sieve, class_members
 from .waldspurger import build_tamagawa, propagate_l, survey_class
 
@@ -176,8 +176,9 @@ def validate_config(cfg):
 def survey_curve(spec, bound, reps=None, overrides=None):
     """Shared tables once, then one vectorized survey per class."""
     sieve_tables = build_sieve(bound)
-    coeffs = build_F(spec.recipe, bound)
-    tama = build_tamagawa(spec, bound)
+    diff = theta_difference(spec.recipe, bound)
+    coeffs = build_F(spec.recipe, bound, diff)
+    tama = build_tamagawa(spec, diff)
     out = {}
     for rep in reps or spec.class_reps:
         base = catalog.baseline(spec, rep, overrides=overrides)
@@ -401,46 +402,38 @@ def cmd_tables(args):
     surveys = survey_curve(spec, cfg.bound, reps)
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     kcols = tuple(j * j for j in range(20))
-    fits = {}
-    for rep in reps:
-        fits[rep] = {}
-        for k in sorted(int(v) for v in np.unique(surveys[rep].k)):
-            series = stats.tally(surveys[rep], k, checkpoints)
-            fits[rep][k] = stats.fit(series, cfg.epsilon_grid_step)
+    entries = {
+        rep: _summarize_class(surveys[rep], checkpoints, cfg.epsilon_grid_step)
+        for rep in reps
+    }
     width = 9
     print(f"fitted alpha by class and k ({spec.label}, M = {cfg.bound})")
     header = "class".rjust(6) + "".join(str(k).rjust(width) for k in kcols)
     print(header)
     for rep in reps:
+        fits = entries[rep]["fits"]
         cells = []
         for k in kcols:
-            fr = fits[rep].get(k)
+            fr = fits.get(str(k))
             cells.append(
-                f"{fr.alpha:.6f}".rjust(width) if fr is not None else "-".rjust(width)
+                f"{fr['alpha']:.6f}".rjust(width) if fr is not None else "-".rjust(width)
             )
         print(str(rep).rjust(6) + "".join(cells))
-    bounds = tuple(b for b in TABLE_BOUNDS if b <= cfg.bound)
     for rep in reps:
-        for k in sorted(fits[rep]):
-            fr = fits[rep][k]
-            if fr.degenerate or not bounds:
+        fits = entries[rep]["fits"]
+        for k in sorted(fits, key=int):
+            fr = fits[k]
+            rows = entries[rep]["table_rows"][k]
+            if fr["degenerate"] or not rows:
                 continue
-            tab = stats.tally(surveys[rep], k, bounds)
-            q = tab.ratios()
             print()
             print(
                 f"{spec.label} n0={rep} k={k} "
-                f"alpha={fr.alpha:.6f} eps={fr.epsilon:+.3f}"
+                f"alpha={fr['alpha']:.6f} eps={fr['epsilon']:+.3f}"
             )
             print("M".rjust(10) + "ratio".rjust(12) + "sigma".rjust(12))
-            for i, m in enumerate(bounds):
-                x = tab.x[i]
-                model = (
-                    stats.sigma(x, fr.alpha, fr.epsilon)
-                    if x >= stats.MODEL_FLOOR
-                    else 0.0
-                )
-                print(f"{m:10d}{q[i]:12.6f}{model:12.6f}")
+            for m, _, ratio, model in rows:
+                print(f"{m:10d}{ratio:12.6f}{model:12.6f}")
     return EXIT_OK
 
 

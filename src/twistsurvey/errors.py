@@ -10,7 +10,7 @@ class DimensionError(ValueError):
 
 
 class OverflowGuardError(ArithmeticError):
-    """A coefficient could exceed the 64-bit integer range."""
+    """A coefficient could exceed the integer range it is computed in."""
 
 
 class InvalidClassError(ValueError):

@@ -2,27 +2,31 @@
 
 The coefficient series for a curve family is assembled as
 
-    (sum_i sign_i * Theta(Q_i)) * (1 + 2*sum_{j>=1} q^(t*j^2))
+    F = D * (1 + 2*sum_{z>=1} q^(t*z^2)),   D = sum_i sign_i * Theta(Q_i)
 
 where Theta(Q) counts lattice representations by a positive definite
-binary quadratic form.  Everything is exact 64-bit integer arithmetic;
-operations that could wrap raise OverflowGuardError instead.
+binary quadratic form.  D is exact int64.  Each coefficient of F is a
+sum of at most 2*zmax + 1 terms D[m - t*z^2] (z = 0 and +-z), with
+zmax = isqrt(bound // t), so |F[m]| <= max|D| * (2*zmax + 1); build_F
+checks that this bound is below 2^31 and then works exactly in int32,
+raising OverflowGuardError instead when it is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvalidFormError, OverflowGuardError
 
-INT64_MAX = np.iinfo(np.int64).max
-
 # Points buffered between bincount flushes in theta_binary; keeps peak
 # memory for a 10^7 expansion around 100 MB.
 _FLUSH_POINTS = 4_000_000
+_INT32_LIMIT = 2**31
+# Output elements per block in build_F: 256 KB of int32, about one L2.
+_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -84,17 +88,6 @@ class ThetaRecipe:
             raise ValueError("unary_t must be positive")
 
 
-def _max_abs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    return max(int(arr.max()), -int(arr.min()))
-
-
-def _require_same_bound(lhs: PowerSeries, rhs: PowerSeries):
-    if lhs.bound != rhs.bound:
-        raise DimensionError(f"bounds differ: {lhs.bound} vs {rhs.bound}")
-
-
 def theta_binary(form: BinaryQuadraticForm, bound: int) -> PowerSeries:
     """Representation counts: coefficient of q^m is #{(x,y) in Z^2 : Q(x,y) = m}.
 
@@ -130,76 +123,51 @@ def theta_binary(form: BinaryQuadraticForm, bound: int) -> PowerSeries:
     return PowerSeries(bound, counts)
 
 
-def theta_unary(t: int, bound: int) -> PowerSeries:
-    """1 + 2*sum_{n>=1} q^(t*n^2), truncated at bound."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
+    """D = sum_i sign_i * Theta(Q_i) as int64 coefficients 0..bound."""
+    diff = np.zeros(bound + 1, dtype=np.int64)
+    # no name holds a theta across iterations, so only one is alive at a time
+    for sign, form in recipe.terms:
+        if sign == 1:
+            diff += theta_binary(form, bound).coeffs
+        else:
+            diff -= theta_binary(form, bound).coeffs
+    return diff
+
+
+def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
+    """F = D * (1 + 2*sum_{z>=1} q^(t*z^2)) truncated at bound.
+
+    D is the recipe's theta_difference; a caller that already holds it
+    passes it as diff.  For the catalogued recipes the binary difference
+    kills the constant term (the two forms lie in one genus), leaving a
+    cusp form.  Under the int32 bound of the module docstring, 2D is
+    added at each shift t*z^2 one 64K-element output block at a time, so
+    the block stays in cache across the zmax shifts.
+    """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    coeffs = np.zeros(bound + 1, dtype=np.int64)
-    coeffs[0] = 1
-    nmax = math.isqrt(bound // t)
-    if nmax >= 1:
-        n = np.arange(1, nmax + 1, dtype=np.int64)
-        coeffs[t * n * n] = 2
-    return PowerSeries(bound, coeffs)
-
-
-def series_sub(lhs: PowerSeries, rhs: PowerSeries) -> PowerSeries:
-    _require_same_bound(lhs, rhs)
-    if _max_abs(lhs.coeffs) + _max_abs(rhs.coeffs) > INT64_MAX:
-        raise OverflowGuardError("difference could exceed int64")
-    return PowerSeries(lhs.bound, lhs.coeffs - rhs.coeffs)
-
-
-def series_add(lhs: PowerSeries, rhs: PowerSeries) -> PowerSeries:
-    _require_same_bound(lhs, rhs)
-    if _max_abs(lhs.coeffs) + _max_abs(rhs.coeffs) > INT64_MAX:
-        raise OverflowGuardError("sum could exceed int64")
-    return PowerSeries(lhs.bound, lhs.coeffs + rhs.coeffs)
-
-
-def series_mul(lhs: PowerSeries, rhs: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the shared bound.
-
-    The factor with fewer nonzero coefficients is streamed as shifted adds
-    into the output, so multiplying by a unary theta (O(sqrt(bound))
-    nonzeros) costs O(bound * sqrt(bound/t)).
-    """
-    _require_same_bound(lhs, rhs)
-    bound = lhs.bound
-    if np.count_nonzero(lhs.coeffs) <= np.count_nonzero(rhs.coeffs):
-        sparse, dense = lhs.coeffs, rhs.coeffs
-    else:
-        sparse, dense = rhs.coeffs, lhs.coeffs
-    idx = np.flatnonzero(sparse)
-    # |out[m]| <= sum_i |v_i| * max|dense|, a safe (if conservative) cap.
-    budget = sum(abs(int(sparse[i])) for i in idx) * _max_abs(dense)
-    if budget > INT64_MAX:
-        raise OverflowGuardError("product could exceed int64")
-    out = np.zeros(bound + 1, dtype=np.int64)
-    scaled = None
-    prev = None
-    for i in idx.tolist():
-        v = int(sparse[i])
-        if v != prev:
-            scaled = dense * v if v != 1 else dense
-            prev = v
-        out[i:] += scaled[: bound + 1 - i]
-    return PowerSeries(bound, out)
-
-
-def build_F(recipe: ThetaRecipe, bound: int) -> PowerSeries:
-    """Evaluate a recipe: signed sum of binary thetas times the unary theta.
-
-    For the catalogued recipes the binary difference kills the constant
-    term (the two forms lie in one genus), leaving a cusp form.
-    """
-    acc = None
-    for sign, form in recipe.terms:
-        theta = theta_binary(form, bound)
-        if acc is None:
-            acc = theta if sign == 1 else PowerSeries(bound, -theta.coeffs)
-        else:
-            acc = series_add(acc, theta) if sign == 1 else series_sub(acc, theta)
-    return series_mul(acc, theta_unary(recipe.unary_t, bound))
+    if diff is None:
+        diff = theta_difference(recipe, bound)
+    if diff.shape != (bound + 1,):
+        raise DimensionError(
+            f"need {bound + 1} coefficients of D, got {diff.shape}"
+        )
+    zmax = math.isqrt(bound // recipe.unary_t)
+    peak = max(int(diff.max()), -int(diff.min()))
+    if peak * (2 * zmax + 1) >= _INT32_LIMIT:
+        raise OverflowGuardError(
+            f"max|D| * (2*zmax + 1) = {peak} * {2 * zmax + 1} reaches 2^31"
+        )
+    out = diff.astype(np.int32)
+    if zmax:
+        twice = 2 * out
+        shifts = [recipe.unary_t * z * z for z in range(1, zmax + 1)]
+        for lo in range(0, bound + 1, _BLOCK):
+            hi = min(lo + _BLOCK, bound + 1)
+            for s in shifts:
+                if s >= hi:
+                    break
+                start = max(lo, s)
+                out[start:hi] += twice[start - s : hi - s]
+    return PowerSeries(bound, out.astype(np.int64))

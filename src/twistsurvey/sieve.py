@@ -1,4 +1,4 @@
-"""Squarefree flags, distinct-prime-divisor counts, and class membership."""
+"""Squarefree flags and class membership."""
 
 from __future__ import annotations
 
@@ -12,15 +12,13 @@ from .errors import InvalidClassError, RangeError
 
 @dataclass(frozen=True)
 class SieveTables:
-    """squarefree[n] and omega[n] for 0 <= n <= bound (index 0 unused)."""
+    """squarefree[n] for 0 <= n <= bound (index 0 unused)."""
 
     bound: int
     squarefree: np.ndarray  # bool
-    omega: np.ndarray  # uint8; omega(n) <= 9 for n <= 10^7
 
     def __post_init__(self):
         self.squarefree.setflags(write=False)
-        self.omega.setflags(write=False)
 
 
 def primes_upto(bound: int) -> np.ndarray:
@@ -36,22 +34,14 @@ def primes_upto(bound: int) -> np.ndarray:
 
 
 def build_sieve(bound: int) -> SieveTables:
-    """Exact squarefree flags (squared-prime marking) and exact omega.
-
-    omega is accumulated by striding every prime once, about
-    bound * loglog(bound) byte increments in vector slices.
-    """
+    """Exact squarefree flags: strike the multiples of p^2 for p <= sqrt(bound)."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     squarefree = np.ones(bound + 1, dtype=bool)
     squarefree[0] = False
-    omega = np.zeros(bound + 1, dtype=np.uint8)
-    for p in primes_upto(bound).tolist():
-        omega[p::p] += 1
-        p2 = p * p
-        if p2 <= bound:
-            squarefree[p2::p2] = False
-    return SieveTables(bound, squarefree, omega)
+    for p in primes_upto(math.isqrt(bound)).tolist():
+        squarefree[p * p :: p * p] = False
+    return SieveTables(bound, squarefree)
 
 
 def class_members(

@@ -8,9 +8,9 @@ where c(n) = prod_{p | n} c_p and c_p is the Tamagawa number of the
 twisted curve at p.  At every odd good p | n the twist acquires Kodaira
 type I0*, whose Tamagawa number is the number of Frobenius-fixed
 components: 1 + #roots of the 2-division cubic 4x^3+b2x^2+2b4x+b6 mod p
-(1, 2 or 4).  The coarser shift 4^(omega(n0)-omega(n)) in d_ratio is the
-split-case simplification; the pipeline uses the exact counts.  L-values
-move by (a_n^2/a_n0^2) * sqrt(n0/n).
+(1, 2 or 4).  These exact counts, not the split-case shift
+4^(omega(n0)-omega(n)), enter the transfer.  L-values move by
+(a_n^2/a_n0^2) * sqrt(n0/n).
 
 Class members are odd, squarefree and coprime to the conductor, so the
 primes hitting c(n) never divide 2N or the cubic's quadratic cofactor
@@ -26,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CasselsViolationError, IntegralityError
-from .qseries import theta_binary
 from .sieve import class_members, primes_upto
 
 POSITIVE_RANK = "positive_rank"
@@ -41,11 +40,6 @@ class TwistResult:
     selmer: int | None  # present iff rank_zero
     k: int  # 0 iff positive_rank, else selmer / t
     l_value: float | None
-
-
-def d_ratio(omega_n, omega_n0):
-    """Simplified Tamagawa shift 4^(omega_n0 - omega_n), exact rational."""
-    return Fraction(4) ** (omega_n0 - omega_n)
 
 
 def two_division_cubic(spec):
@@ -120,23 +114,27 @@ class TamagawaTables:
         self.cprod.setflags(write=False)
 
 
-def build_tamagawa(spec, bound):
-    """Vectorized c(n) for all n <= bound.
+def build_tamagawa(spec, diff):
+    """Vectorized c(n) for all n <= bound, where bound = diff.size - 1.
 
-    Per-prime counts come from the recipe's own binary theta series when
-    the cubic is irreducible (11a1: principal form represents p <=> the
-    cubic splits, the other form <=> no roots, inert <=> one root), and
-    from one vectorized Euler criterion on the quadratic cofactor
-    discriminant when there is a rational 2-torsion point.
+    diff is the recipe's theta difference D = Theta(Q1) - Theta(Q2).
+    When the cubic is irreducible (11a1) the per-prime counts come from
+    the sign of D[p]: the principal form Q1 represents p <=> the cubic
+    splits (c_p = 4, D[p] > 0), Q2 represents p <=> no roots (c_p = 1,
+    D[p] < 0), and neither <=> one root (c_p = 2, D[p] = 0).  Q1 and Q2
+    are distinct classes of discriminant -44, so no prime is represented
+    by both and the sign loses nothing.  With a rational 2-torsion point
+    the counts come from one vectorized Euler criterion on the quadratic
+    cofactor discriminant, and diff only fixes the bound.
     """
+    bound = diff.size - 1
     ps = primes_upto(bound)
     cp = np.ones(ps.size, dtype=np.int64)
     odd = ps > 2
     good = odd & (spec.conductor % ps != 0)
     if spec.family_torsion == 1:
-        r1 = theta_binary(spec.recipe.terms[0][1], bound).coeffs[ps]
-        r2 = theta_binary(spec.recipe.terms[1][1], bound).coeffs[ps]
-        cp[good] = np.where(r1[good] > 0, 4, np.where(r2[good] > 0, 1, 2))
+        d = diff[ps[good]]
+        cp[good] = np.where(d > 0, 4, np.where(d < 0, 1, 2))
     else:
         disc2 = _quadratic_cofactor_disc(spec)
         use = good & (disc2 % ps != 0)
@@ -211,7 +209,6 @@ class ClassSurvey:
     k: np.ndarray  # 0 on the positive-rank bucket
     selmer: np.ndarray  # 0 placeholder where k = 0
     l: np.ndarray  # nan where k = 0
-    cassels_checked: bool = True
 
     def results(self):
         for i in range(self.members.size):

@@ -59,19 +59,23 @@ def is_squarefree_trial(n: int) -> bool:
     return True
 
 
-def omega_trial(n: int) -> int:
-    assert n >= 1
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        count += 1
-    return count
+def shifted_add_product(diff, t: int, bound: int):
+    """D * (1 + 2*sum_{z>=1} q^(t z^2)) truncated at bound, in plain int64.
+
+    One whole-array shifted add of 2D per z, with no blocking and no
+    narrower dtype; diff holds D[0..bound].
+    """
+    import numpy as np
+
+    d = np.asarray(diff, dtype=np.int64)
+    assert d.shape == (bound + 1,)
+    out = d.copy()
+    z = 1
+    while t * z * z <= bound:
+        shift = t * z * z
+        out[shift:] += 2 * d[: bound + 1 - shift]
+        z += 1
+    return out
 
 
 def eta_product_11a1(bound: int) -> list:

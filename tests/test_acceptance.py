@@ -17,7 +17,7 @@ import pytest
 
 from twistsurvey import catalog, cli, stats
 from twistsurvey.bsd_oracle import real_period
-from twistsurvey.qseries import PowerSeries, build_F
+from twistsurvey.qseries import PowerSeries, build_F, theta_difference
 from twistsurvey.sieve import build_sieve
 from twistsurvey.waldspurger import build_tamagawa, propagate_l, survey_class
 
@@ -270,7 +270,7 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     small = 10 ** 5
     series = build_F(spec.recipe, small)
     sieve_tables = build_sieve(small)
-    tama = build_tamagawa(spec, small)
+    tama = build_tamagawa(spec, theta_difference(spec.recipe, small))
     base = catalog.baseline(spec, 3)
     from dataclasses import replace
 

@@ -138,6 +138,38 @@ def test_tables_smoke(capsys):
     assert "ratio" in text and "sigma" in text
 
 
+def test_tables_match_survey_summary(survey_dir, capsys):
+    # same config as the survey fixture: both commands must print one rule
+    code = run([
+        "tables", "--curve", "17a1", "--bound", "150000", "--classes", "3,7",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads((survey_dir / "17a1_summary.json").read_text())
+    kcols = lines[1].split()[1:]
+    blocks = []
+    for line, rep in zip(lines[2:4], ("3", "7")):
+        cls = doc["classes"][rep]
+        fits = cls["fits"]
+        assert line.split() == [rep] + [
+            f"{fits[k]['alpha']:.6f}" if k in fits else "-" for k in kcols
+        ]
+        for k in sorted(fits, key=int):
+            if fits[k]["degenerate"]:
+                continue
+            blocks.append(
+                f"17a1 n0={rep} k={k} alpha={fits[k]['alpha']:.6f} "
+                f"eps={fits[k]['epsilon']:+.3f}"
+            )
+            blocks += [
+                f"{m:10d}{ratio:12.6f}{model:12.6f}"
+                for m, _, ratio, model in cls["table_rows"][k]
+            ]
+    shown = [line for line in lines[4:] if line and line.split()[0] != "M"]
+    assert len(blocks) > 4
+    assert shown == blocks
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "survey.cfg"
     cfg.write_text(

@@ -1,24 +1,23 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistsurvey import catalog, qseries
 from twistsurvey.errors import DimensionError, InvalidFormError, OverflowGuardError
 from twistsurvey.qseries import (
     BinaryQuadraticForm,
-    PowerSeries,
     ThetaRecipe,
     build_F,
-    series_add,
-    series_mul,
-    series_sub,
     theta_binary,
-    theta_unary,
+    theta_difference,
 )
 
-from oracles import naive_recipe_series, naive_theta
+from oracles import naive_recipe_series, naive_theta, shifted_add_product
 
 RECIPE_11A1 = ThetaRecipe(
     terms=(
@@ -29,9 +28,16 @@ RECIPE_11A1 = ThetaRecipe(
 )
 
 
-def series(values) -> PowerSeries:
-    arr = np.asarray(values, dtype=np.int64)
-    return PowerSeries(len(values) - 1, arr)
+def times_unary(t, values):
+    """build_F on an explicit D: the product D * (1 + 2*sum q^(t z^2))."""
+    diff = np.asarray(values, dtype=np.int64)
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
+    return build_F(recipe, diff.size - 1, diff)
+
+
+def unary(t, bound):
+    """1 + 2*sum q^(t z^2) as the product of D = 1 with the unary theta."""
+    return times_unary(t, [1] + [0] * bound)
 
 
 def test_form_rejects_non_positive_definite():
@@ -103,60 +109,97 @@ def test_theta_binary_random_forms_match_oracle(a, b, c, bound):
 
 
 def test_theta_unary_examples():
-    got = theta_unary(11, 50)
+    got = unary(11, 50)
     nonzero = {m: got.coeff(m) for m in range(51) if got.coeff(m)}
     assert nonzero == {0: 1, 11: 2, 44: 2}
-    assert theta_unary(1, 5).coeffs.tolist() == [1, 2, 0, 0, 2, 0]
-    t20 = theta_unary(20, 19)
+    assert unary(1, 5).coeffs.tolist() == [1, 2, 0, 0, 2, 0]
+    t20 = unary(20, 19)
     assert t20.coeff(0) == 1 and np.count_nonzero(t20.coeffs) == 1
 
 
 def test_series_sub_and_add():
-    s = theta_unary(1, 5)
-    zero = series_sub(s, s)
-    assert not zero.coeffs.any()
-    doubled = series_add(s, s)
-    assert doubled.coeffs.tolist() == [2, 4, 0, 0, 4, 0]
+    form = BinaryQuadraticForm(1, 0, 11)
+    zero = theta_difference(ThetaRecipe(((1, form), (-1, form)), 11), 30)
+    assert zero.dtype == np.int64 and not zero.any()
+    doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30)
+    assert doubled.tolist() == [2 * v for v in naive_theta(1, 0, 11, 30)]
 
 
 def test_series_mul_small():
-    one_plus_2q = series([1, 2, 0])
-    sq = series_mul(one_plus_2q, one_plus_2q)
-    assert sq.coeffs.tolist() == [1, 4, 4]
+    # (1 + 2q) * (1 + 2q + ...) truncated at q^2
+    assert times_unary(1, [1, 2, 0]).coeffs.tolist() == [1, 4, 4]
 
 
 def test_series_mul_unary_square_q2_coefficient():
-    u = theta_unary(1, 4)
-    assert series_mul(u, u).coeff(2) == 4  # 2*2 from q^1 * q^1
+    u = unary(1, 4)
+    assert times_unary(1, u.coeffs).coeff(2) == 4  # 2*2 from q^1 * q^1
 
 
 def test_series_bound_mismatch_raises():
     with pytest.raises(DimensionError):
-        series_sub(theta_unary(1, 5), theta_unary(1, 6))
-    with pytest.raises(DimensionError):
-        series_mul(theta_unary(1, 5), theta_unary(1, 6))
+        build_F(RECIPE_11A1, 5, np.zeros(7, dtype=np.int64))
 
 
 def test_series_overflow_guard():
-    big = series([2**62, 2**62, 0])
+    # zmax = 1 at t = 1, bound = 3: |F| <= 3 * max|D| must stay below 2^31
+    edge = (2**31 - 1) // 3
+    got = times_unary(1, [edge, edge, -edge, 0])
+    assert got.coeffs.tolist() == [edge, 3 * edge, edge, -2 * edge]
+    assert got.coeffs.dtype == np.int64
     with pytest.raises(OverflowGuardError):
-        series_add(big, big)
+        times_unary(1, [edge + 1, 0, 0, 0])
     with pytest.raises(OverflowGuardError):
-        series_mul(big, series([4, 4, 4]))
+        times_unary(1, [0, 0, 2**30, -(2**30)])
+    # no shift fits below t, so D itself only has to fit
+    assert times_unary(4, [2**30, -(2**30), 0, 0]).coeff(0) == 2**30
+    with pytest.raises(OverflowGuardError):
+        times_unary(4, [2**31, 0, 0, 0])
 
 
 @given(
-    lhs=st.lists(st.integers(-40, 40), min_size=6, max_size=6),
-    rhs=st.lists(st.integers(-40, 40), min_size=6, max_size=6),
-    third=st.lists(st.integers(-40, 40), min_size=6, max_size=6),
+    values=st.lists(st.integers(-40, 40), min_size=2, max_size=40),
+    s=st.integers(1, 8),
+    t=st.integers(1, 8),
 )
 @settings(max_examples=40, deadline=None)
-def test_series_mul_commutative_associative(lhs, rhs, third):
-    p, q, r = series(lhs), series(rhs), series(third)
-    assert np.array_equal(series_mul(p, q).coeffs, series_mul(q, p).coeffs)
-    left = series_mul(series_mul(p, q), r)
-    right = series_mul(p, series_mul(q, r))
+def test_series_mul_commutative_associative(values, s, t):
+    bound = len(values) - 1
+    assert np.array_equal(
+        times_unary(t, unary(s, bound).coeffs).coeffs,
+        times_unary(s, unary(t, bound).coeffs).coeffs,
+    )
+    left = times_unary(t, times_unary(s, values).coeffs)
+    right = times_unary(s, times_unary(t, values).coeffs)
     assert np.array_equal(left.coeffs, right.coeffs)
+
+
+@given(
+    values=st.lists(st.integers(-1000, 1000), min_size=2, max_size=300),
+    t=st.integers(1, 40),
+    block=st.sampled_from([1, 2, 7, 64, 65536]),
+)
+@settings(max_examples=80, deadline=None)
+def test_build_F_random_diff_matches_shifted_add(values, t, block):
+    bound = len(values) - 1
+    with mock.patch.object(qseries, "_BLOCK", block):
+        got = times_unary(t, values)
+    assert got.bound == bound
+    assert got.coeffs.tolist() == shifted_add_product(values, t, bound).tolist()
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_build_F_catalogue_recipes_across_block_edges(label):
+    # 140000 > 2 * 65536: the output spans three blocks
+    bound = 140000
+    recipe = catalog.curve(label).recipe
+    diff = [0] * (bound + 1)
+    for sign, form in recipe.terms:
+        theta = naive_theta(form.a, form.b, form.c, bound)
+        diff = [d + sign * v for d, v in zip(diff, theta)]
+    want = shifted_add_product(diff, recipe.unary_t, bound)
+    got = build_F(recipe, bound)
+    assert got.coeffs.dtype == np.int64 and not got.coeffs.flags.writeable
+    assert np.array_equal(got.coeffs, want)
 
 
 def test_build_F_11a1_first_coefficients():

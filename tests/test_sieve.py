@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistsurvey.errors import InvalidClassError, RangeError
 from twistsurvey.sieve import build_sieve, class_members, primes_upto
 
-from oracles import is_squarefree_trial, omega_trial
+from oracles import is_squarefree_trial
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +23,10 @@ def test_primes_upto_small():
 
 def test_small_values():
     t = build_sieve(20)
-    assert bool(t.squarefree[1]) and t.omega[1] == 0
+    assert bool(t.squarefree[1])
     assert not t.squarefree[12]
-    assert bool(t.squarefree[15]) and t.omega[15] == 2
-    assert t.omega[12] == 2  # 2 and 3
-    assert bool(t.squarefree[2]) and t.omega[16] == 1
+    assert bool(t.squarefree[15])
+    assert bool(t.squarefree[2]) and not t.squarefree[16]
 
 
 def test_squarefree_count_to_1e4():
@@ -41,8 +40,7 @@ TABLES_1E5 = build_sieve(100_000)
 
 @given(n=st.integers(1, 100_000))
 @settings(max_examples=120, deadline=None)
-def test_omega_and_squarefree_match_trial_division(n):
-    assert int(TABLES_1E5.omega[n]) == omega_trial(n)
+def test_squarefree_matches_trial_division(n):
     assert bool(TABLES_1E5.squarefree[n]) == is_squarefree_trial(n)
 
 

@@ -12,7 +12,7 @@ from twistsurvey.errors import (
     InsufficientDataError,
     RangeError,
 )
-from twistsurvey.qseries import build_F
+from twistsurvey.qseries import build_F, theta_difference
 from twistsurvey.sieve import build_sieve
 from twistsurvey.stats import (
     RatioSeries,
@@ -33,7 +33,7 @@ def mini_survey():
     bound = 100000
     series = build_F(spec.recipe, bound)
     sieve_tables = build_sieve(bound)
-    tables = build_tamagawa(spec, bound)
+    tables = build_tamagawa(spec, theta_difference(spec.recipe, bound))
     base = catalog.baseline(spec, 3)
     return survey_class(spec, base, series, sieve_tables, tables, bound)
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +9,13 @@ import pytest
 from twistsurvey import catalog
 from twistsurvey.bsd_oracle import expand_b, terms_needed, twisted_l1
 from twistsurvey.errors import CasselsViolationError, IntegralityError
-from twistsurvey.qseries import PowerSeries, build_F
+from twistsurvey.qseries import PowerSeries, build_F, theta_difference
 from twistsurvey.sieve import build_sieve, class_members, primes_upto
 from twistsurvey.waldspurger import (
     POSITIVE_RANK,
     RANK_ZERO,
     build_tamagawa,
     count_cubic_roots,
-    d_ratio,
     evaluate_twist,
     propagate_l,
     survey_class,
@@ -42,14 +40,10 @@ def coeff_series():
 
 @pytest.fixture(scope="module")
 def tamagawa_tables():
-    return {label: build_tamagawa(spec, BOUND) for label, spec in SPECS.items()}
-
-
-def test_d_ratio_values():
-    assert d_ratio(2, 2) == 1
-    assert d_ratio(1, 3) == 16
-    assert d_ratio(3, 1) == Fraction(1, 16)
-    assert isinstance(d_ratio(1, 2), Fraction)
+    return {
+        label: build_tamagawa(spec, theta_difference(spec.recipe, BOUND))
+        for label, spec in SPECS.items()
+    }
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
@@ -84,11 +78,24 @@ def test_tamagawa_cp_range(label):
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_build_tamagawa_matches_scalar(label, sieve_tables):
     spec = SPECS[label]
-    tables = build_tamagawa(spec, 3000)
+    tables = build_tamagawa(spec, theta_difference(spec.recipe, 3000))
     for n in range(1, 3001, 2):
         if not sieve_tables.squarefree[n] or math.gcd(n, spec.conductor) != 1:
             continue
         assert int(tables.cprod[n]) == tamagawa_product(spec, n), n
+
+
+def test_11a1_theta_sign_rule_matches_root_count():
+    # c_p from the sign of D[p] against 1 + #roots of the cubic mod p
+    spec = SPECS["11a1"]
+    bound = 20000
+    diff = theta_difference(spec.recipe, bound)
+    tables = build_tamagawa(spec, diff)
+    good = [p for p in primes_upto(bound).tolist() if p > 2 and p != 11]
+    assert len(good) > 2000
+    for p in good:
+        assert int(tables.cprod[p]) == tamagawa_cp(spec, p), p
+    assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
 
 
 def test_evaluate_twist_self_application():
