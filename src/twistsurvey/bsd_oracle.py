@@ -21,7 +21,7 @@ from .errors import (
     NormalizationError,
     NumericError,
 )
-from .sieve import primes_upto
+from .sieve import factorize, primes_upto
 from .waldspurger import _check_square, tamagawa_product
 
 
@@ -190,17 +190,6 @@ def conductor_twist(spec, n):
     return (_odd_part(spec.conductor) * n * n) << v2
 
 
-def _is_squarefree(n):
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
-
-
 def _tail_bound(terms, sqrt_n):
     # |b_m| <= d(m) sqrt(m) and d(m) <= 3 m^0.34 over the ranges used, so
     # the dropped tail is under 6 T^0.34 / T * x^(T+1) / (1-x), x = e^(-2pi/sqrt(N))
@@ -228,7 +217,7 @@ def twisted_l1(spec, n, terms=None, precision=1e-9, coeffs=None):
     """
     if n < 1 or n % 2 == 0 or math.gcd(n, spec.conductor) != 1:
         raise InvalidClassError(f"twist factor {n} not odd/coprime")
-    if not _is_squarefree(n):
+    if any(e > 1 for e in factorize(n).values()):
         raise InvalidClassError(f"twist factor {n} not squarefree")
     if n % spec.table_modulus not in spec.class_reps:
         raise InvalidClassError(
@@ -353,11 +342,11 @@ def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
     return selmer
 
 
-def transfer_defect(spec, n, n0, a_n, a_n0, coeffs=None, precision=1e-7):
-    """Relative defect of a_n0^2 sqrt(n) L(-n) = a_n^2 sqrt(n0) L(-n0),
-    both L-values from the series (no shared path with the theta engine)."""
-    ln = twisted_l1(spec, n, precision=precision, coeffs=coeffs).l1
-    ln0 = twisted_l1(spec, n0, precision=precision, coeffs=coeffs).l1
-    lhs = a_n0 * a_n0 * math.sqrt(n) * ln
-    rhs = a_n * a_n * math.sqrt(n0) * ln0
+def transfer_defect(n, n0, a_n, a_n0, l_n, l_n0):
+    """Relative defect of the Waldspurger pair identity
+
+        a_n0^2 sqrt(n) L(-n) = a_n^2 sqrt(n0) L(-n0).
+    """
+    lhs = a_n0 * a_n0 * math.sqrt(n) * l_n
+    rhs = a_n * a_n * math.sqrt(n0) * l_n0
     return abs(lhs - rhs) / abs(lhs)

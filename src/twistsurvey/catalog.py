@@ -23,6 +23,8 @@ from fractions import Fraction
 
 from .errors import NotInCatalogError, BaselineFailureError
 from .qseries import BinaryQuadraticForm, ThetaRecipe
+from .sieve import factorize, primes_upto
+from .waldspurger import is_square
 
 LABELS = ("11a1", "14a1", "17a1", "20a1", "34a1")
 
@@ -194,30 +196,16 @@ def rational_cubic_roots(b2, b4, b6):
     return sorted(roots)
 
 
-def _prime_support(n):
-    n = abs(n)
-    ps = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            ps.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        ps.add(n)
-    return ps
-
-
 def _check_curve(spec):
     """Cheap structural validation, once per label."""
-    if _prime_support(spec.discriminant()) != _prime_support(spec.conductor):
+    bad_primes = factorize(spec.conductor).keys()
+    if factorize(spec.discriminant()).keys() != bad_primes:
         raise BaselineFailureError(
             f"{spec.label}: discriminant prime support does not match conductor"
         )
     if spec.table_modulus % 4:
         raise BaselineFailureError(f"{spec.label}: modulus not divisible by 4")
-    for p in _prime_support(spec.conductor):
+    for p in bad_primes:
         if p != 2 and spec.table_modulus % p:
             raise BaselineFailureError(
                 f"{spec.label}: modulus misses conductor prime {p}"
@@ -328,6 +316,9 @@ def parse_overrides(text):
 
 
 def load_overrides(path):
+    """Overrides from a file; None when no path is given."""
+    if not path:
+        return None
     with open(path) as fh:
         return parse_overrides(fh.read())
 
@@ -335,7 +326,6 @@ def load_overrides(path):
 def validate_catalog(hasse_limit=100):
     """Full startup validation: structure plus oracle a_p Hasse bounds."""
     from . import bsd_oracle  # deferred: bsd_oracle imports this module
-    from .sieve import primes_upto
 
     for label in LABELS:
         spec = curve(label)
@@ -354,8 +344,7 @@ def validate_catalog(hasse_limit=100):
                 raise BaselineFailureError(
                     f"{label} class {n0}: effective rep not in class"
                 )
-            r = math.isqrt(base.k0)
-            if r * r != base.k0:
+            if not is_square(base.k0):
                 raise BaselineFailureError(
                     f"{label} class {n0}: k0 {base.k0} not a square"
                 )

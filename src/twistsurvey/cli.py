@@ -19,7 +19,13 @@ import time
 import numpy as np
 
 from . import catalog, stats
-from .bsd_oracle import expand_b, baseline_selmer, terms_needed, twisted_l1
+from .bsd_oracle import (
+    baseline_selmer,
+    expand_b,
+    terms_needed,
+    transfer_defect,
+    twisted_l1,
+)
 from .errors import (
     BaselineFailureError,
     CasselsViolationError,
@@ -35,9 +41,10 @@ from .errors import (
 )
 from .qseries import build_F, theta_difference
 from .sieve import build_sieve, class_members
-from .waldspurger import build_tamagawa, propagate_l, survey_class
+from .waldspurger import build_tamagawa, is_square, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
+CSV_HEADER = "n,a_n,k,selmer,L"
 # standard checkpoint grid rendered in summary tables
 TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000)
 
@@ -192,7 +199,7 @@ def _write_class_csv(path, surv):
         fh.write(f"# curve {surv.curve}\n")
         fh.write(f"# n0 {surv.n0}\n")
         fh.write(f"# bound {surv.bound}\n")
-        fh.write("n,a_n,k,selmer,L\n")
+        fh.write(f"{CSV_HEADER}\n")
         members = surv.members
         for i in range(members.size):
             a_n = int(surv.a[i])
@@ -283,7 +290,7 @@ def cmd_expand(args):
 def cmd_survey(args):
     cfg = make_config(args)
     spec = catalog.curve(cfg.curve)
-    overrides = catalog.load_overrides(cfg.overrides) if cfg.overrides else None
+    overrides = catalog.load_overrides(cfg.overrides)
     reps = cfg.classes or spec.class_reps
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.time()
@@ -305,24 +312,53 @@ def cmd_survey(args):
 
 
 def _read_class_csv(path):
+    """Metadata and the n, k columns of a class CSV, as _write_class_csv
+    writes it: '# key value' lines (integer n0 and bound) with
+    '# schema_version 1' before the header, then rows of 5 fields with
+    integer n and k and strictly ascending n.  Any other line raises
+    DomainError naming it."""
     meta = {}
     ns = []
     ks = []
+    header = False
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            where = f"{path} line {lineno}"
             if not line:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) >= 2:
                     meta[parts[0]] = parts[1]
+                    if parts[0] in ("n0", "bound") and not parts[1].isdigit():
+                        raise DomainError(
+                            f"{where}: {parts[0]} must be an integer"
+                        )
                 continue
-            if line[0].isalpha():
-                continue  # column header
+            if not header:
+                if line != CSV_HEADER:
+                    raise DomainError(
+                        f"{where}: expected header {CSV_HEADER!r}"
+                    )
+                if meta.get("schema_version") != str(SCHEMA_VERSION):
+                    raise DomainError(
+                        f"{where}: header without '# schema_version "
+                        f"{SCHEMA_VERSION}' before it"
+                    )
+                header = True
+                continue
             fields = line.split(",")
-            ns.append(int(fields[0]))
-            ks.append(int(fields[2]))
+            if len(fields) != 5:
+                raise DomainError(f"{where}: {len(fields)} fields, want 5")
+            try:
+                n, k = int(fields[0]), int(fields[2])
+            except ValueError:
+                raise DomainError(f"{where}: n and k must be integers")
+            if ns and n <= ns[-1]:
+                raise DomainError(f"{where}: n = {n} after n = {ns[-1]}")
+            ns.append(n)
+            ks.append(k)
     return meta, np.asarray(ns, dtype=np.int64), np.asarray(ks, dtype=np.int64)
 
 
@@ -339,8 +375,6 @@ def cmd_fit(args):
     meta, ns, ks = _read_class_csv(args.survey_csv)
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
-    order = np.argsort(ns)
-    ns, ks = ns[order], ks[order]
     step = args.step or 50000
     bound = args.bound or int(meta.get("bound", int(ns[-1])))
     results = _CsvResults(
@@ -399,7 +433,8 @@ def cmd_tables(args):
     cfg = make_config(args)
     spec = catalog.curve(cfg.curve)
     reps = cfg.classes or spec.class_reps
-    surveys = survey_curve(spec, cfg.bound, reps)
+    overrides = catalog.load_overrides(cfg.overrides)
+    surveys = survey_curve(spec, cfg.bound, reps, overrides)
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     kcols = tuple(j * j for j in range(20))
     entries = {
@@ -494,9 +529,7 @@ def run_cassels_suite(labels, bound, overrides=None):
             nz = surv.a != 0
             if (surv.k[nz] == 0).any() or (surv.k[~nz] != 0).any():
                 fails.append(f"cassels {label}/{rep}: k = 0 bucket mismatch")
-            k = surv.k[nz]
-            root = np.rint(np.sqrt(k.astype(np.float64))).astype(np.int64)
-            if (root * root != k).any():
+            if not is_square(surv.k[nz]).all():
                 fails.append(f"cassels {label}/{rep}: non-square k")
             counted = sum(
                 int((surv.k == kk).sum()) for kk in np.unique(surv.k)
@@ -545,9 +578,7 @@ def run_waldspurger_suite(labels, pairs, member_bound=20000, threshold=1e-5,
                 l_n = twisted_l1(
                     spec, n, precision=precision, coeffs=coeffs
                 ).l1
-                lhs = a_n0 * a_n0 * math.sqrt(n) * l_n
-                rhs = a_n * a_n * math.sqrt(n0) * l_n0
-                defect = abs(lhs - rhs) / abs(lhs)
+                defect = transfer_defect(n, n0, a_n, a_n0, l_n, l_n0)
                 if not defect < threshold:
                     fails.append(
                         f"waldspurger {label}/{rep} n={n}: defect {defect:.2e}"
@@ -654,9 +685,7 @@ def cmd_verify(args):
     labels = (args.curve,) if args.curve else catalog.LABELS
     for label in labels:
         catalog.curve(label)
-    overrides = (
-        catalog.load_overrides(args.overrides) if args.overrides else None
-    )
+    overrides = catalog.load_overrides(args.overrides)
     extended = args.depth == "extended"
     if extended:
         theta_bound, survey_bound, pairs = 10000, 10**6, 20

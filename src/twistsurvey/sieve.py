@@ -1,4 +1,4 @@
-"""Squarefree flags and class membership."""
+"""Squarefree flags, class membership and trial-division factorization."""
 
 from __future__ import annotations
 
@@ -31,6 +31,23 @@ def primes_upto(bound: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.flatnonzero(flags).astype(np.int64)
+
+
+def factorize(n: int) -> dict:
+    """{p: e} with |n| = prod p^e, by trial division up to sqrt(|n|)."""
+    n = abs(int(n))
+    if n == 0:
+        raise ValueError("cannot factorize 0")
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 + (p > 2)
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def build_sieve(bound: int) -> SieveTables:

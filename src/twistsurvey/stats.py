@@ -35,7 +35,6 @@ class RatioSeries:
     checkpoints: tuple
     x: tuple  # surveyed members <= M_i
     s: tuple  # members with the series' k
-    meta: tuple  # (curve label, n0, k)
 
     def __post_init__(self):
         cps = tuple(int(m) for m in self.checkpoints)
@@ -91,38 +90,26 @@ def default_checkpoints(bound, step=50000):
     return tuple(range(step, bound + 1, step))
 
 
-def tally(results, k, checkpoints, bound=None):
+def tally(survey, k, checkpoints):
     """Cumulative x and s counts at each checkpoint for one class.
 
-    results is either a ClassSurvey or an iterable of TwistResult; the
-    survey carries its own bound, otherwise pass one (defaults to the
-    largest surveyed member).
+    survey is a ClassSurvey, or any record with its ascending .members,
+    their .k and the surveyed .bound (cli's CSV reader builds one).
     """
     k = int(k)
     if k < 0:
         raise DomainError("k must be nonnegative")
     cps = tuple(int(m) for m in checkpoints)
-    if hasattr(results, "members"):
-        ns = np.asarray(results.members, dtype=np.int64)
-        kv = np.asarray(results.k, dtype=np.int64)
-        meta = (results.curve, int(results.n0), k)
-        if bound is None:
-            bound = results.bound
-    else:
-        rows = sorted((int(r.n), int(r.k)) for r in results)
-        ns = np.array([n for n, _ in rows], dtype=np.int64)
-        kv = np.array([kk for _, kk in rows], dtype=np.int64)
-        meta = (None, None, k)
-        if bound is None:
-            bound = int(ns[-1]) if ns.size else 0
-    if cps and max(cps) > bound:
+    if cps and max(cps) > survey.bound:
         raise RangeError(
-            f"checkpoint {max(cps)} exceeds surveyed bound {bound}"
+            f"checkpoint {max(cps)} exceeds surveyed bound {survey.bound}"
         )
+    ns = np.asarray(survey.members, dtype=np.int64)
+    kv = np.asarray(survey.k, dtype=np.int64)
     cparr = np.asarray(cps, dtype=np.int64)
     x = np.searchsorted(ns, cparr, side="right")
     s = np.searchsorted(ns[kv == k], cparr, side="right")
-    return RatioSeries(cps, tuple(x.tolist()), tuple(s.tolist()), meta)
+    return RatioSeries(cps, tuple(x.tolist()), tuple(s.tolist()))
 
 
 def sigma(x, alpha, epsilon):

@@ -25,21 +25,29 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CasselsViolationError, IntegralityError
-from .sieve import class_members, primes_upto
+from .errors import CasselsViolationError, IntegralityError, OverflowGuardError
+from .sieve import class_members, factorize, primes_upto
 
-POSITIVE_RANK = "positive_rank"
-RANK_ZERO = "rank_zero"
+# float64 holds every integer below 2^53 exactly and sqrt rounds
+# correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
+# the guard keeps one bit of margin
+SQUARE_EXACT_BOUND = 2 ** 52
 
 
-@dataclass(frozen=True)
-class TwistResult:
-    n: int
-    a_n: int
-    status: str
-    selmer: int | None  # present iff rank_zero
-    k: int  # 0 iff positive_rank, else selmer / t
-    l_value: float | None
+def is_square(k):
+    """Elementwise perfect-square test (negatives are not squares).
+
+    Raises OverflowGuardError for k >= 2^52, where the float root test
+    is no longer argued exact.
+    """
+    k = np.asarray(k)
+    if (k >= SQUARE_EXACT_BOUND).any():
+        raise OverflowGuardError(
+            f"square test needs k < 2^52, got {int(k.max())}"
+        )
+    k = k.astype(np.int64, copy=False)
+    root = np.rint(np.sqrt(np.maximum(k, 0).astype(np.float64)))
+    return root.astype(np.int64) ** 2 == k
 
 
 def two_division_cubic(spec):
@@ -60,19 +68,8 @@ def tamagawa_cp(spec, p):
 
 
 def tamagawa_product(spec, n):
-    """prod c_p over p | n, by trial division (scalar path)."""
-    c = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            c *= tamagawa_cp(spec, p)
-            while m % p == 0:
-                m //= p
-        p += 1 + (p > 2)
-    if m > 1:
-        c *= tamagawa_cp(spec, m)
-    return c
+    """prod c_p over p | n (scalar path)."""
+    return math.prod(tamagawa_cp(spec, p) for p in factorize(n))
 
 
 def _quadratic_cofactor_disc(spec):
@@ -147,46 +144,10 @@ def build_tamagawa(spec, diff):
 
 
 def _check_square(k, n, curve_label):
-    r = math.isqrt(k)
-    if r * r != k:
+    if not is_square(k):
         raise CasselsViolationError(
             f"{curve_label}: k = {k} at n = {n} is not a perfect square"
         )
-
-
-def evaluate_twist(n, a_n, baseline, family_torsion, tables=None):
-    """Selmer order and propagated L-value of the twist by -n.
-
-    Exact integer arithmetic throughout; a non-integral order means the
-    class normalization is wrong and raises IntegralityError.  tables, if
-    given, supplies c(n) in O(1); otherwise it is recomputed by trial
-    division.
-    """
-    a_n = int(a_n)
-    if a_n == 0:
-        return TwistResult(n, 0, POSITIVE_RANK, None, 0, None)
-    if tables is not None:
-        c_n = int(tables.cprod[n])
-    else:
-        from .catalog import curve
-
-        c_n = tamagawa_product(curve(baseline.curve), n)
-    num = baseline.selmer_n0 * baseline.c_n0 * a_n * a_n
-    den = baseline.a_n0 * baseline.a_n0 * c_n
-    if num % den:
-        raise IntegralityError(
-            f"{baseline.curve} class {baseline.n0}: selmer "
-            f"{num}/{den} not integral at n = {n}"
-        )
-    selmer = num // den
-    if selmer % family_torsion:
-        raise IntegralityError(
-            f"{baseline.curve} class {baseline.n0}: selmer {selmer} not "
-            f"divisible by t = {family_torsion} at n = {n}"
-        )
-    k = selmer // family_torsion
-    _check_square(k, n, baseline.curve)
-    return TwistResult(n, a_n, RANK_ZERO, selmer, k, propagate_l(n, a_n, baseline))
 
 
 def propagate_l(n, a_n, baseline):
@@ -210,21 +171,15 @@ class ClassSurvey:
     selmer: np.ndarray  # 0 placeholder where k = 0
     l: np.ndarray  # nan where k = 0
 
-    def results(self):
-        for i in range(self.members.size):
-            n = int(self.members[i])
-            a_n = int(self.a[i])
-            if a_n == 0:
-                yield TwistResult(n, 0, POSITIVE_RANK, None, 0, None)
-            else:
-                yield TwistResult(
-                    n, a_n, RANK_ZERO, int(self.selmer[i]), int(self.k[i]),
-                    float(self.l[i]),
-                )
-
 
 def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
-    """evaluate_twist over every squarefree class member <= bound, vectorized."""
+    """The transfer law from the class anchor to every squarefree class
+    member <= bound, in exact int64 arithmetic.
+
+    A non-integral order means the class normalization is wrong and
+    raises IntegralityError; a non-square k raises CasselsViolationError.
+    Members with a_n = 0 land in the k = 0 bucket with no L-value.
+    """
     members = class_members(sieve_tables, baseline.n0, spec.table_modulus, bound)
     a = coeff_series.coeffs[members]
     c = tables.cprod[members].astype(np.int64)
@@ -247,11 +202,10 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
             f"at n = {n}"
         )
     k = selmer // t
-    root = np.rint(np.sqrt(k.astype(np.float64))).astype(np.int64)
-    nonsq = nz & (root * root != k)
+    nonsq = nz & ~is_square(k)
     if nonsq.any():
-        n = int(members[nonsq][0])
-        _check_square(int(k[members == n][0]), n, spec.label)
+        i = int(np.flatnonzero(nonsq)[0])
+        _check_square(int(k[i]), int(members[i]), spec.label)
     af = a.astype(np.float64)
     a0sq = float(baseline.a_n0 * baseline.a_n0)
     with np.errstate(invalid="ignore"):

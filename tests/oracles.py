@@ -7,6 +7,7 @@ reimplementation so that agreement with the package is meaningful.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def naive_theta(a: int, b: int, c: int, bound: int) -> list:
@@ -76,6 +77,56 @@ def shifted_add_product(diff, t: int, bound: int):
         out[shift:] += 2 * d[: bound + 1 - shift]
         z += 1
     return out
+
+
+def tamagawa_by_root_count(ainvs, n: int) -> int:
+    """c(n) = prod over primes p | n of 1 + #roots mod p of the 2-division
+    cubic 4x^3 + b2 x^2 + 2 b4 x + b6, with b2, b4, b6 taken from the
+    Weierstrass a-invariants and the roots counted by trying every x."""
+    a1, a2, a3, a4, a6 = ainvs
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    c = 1
+    m = n
+    d = 2
+    while m > 1:
+        if d * d > m:
+            d = m
+        if m % d == 0:
+            roots = sum(
+                (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % d == 0
+                for x in range(d)
+            )
+            c *= 1 + roots
+            while m % d == 0:
+                m //= d
+        d += 1
+    return c
+
+
+def scalar_transfer(ainvs, t: int, anchor, n: int, a_n: int):
+    """(k, selmer, L) of the twist by -n, moved from the class anchor one
+    twist at a time:
+
+        #S(-n) = #S(-n0) * (a_n^2 / a_n0^2) * (c(n0) / c(n)),
+        L(-n) = L(-n0) * (a_n^2 / a_n0^2) * sqrt(n0 / n),
+
+    with anchor = (n0, a_n0, selmer_n0, l_n0) and both c from
+    tamagawa_by_root_count.  a_n = 0 gives (0, 0, None).  A non-integral
+    order or one not divisible by t raises ValueError.
+    """
+    n0, a_n0, selmer_n0, l_n0 = anchor
+    if a_n == 0:
+        return 0, 0, None
+    selmer = Fraction(
+        selmer_n0 * tamagawa_by_root_count(ainvs, n0) * a_n * a_n,
+        a_n0 * a_n0 * tamagawa_by_root_count(ainvs, n),
+    )
+    if selmer.denominator != 1 or selmer.numerator % t:
+        raise ValueError(f"order {selmer} at n = {n} is not a multiple of {t}")
+    ratio = (a_n * a_n) / (a_n0 * a_n0)
+    return int(selmer) // t, int(selmer), l_n0 * ratio * math.sqrt(n0 / n)
 
 
 def eta_product_11a1(bound: int) -> list:

@@ -244,7 +244,12 @@ def test_transfer_defect_small_pair():
     a_n = int(series.coeffs[n])
     needed = max(terms_needed(spec, m, 1e-7) for m in (n, n0))
     coeffs = expand_b(spec, needed)
-    defect = transfer_defect(spec, n, n0, a_n, a_n0, coeffs=coeffs)
+    l_n, l_n0 = (
+        twisted_l1(spec, m, precision=1e-7, coeffs=coeffs).l1 for m in (n, n0)
+    )
+    defect = transfer_defect(n, n0, a_n, a_n0, l_n, l_n0)
     assert defect < 1e-5
-    forged = transfer_defect(spec, n, n0, a_n + 2, a_n0, coeffs=coeffs)
+    forged = transfer_defect(n, n0, a_n + 2, a_n0, l_n, l_n0)
     assert forged > 1e-2
+    # the pair identity is symmetric up to which side is the reference
+    assert transfer_defect(n0, n, a_n0, a_n, l_n0, l_n) < 1e-5

@@ -138,17 +138,11 @@ def test_tables_smoke(capsys):
     assert "ratio" in text and "sigma" in text
 
 
-def test_tables_match_survey_summary(survey_dir, capsys):
-    # same config as the survey fixture: both commands must print one rule
-    code = run([
-        "tables", "--curve", "17a1", "--bound", "150000", "--classes", "3,7",
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    doc = json.loads((survey_dir / "17a1_summary.json").read_text())
+def assert_tables_match_summary(lines, doc, label, reps):
+    """tables stdout shows the alpha, eps, ratio and sigma of the summary."""
     kcols = lines[1].split()[1:]
     blocks = []
-    for line, rep in zip(lines[2:4], ("3", "7")):
+    for line, rep in zip(lines[2:2 + len(reps)], reps):
         cls = doc["classes"][rep]
         fits = cls["fits"]
         assert line.split() == [rep] + [
@@ -158,16 +152,46 @@ def test_tables_match_survey_summary(survey_dir, capsys):
             if fits[k]["degenerate"]:
                 continue
             blocks.append(
-                f"17a1 n0={rep} k={k} alpha={fits[k]['alpha']:.6f} "
+                f"{label} n0={rep} k={k} alpha={fits[k]['alpha']:.6f} "
                 f"eps={fits[k]['epsilon']:+.3f}"
             )
             blocks += [
                 f"{m:10d}{ratio:12.6f}{model:12.6f}"
                 for m, _, ratio, model in cls["table_rows"][k]
             ]
-    shown = [line for line in lines[4:] if line and line.split()[0] != "M"]
-    assert len(blocks) > 4
+    shown = [
+        line for line in lines[2 + len(reps):] if line and line.split()[0] != "M"
+    ]
+    assert len(blocks) > 2
     assert shown == blocks
+
+
+def test_tables_match_survey_summary(survey_dir, tmp_path, capsys):
+    # same config as the survey fixture: both commands must print one rule
+    code = run([
+        "tables", "--curve", "17a1", "--bound", "150000", "--classes", "3,7",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads((survey_dir / "17a1_summary.json").read_text())
+    assert_tables_match_summary(lines, doc, "17a1", ("3", "7"))
+
+    # a config whose overrides file scales class 3's anchor order by 4
+    ov = tmp_path / "anchor.ov"
+    ov.write_text("11a1.3.selmer_n0 = 4\n11a1.3.k0 = 4\n")
+    cfg = tmp_path / "tables.cfg"
+    cfg.write_text(
+        f"curve = 11a1\nbound = 200000\nclasses = 3\noverrides = {ov}\n"
+    )
+    out = tmp_path / "survey"
+    assert run(["survey", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["tables", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads((out / "11a1_summary.json").read_text())
+    fits = doc["classes"]["3"]["fits"]
+    assert "4" in fits and "16" in fits and "1" not in fits
+    assert_tables_match_summary(lines, doc, "11a1", ("3",))
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -240,3 +264,70 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
     bad = {s["name"]: s for s in doc["suites"]}["baseline_reproduction"]
     assert not bad["passed"]
     assert bad["failures"]
+
+
+def _bad_csv(lines, case):
+    """Put one defect into a class CSV.  Returns the lines and the index
+    of the line the reader must name."""
+    lines = list(lines)
+    h = lines.index(cli.CSV_HEADER)
+    r = h + 4  # a data row inside the file
+    if case == "foreign_line_before_header":
+        lines.insert(h, "foo,bar")
+        return lines, h
+    if case == "foreign_row":
+        lines.insert(r, "foo,bar")
+        return lines, r
+    if case == "short_row":
+        lines[r] = ",".join(lines[r].split(",")[:3])
+        return lines, r
+    if case == "non_integer_n":
+        lines[r] = "x" + lines[r]
+        return lines, r
+    if case == "non_integer_k":
+        fields = lines[r].split(",")
+        fields[2] = "1.5"
+        lines[r] = ",".join(fields)
+        return lines, r
+    if case == "duplicate_n":
+        lines.insert(r, lines[r])
+        return lines, r + 1
+    if case == "descending_n":
+        lines[r], lines[r + 1] = lines[r + 1], lines[r]
+        return lines, r + 1
+    if case == "schema_version_2":
+        lines[0] = "# schema_version 2"
+        return lines, h
+    if case == "non_integer_bound":
+        b = lines.index("# bound 150000")
+        lines[b] = "# bound 1e5"
+        return lines, b
+    if case == "no_schema_version":
+        del lines[0]
+        return lines, h - 1
+    assert case == "no_header"
+    del lines[h]
+    return lines, h
+
+
+@pytest.mark.parametrize("case", [
+    "foreign_line_before_header",
+    "foreign_row",
+    "short_row",
+    "non_integer_n",
+    "non_integer_k",
+    "duplicate_n",
+    "descending_n",
+    "schema_version_2",
+    "non_integer_bound",
+    "no_schema_version",
+    "no_header",
+])
+def test_fit_rejects_malformed_csv(survey_dir, tmp_path, capsys, case):
+    good = (survey_dir / "17a1_class3.csv").read_text().splitlines()
+    lines, named = _bad_csv(good, case)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["fit", "--survey-csv", str(bad), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} line {named + 1}: "), err

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistsurvey.errors import InvalidClassError, RangeError
-from twistsurvey.sieve import build_sieve, class_members, primes_upto
+from twistsurvey.sieve import build_sieve, class_members, factorize, primes_upto
 
 from oracles import is_squarefree_trial
 
@@ -42,6 +44,31 @@ TABLES_1E5 = build_sieve(100_000)
 @settings(max_examples=120, deadline=None)
 def test_squarefree_matches_trial_division(n):
     assert bool(TABLES_1E5.squarefree[n]) == is_squarefree_trial(n)
+
+
+def test_factorize_examples():
+    assert factorize(1) == {}
+    assert factorize(2) == {2: 1}
+    assert factorize(-44) == {2: 2, 11: 1}
+    assert factorize(-161051) == {11: 5}  # discriminant of 11a1
+    assert factorize(2 ** 40) == {2: 40}
+    assert factorize(9) == {3: 2} and factorize(25) == {5: 2}
+    assert factorize(1_000_003) == {1_000_003: 1}
+    assert factorize(999_983 * 1_000_003) == {999_983: 1, 1_000_003: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+@given(n=st.integers(1, 10 ** 9))
+@settings(max_examples=120, deadline=None)
+def test_factorize_reconstructs_with_prime_keys(n):
+    got = factorize(n)
+    assert math.prod(p ** e for p, e in got.items()) == n
+    assert list(got) == sorted(got)
+    for p, e in got.items():
+        assert e >= 1 and p >= 2
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert all(e == 1 for e in got.values()) == is_squarefree_trial(n)
 
 
 def test_class_members_examples(tables_1e6):

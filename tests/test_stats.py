@@ -49,16 +49,16 @@ def test_default_checkpoints():
 
 def test_ratio_series_invariants():
     with pytest.raises(DimensionError):
-        RatioSeries((1, 2), (1,), (0,), (None, None, 0))
+        RatioSeries((1, 2), (1,), (0,))
     with pytest.raises(DomainError):
-        RatioSeries((2, 2), (1, 1), (0, 0), (None, None, 0))  # not ascending
+        RatioSeries((2, 2), (1, 1), (0, 0))  # not ascending
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (1, 2), (2, 2), (None, None, 0))  # s > x
+        RatioSeries((1, 2), (1, 2), (2, 2))  # s > x
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (2, 1), (0, 0), (None, None, 0))  # x decreasing
+        RatioSeries((1, 2), (2, 1), (0, 0))  # x decreasing
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (1, 2), (-1, 0), (None, None, 0))
-    ok = RatioSeries((1, 2), (0, 4), (0, 1), ("11a1", 3, 4))
+        RatioSeries((1, 2), (1, 2), (-1, 0))
+    ok = RatioSeries((1, 2), (0, 4), (0, 1))
     assert ok.ratios().tolist() == [0.0, 0.25]  # zero-count checkpoint guarded
 
 
@@ -75,7 +75,7 @@ def synthetic_series(alpha, eps, npts=8):
     cps = tuple(50000 * (i + 1) for i in range(npts))
     xs = tuple(int(round(1e14 * (i + 1))) for i in range(npts))
     ss = tuple(int(round(sigma(x, alpha, eps) * x)) for x in xs)
-    return RatioSeries(cps, xs, ss, (None, None, 1))
+    return RatioSeries(cps, xs, ss)
 
 
 def test_fit_alpha_exact_recovery():
@@ -86,13 +86,13 @@ def test_fit_alpha_exact_recovery():
 def test_fit_alpha_linear_in_counts():
     series = synthetic_series(0.2, 0.0)
     doubled = RatioSeries(
-        series.checkpoints, series.x, tuple(2 * s for s in series.s), series.meta
+        series.checkpoints, series.x, tuple(2 * s for s in series.s)
     )
     assert fit_alpha(doubled) == pytest.approx(2 * fit_alpha(series), rel=1e-12)
 
 
 def test_fit_alpha_needs_two_points():
-    lone = RatioSeries((50000,), (10 ** 14,), (10 ** 12,), (None, None, 1))
+    lone = RatioSeries((50000,), (10 ** 14,), (10 ** 12,))
     with pytest.raises(InsufficientDataError):
         fit_alpha(lone)
 
@@ -120,7 +120,7 @@ def test_fit_two_stage_self_consistent():
 
 def test_fit_degenerate_all_zero():
     series = RatioSeries(
-        (50000, 100000), (10 ** 9, 2 * 10 ** 9), (0, 0), (None, None, 9)
+        (50000, 100000), (10 ** 9, 2 * 10 ** 9), (0, 0)
     )
     got = fit(series)
     assert got.degenerate
@@ -140,7 +140,7 @@ def test_quotient_fit_identity_and_scaling():
     assert c == pytest.approx(1.0, abs=1e-12)
     assert delta == pytest.approx(0.0, abs=1e-12)
     halved = RatioSeries(
-        a.checkpoints, a.x, tuple(s // 2 for s in a.s), a.meta
+        a.checkpoints, a.x, tuple(s // 2 for s in a.s)
     )
     c2, d2 = quotient_fit(halved, a)
     assert c2 == pytest.approx(0.5, rel=1e-6)
@@ -149,10 +149,10 @@ def test_quotient_fit_identity_and_scaling():
 
 def test_quotient_fit_guards():
     a = synthetic_series(0.3, 0.0)
-    b = RatioSeries((1, 2), (100, 200), (1, 2), (None, None, 1))
+    b = RatioSeries((1, 2), (100, 200), (1, 2))
     with pytest.raises(DimensionError):
         quotient_fit(a, b)
-    zero = RatioSeries(a.checkpoints, a.x, tuple(0 for _ in a.s), a.meta)
+    zero = RatioSeries(a.checkpoints, a.x, tuple(0 for _ in a.s))
     with pytest.raises(InsufficientDataError):
         quotient_fit(a, zero)
 
@@ -166,21 +166,11 @@ def test_tally_partition_identity(mini_survey):
         series = tally(mini_survey, k, cps)
         total += np.asarray(series.s)
         x_ref = series.x
-        assert series.meta == ("11a1", 3, k)
     assert tuple(total.tolist()) == x_ref
     # the x column really counts surveyed members
     members = mini_survey.members
     for cp, x in zip(cps, x_ref):
         assert x == int((members <= cp).sum())
-
-
-def test_tally_iterable_path_matches_fast_path(mini_survey):
-    cps = default_checkpoints(mini_survey.bound)
-    fast = tally(mini_survey, 1, cps)
-    slow = tally(list(mini_survey.results()), 1, cps, bound=mini_survey.bound)
-    assert fast.checkpoints == slow.checkpoints
-    assert fast.x == slow.x
-    assert fast.s == slow.s
 
 
 def test_tally_checkpoint_beyond_bound(mini_survey):

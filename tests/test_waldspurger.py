@@ -8,21 +8,25 @@ import pytest
 
 from twistsurvey import catalog
 from twistsurvey.bsd_oracle import expand_b, terms_needed, twisted_l1
-from twistsurvey.errors import CasselsViolationError, IntegralityError
+from twistsurvey.errors import (
+    CasselsViolationError,
+    IntegralityError,
+    OverflowGuardError,
+)
 from twistsurvey.qseries import PowerSeries, build_F, theta_difference
 from twistsurvey.sieve import build_sieve, class_members, primes_upto
 from twistsurvey.waldspurger import (
-    POSITIVE_RANK,
-    RANK_ZERO,
     build_tamagawa,
     count_cubic_roots,
-    evaluate_twist,
+    is_square,
     propagate_l,
     survey_class,
     tamagawa_cp,
     tamagawa_product,
     two_division_cubic,
 )
+
+from oracles import scalar_transfer, tamagawa_by_root_count
 
 BOUND = 30000
 SPECS = {label: catalog.curve(label) for label in catalog.LABELS}
@@ -98,38 +102,80 @@ def test_11a1_theta_sign_rule_matches_root_count():
     assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
 
 
-def test_evaluate_twist_self_application():
+@pytest.fixture(scope="module")
+def survey(coeff_series, sieve_tables, tamagawa_tables):
+    """survey_class over one class at a bound <= BOUND, shared tables."""
+
+    def run(label, base, bound=BOUND):
+        return survey_class(
+            SPECS[label], base, coeff_series[label], sieve_tables,
+            tamagawa_tables[label], bound,
+        )
+
+    return run
+
+
+def member_index(sv, n):
+    (i,) = np.flatnonzero(sv.members == n)
+    return int(i)
+
+
+def test_evaluate_twist_self_application(survey):
+    # the transfer law applied at the anchor itself returns the anchor
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
             base = catalog.baseline(spec, n0)
-            got = evaluate_twist(
-                base.n0_effective, base.a_n0, base, spec.family_torsion
-            )
-            assert got.status == RANK_ZERO
-            assert got.selmer == base.selmer_n0
-            assert got.k == base.k0
-            assert got.l_value == pytest.approx(base.l_n0, rel=1e-15)
+            sv = survey(label, base, 1000)
+            i = member_index(sv, base.n0_effective)
+            assert sv.a[i] == base.a_n0
+            assert sv.selmer[i] == base.selmer_n0
+            assert sv.k[i] == base.k0
+            assert sv.l[i] == pytest.approx(base.l_n0, rel=1e-15)
 
 
-def test_evaluate_twist_positive_rank():
-    base = catalog.baseline(SPECS["11a1"], 3)
-    got = evaluate_twist(47, 0, base, 1)
-    assert got.status == POSITIVE_RANK
-    assert got.selmer is None and got.k == 0 and got.l_value is None
+def test_evaluate_twist_positive_rank(survey):
+    # a_47 = 0 in 11a1 class 3: the k = 0 bucket, no order and no L-value
+    sv = survey("11a1", catalog.baseline(SPECS["11a1"], 3), 1000)
+    i = member_index(sv, 47)
+    assert sv.a[i] == 0 and sv.k[i] == 0 and sv.selmer[i] == 0
+    assert math.isnan(sv.l[i])
 
 
-def test_evaluate_twist_corrupt_anchor_coefficient():
+def test_evaluate_twist_corrupt_anchor_coefficient(survey):
     base = replace(catalog.baseline(SPECS["11a1"], 3), a_n0=3)
     with pytest.raises(IntegralityError):
-        evaluate_twist(3, -2, base, 1)
+        survey("11a1", base, 1000)
 
 
-def test_evaluate_twist_forged_selmer_fails_square_check():
+def test_evaluate_twist_forged_selmer_fails_square_check(survey):
+    # selmer 6 at t = 2 gives k = 3 at the anchor
     spec = SPECS["17a1"]
     base = replace(catalog.baseline(spec, 3), selmer_n0=6)
-    with pytest.raises(CasselsViolationError):
-        evaluate_twist(base.n0_effective, base.a_n0, base, spec.family_torsion)
+    with pytest.raises(CasselsViolationError, match=f"n = {base.n0_effective}"):
+        survey("17a1", base, 1000)
+
+
+def test_is_square_exact_below_guard():
+    r = 2 ** 26 - 1
+    ks = np.array([0, 1, 2, 3, 4, 8, 9, 15, 16, r * r - 1, r * r, r * r + 1,
+                   2 ** 52 - 1, -1, -4])
+    want = [k >= 0 and math.isqrt(k) ** 2 == k for k in ks.tolist()]
+    assert is_square(ks).tolist() == want
+    assert is_square(r * r) and not is_square(2 ** 52 - 1)
+    assert is_square(np.arange(0, 10**6)).sum() == 1000
+    rng = np.random.default_rng(5)
+    roots = rng.integers(0, 2 ** 26, size=10000)
+    assert is_square(roots * roots).all()
+    assert not is_square(roots * roots + 2 * roots + 2).any()
+
+
+def test_is_square_overflow_guard():
+    for k in (2 ** 52, 2 ** 53, 2 ** 63, 2 ** 70):
+        with pytest.raises(OverflowGuardError):
+            is_square(k)
+    with pytest.raises(OverflowGuardError):
+        is_square(np.array([4, 2 ** 52]))
 
 
 def test_propagate_l_guards():
@@ -155,38 +201,30 @@ def test_propagate_l_matches_direct_series(coeff_series):
         assert got == pytest.approx(want, rel=1e-6)
 
 
-def rebase(base, result, c_n):
-    """Move a class baseline onto one of its own survey members."""
-    return replace(
-        base,
-        n0_effective=result.n,
-        a_n0=result.a_n,
-        c_n0=c_n,
-        k0=result.k,
-        selmer_n0=result.selmer,
-        l_n0=result.l_value,
-    )
-
-
-def test_rebasing_is_involutive(tamagawa_tables):
+def test_rebasing_is_involutive(survey):
     # anchoring the transfer at any rank-zero member reproduces the same
     # orders across the class
     spec = SPECS["14a1"]
     base = catalog.baseline(spec, 29)
-    tables = tamagawa_tables["14a1"]
-    series = build_F(spec.recipe, 4000)
-    members = class_members(build_sieve(4000), 29, 56, 4000)
-    results = [
-        evaluate_twist(int(n), int(series.coeffs[n]), base, 2, tables=tables)
-        for n in members
-    ]
-    anchor = next(r for r in results if r.k > 0 and r.n != base.n0_effective)
-    base2 = rebase(base, anchor, int(tables.cprod[anchor.n]))
-    for r in results:
-        again = evaluate_twist(r.n, r.a_n, base2, 2, tables=tables)
-        assert again.k == r.k and again.selmer == r.selmer
-        if r.k > 0:
-            assert again.l_value == pytest.approx(r.l_value, rel=1e-12)
+    sv = survey("14a1", base, 4000)
+    live = np.flatnonzero((sv.k > 0) & (sv.members != base.n0_effective))
+    i = int(live[0])
+    n = int(sv.members[i])
+    base2 = replace(
+        base,
+        n0_effective=n,
+        a_n0=int(sv.a[i]),
+        c_n0=tamagawa_by_root_count(spec.weierstrass, n),
+        k0=int(sv.k[i]),
+        selmer_n0=int(sv.selmer[i]),
+        l_n0=float(sv.l[i]),
+    )
+    again = survey("14a1", base2, 4000)
+    assert np.array_equal(again.members, sv.members)
+    assert np.array_equal(again.k, sv.k)
+    assert np.array_equal(again.selmer, sv.selmer)
+    keep = sv.k > 0
+    assert np.allclose(again.l[keep], sv.l[keep], rtol=1e-12, atol=0)
 
 
 def test_survey_scale_invariance(coeff_series, sieve_tables, tamagawa_tables):
@@ -205,28 +243,31 @@ def test_survey_scale_invariance(coeff_series, sieve_tables, tamagawa_tables):
     assert np.allclose(one.l[keep], three.l[keep], rtol=1e-12)
 
 
-def test_survey_class_matches_scalar_loop(
-    coeff_series, sieve_tables, tamagawa_tables
-):
-    spec = SPECS["17a1"]
-    base = catalog.baseline(spec, 3)
-    got = survey_class(
-        spec, base, coeff_series["17a1"], sieve_tables, tamagawa_tables["17a1"],
-        20000,
-    )
-    members = class_members(sieve_tables, 3, 68, 20000)
-    assert np.array_equal(got.members, members)
-    for i, n in enumerate(members.tolist()):
-        r = evaluate_twist(
-            n, int(coeff_series["17a1"].coeffs[n]), base, 2,
-            tables=tamagawa_tables["17a1"],
+def test_survey_class_matches_scalar_loop(survey, sieve_tables):
+    # 17a1/39 and 14a1/29 anchor away from the class rep (n0_eff 107 and
+    # 85), and 14a1/29 has k0 = 4
+    for label, n0 in (("17a1", 3), ("17a1", 39), ("14a1", 29)):
+        spec = SPECS[label]
+        base = catalog.baseline(spec, n0)
+        got = survey(label, base, 20000)
+        members = class_members(sieve_tables, n0, spec.table_modulus, 20000)
+        assert np.array_equal(got.members, members)
+        # the catalogued anchor component product agrees with the root count
+        assert base.c_n0 == tamagawa_by_root_count(
+            spec.weierstrass, base.n0_effective
         )
-        assert got.k[i] == r.k
-        assert got.selmer[i] == (r.selmer if r.selmer is not None else 0)
-        if r.k > 0:
-            assert got.l[i] == pytest.approx(r.l_value, rel=1e-12)
-        else:
-            assert math.isnan(got.l[i])
+        anchor = (base.n0_effective, base.a_n0, base.selmer_n0, base.l_n0)
+        for i, n in enumerate(members.tolist()):
+            k, selmer, l_value = scalar_transfer(
+                spec.weierstrass, spec.family_torsion, anchor, n, int(got.a[i])
+            )
+            assert got.k[i] == k
+            assert got.selmer[i] == selmer
+            if l_value is None:
+                assert math.isnan(got.l[i])
+            else:
+                assert got.l[i] == pytest.approx(l_value, rel=1e-12)
+        assert (got.k > 1).any() and (got.k == 0).any()
 
 
 def test_all_classes_survey_clean(coeff_series, sieve_tables, tamagawa_tables):
