@@ -37,6 +37,7 @@ from .errors import (
     NormalizationError,
     NotInCatalogError,
     NumericError,
+    OverflowGuardError,
     RangeError,
 )
 from .qseries import build_F, theta_difference
@@ -521,6 +522,7 @@ def run_cassels_suite(labels, bound, overrides=None):
             CasselsViolationError,
             NormalizationError,
             BaselineFailureError,
+            OverflowGuardError,
         ) as exc:
             fails.append(f"cassels {label}: {exc}")
             continue
@@ -822,6 +824,7 @@ def main(argv=None):
         NormalizationError,
         CasselsViolationError,
         BaselineFailureError,
+        OverflowGuardError,
     ) as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return EXIT_ABORT

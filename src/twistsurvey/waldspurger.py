@@ -178,12 +178,23 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
 
     A non-integral order means the class normalization is wrong and
     raises IntegralityError; a non-square k raises CasselsViolationError.
+    An anchor order whose products leave int64 raises OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
     members = class_members(sieve_tables, baseline.n0, spec.table_modulus, bound)
     a = coeff_series.coeffs[members]
     c = tables.cprod[members].astype(np.int64)
     t = spec.family_torsion
+    amax = int(np.abs(a).max(initial=1))
+    cmax = int(c.max(initial=1))
+    if max(
+        abs(baseline.selmer_n0 * baseline.c_n0) * amax * amax,
+        baseline.a_n0 * baseline.a_n0 * cmax,
+    ) >= 2 ** 63:
+        raise OverflowGuardError(
+            f"{spec.label} class {baseline.n0}: the anchor's transfer "
+            f"products leave int64"
+        )
     num = baseline.selmer_n0 * baseline.c_n0 * a * a
     den = baseline.a_n0 * baseline.a_n0 * c
     rem = num % den

@@ -162,7 +162,7 @@ def assert_tables_match_summary(lines, doc, label, reps):
     shown = [
         line for line in lines[2 + len(reps):] if line and line.split()[0] != "M"
     ]
-    assert len(blocks) > 2
+    assert len(blocks) > 4
     assert shown == blocks
 
 
@@ -264,6 +264,26 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
     bad = {s["name"]: s for s in doc["suites"]}["baseline_reproduction"]
     assert not bad["passed"]
     assert bad["failures"]
+
+
+@pytest.mark.parametrize("k0", [2 ** 52, 2 ** 60])
+def test_oversized_anchor_exits_cleanly(tmp_path, capsys, k0):
+    # k0 = 2^60 once wrapped around in int64 and surveyed k = 0 everywhere
+    ov = tmp_path / "big.ov"
+    ov.write_text(f"17a1.3.selmer_n0 = {2 * k0}\n17a1.3.k0 = {k0}\n")
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        f"curve = 17a1\nbound = 100000\nclasses = 3\noverrides = {ov}\n"
+    )
+    assert run(["survey", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert run(["tables", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.count("abort:") == 2
+    out = tmp_path / "report.json"
+    code = run(["verify", "--curve", "17a1", "--depth", "quick",
+                "--overrides", str(ov), "--out", str(out)])
+    assert code == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    assert suites["cassels"]["failures"][0].startswith("cassels 17a1:")
 
 
 def _bad_csv(lines, case):

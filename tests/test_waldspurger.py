@@ -178,6 +178,19 @@ def test_is_square_overflow_guard():
         is_square(np.array([4, 2 ** 52]))
 
 
+def test_survey_class_overflow_guard(survey):
+    # these anchors once wrapped around in int64 (k0 = 2^60 gave k = 0 on
+    # every member); each product that would leave int64 must raise
+    base = catalog.baseline(SPECS["17a1"], 3)
+    for fields in (
+        {"selmer_n0": 2 ** 61, "k0": 2 ** 60},
+        {"selmer_n0": 2 ** 53, "k0": 2 ** 52},
+        {"a_n0": 2 ** 32},
+    ):
+        with pytest.raises(OverflowGuardError):
+            survey("17a1", replace(base, **fields), 1000)
+
+
 def test_propagate_l_guards():
     base = catalog.baseline(SPECS["11a1"], 3)
     assert propagate_l(base.n0_effective, base.a_n0, base) == pytest.approx(
@@ -243,7 +256,7 @@ def test_survey_scale_invariance(coeff_series, sieve_tables, tamagawa_tables):
     assert np.allclose(one.l[keep], three.l[keep], rtol=1e-12)
 
 
-def test_survey_class_matches_scalar_loop(survey, sieve_tables):
+def test_survey_class_matches_scalar_loop(survey, coeff_series, sieve_tables):
     # 17a1/39 and 14a1/29 anchor away from the class rep (n0_eff 107 and
     # 85), and 14a1/29 has k0 = 4
     for label, n0 in (("17a1", 3), ("17a1", 39), ("14a1", 29)):
@@ -257,9 +270,12 @@ def test_survey_class_matches_scalar_loop(survey, sieve_tables):
             spec.weierstrass, base.n0_effective
         )
         anchor = (base.n0_effective, base.a_n0, base.selmer_n0, base.l_n0)
+        coeffs = coeff_series[label].coeffs
         for i, n in enumerate(members.tolist()):
+            a_n = int(coeffs[n])
+            assert got.a[i] == a_n
             k, selmer, l_value = scalar_transfer(
-                spec.weierstrass, spec.family_torsion, anchor, n, int(got.a[i])
+                spec.weierstrass, spec.family_torsion, anchor, n, a_n
             )
             assert got.k[i] == k
             assert got.selmer[i] == selmer
