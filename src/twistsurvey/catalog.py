@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import NotInCatalogError, BaselineFailureError
+from .errors import BaselineFailureError, DomainError, NotInCatalogError
 from .qseries import BinaryQuadraticForm, ThetaRecipe
 from .sieve import factorize, primes_upto
 from .waldspurger import is_square
@@ -291,27 +291,35 @@ _OVERRIDE_TYPES = {
 
 
 def parse_overrides(text):
-    """Parse `curve.class.field = value` lines into an override mapping."""
+    """Parse `curve.class.field = value` lines into an override mapping.
+
+    Any malformed line raises DomainError naming it.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"override line {lineno}"
         if "=" not in line:
-            raise ValueError(f"override line {lineno}: missing '='")
+            raise DomainError(f"{where}: missing '='")
         lhs, rhs = (part.strip() for part in line.split("=", 1))
         parts = lhs.split(".")
         if len(parts) != 3:
-            raise ValueError(f"override line {lineno}: want curve.class.field")
+            raise DomainError(f"{where}: want curve.class.field")
         label, n0_text, field_name = parts
         if label not in _CURVES:
-            raise ValueError(f"override line {lineno}: unknown curve {label}")
-        n0 = int(n0_text)
-        if n0 not in _BASELINE_ROWS[label]:
-            raise ValueError(f"override line {lineno}: unknown class {n0}")
+            raise DomainError(f"{where}: unknown curve {label}")
         if field_name not in _OVERRIDE_TYPES:
-            raise ValueError(f"override line {lineno}: unknown field {field_name}")
-        out[(label, n0, field_name)] = _OVERRIDE_TYPES[field_name](rhs)
+            raise DomainError(f"{where}: unknown field {field_name}")
+        try:
+            n0 = int(n0_text)
+            value = _OVERRIDE_TYPES[field_name](rhs)
+        except ValueError:
+            raise DomainError(f"{where}: bad class or value in {line!r}")
+        if n0 not in _BASELINE_ROWS[label]:
+            raise DomainError(f"{where}: unknown class {n0}")
+        out[(label, n0, field_name)] = value
     return out
 
 

@@ -65,7 +65,6 @@ class SurveyConfig:
     bound: int = 10**7
     classes: tuple = ()
     checkpoint_step: int = 50000
-    epsilon_grid_step: float = 0.001
     output_dir: str = "."
     threads: int = 0  # 0 = auto
     overrides: str = ""
@@ -103,7 +102,6 @@ _CONFIG_PARSERS = {
     "bound": int,
     "classes": _parse_classes,
     "checkpoint_step": int,
-    "epsilon_grid_step": float,
     "output_dir": str,
     "threads": _parse_threads,
     "overrides": str,
@@ -169,8 +167,6 @@ def validate_config(cfg):
         raise DomainError("checkpoint step must be positive")
     if cfg.bound < cfg.checkpoint_step:
         raise DomainError("bound below one checkpoint step")
-    if not 0 < cfg.epsilon_grid_step <= stats.EPSILON_BAND:
-        raise DomainError("epsilon grid step outside (0, band]")
     if cfg.threads < 0:
         raise DomainError("thread count must be nonnegative")
     extra = set(cfg.classes) - set(spec.class_reps)
@@ -213,58 +209,52 @@ def _write_class_csv(path, surv):
                 )
 
 
-def _fit_dict(fr):
-    return {
-        "alpha": fr.alpha,
-        "epsilon": fr.epsilon,
-        "residual": fr.residual,
-        "degenerate": fr.degenerate,
-    }
+def _fit_dicts(fits):
+    """stats.fit's arrays as one JSON-ready dict per row."""
+    keys = ("alpha", "epsilon", "residual", "degenerate")
+    return [dict(zip(keys, cell)) for cell in zip(*(f.tolist() for f in fits))]
 
 
-def _summarize_class(surv, checkpoints, grid_step):
-    ks = sorted(int(v) for v in np.unique(surv.k))
-    fits = {}
-    rows = {}
-    bounds = tuple(b for b in TABLE_BOUNDS if b <= surv.bound)
-    for k in ks:
-        series = stats.tally(surv, k, checkpoints)
-        fr = stats.fit(series, grid_step)
-        fits[str(k)] = _fit_dict(fr)
-        table = []
-        if bounds:
-            tab = stats.tally(surv, k, bounds)
-            q = tab.ratios()
-            for i, m in enumerate(bounds):
-                x = tab.x[i]
-                model = (
-                    stats.sigma(x, fr.alpha, fr.epsilon)
-                    if x >= stats.MODEL_FLOOR and not fr.degenerate
-                    else 0.0
-                )
-                table.append([int(m), int(x), float(q[i]), model])
-        rows[str(k)] = table
-    return {
-        "members": int(surv.members.size),
-        "fits": fits,
-        "table_rows": rows,
-    }
+def _k_row(ks, s, k):
+    """Row of the count matrix s for k (all zeros when no member has k)."""
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    hit = ks == k
+    return s[hit] if hit.any() else np.zeros((1, s.shape[1]), dtype=s.dtype)
 
 
-def _summarize(spec, surveys, checkpoints, grid_step, overrides=None):
+def _summarize_class(surv, checkpoints):
+    """Fits on checkpoints and TABLE_BOUNDS rows for every k of a class."""
+    ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
+    bounds = [b for b in TABLE_BOUNDS if b <= surv.bound]
+    _, tx, ts = stats.tally(surv.members, surv.k, bounds, surv.bound)
+    tq = stats.ratios(tx, ts).tolist()
+    tx = tx.tolist()
+    fits, rows = {}, {}
+    # one pass over the fitted rows, only to lay out the JSON
+    for k, fr, qs in zip(ks.tolist(), _fit_dicts(stats.fit(x, s)), tq):
+        live = not fr["degenerate"]
+        fits[str(k)] = fr
+        rows[str(k)] = [
+            [m, xm, q, stats.sigma(xm, fr["alpha"], fr["epsilon"])
+             if live and xm >= stats.MODEL_FLOOR else 0.0]
+            for m, xm, q in zip(bounds, tx, qs)
+        ]
+    return {"members": int(surv.members.size), "fits": fits, "table_rows": rows}
+
+
+def _summarize(spec, surveys, checkpoints, bound, step, overrides=None):
     classes = {}
     for rep in sorted(surveys):
         base = catalog.baseline(spec, rep, overrides=overrides)
-        entry = _summarize_class(surveys[rep], checkpoints, grid_step)
+        entry = _summarize_class(surveys[rep], checkpoints)
         entry["n0_effective"] = base.n0_effective
         classes[str(rep)] = entry
     return {
         "schema_version": SCHEMA_VERSION,
         "curve": spec.label,
-        "bound": int(max(s.bound for s in surveys.values())),
-        "checkpoint_step": int(checkpoints[1] - checkpoints[0])
-        if len(checkpoints) > 1
-        else int(checkpoints[0]),
+        "bound": bound,
+        "checkpoint_step": step,
         "classes": classes,
     }
 
@@ -302,7 +292,7 @@ def cmd_survey(args):
         path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
         _write_class_csv(path, surveys[rep])
     summary = _summarize(
-        spec, surveys, checkpoints, cfg.epsilon_grid_step, overrides
+        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step, overrides
     )
     spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
     with open(spath, "w") as fh:
@@ -363,33 +353,22 @@ def _read_class_csv(path):
     return meta, np.asarray(ns, dtype=np.int64), np.asarray(ks, dtype=np.int64)
 
 
-@dataclasses.dataclass(frozen=True)
-class _CsvResults:
-    curve: str
-    n0: int
-    bound: int
-    members: np.ndarray
-    k: np.ndarray
-
-
 def cmd_fit(args):
     meta, ns, ks = _read_class_csv(args.survey_csv)
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
-    step = args.step or 50000
-    bound = args.bound or int(meta.get("bound", int(ns[-1])))
-    results = _CsvResults(
-        meta.get("curve", ""), int(meta.get("n0", 0)), bound, ns, ks
+    surveyed = int(meta.get("bound", ns[-1]))
+    checkpoints = stats.default_checkpoints(
+        args.bound or surveyed, args.step or 50000
     )
-    series = stats.tally(results, args.k, stats.default_checkpoints(bound, step))
-    fr = stats.fit(series)
+    kv, x, s = stats.tally(ns, ks, checkpoints, surveyed)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "curve": results.curve,
-        "n0": results.n0,
+        "curve": meta.get("curve", ""),
+        "n0": int(meta.get("n0", 0)),
         "k": args.k,
     }
-    doc.update(_fit_dict(fr))
+    doc.update(_fit_dicts(stats.fit(x, _k_row(kv, s, args.k)))[0])
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -403,29 +382,26 @@ def cmd_plot_data(args):
     spec = catalog.curve(args.curve)
     if args.n0 not in spec.class_reps:
         raise InvalidClassError(f"{args.n0} not a {spec.label} class")
-    step = args.step or 50000
-    surveys = survey_curve(spec, args.bound, (args.n0,))
-    surv = surveys[args.n0]
-    checkpoints = stats.default_checkpoints(args.bound, step)
-    series = stats.tally(surv, args.k, checkpoints)
+    surv = survey_curve(spec, args.bound, (args.n0,))[args.n0]
+    checkpoints = stats.default_checkpoints(args.bound, args.step or 50000)
+    ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
+    row = _k_row(ks, s, args.k)
     out = args.out or f"{spec.label}_n{args.n0}_k{args.k}.dat"
     with open(out, "w") as fh:
         fh.write(f"# schema_version {SCHEMA_VERSION}\n")
         fh.write(f"# curve {spec.label}\n# n0 {args.n0}\n# k {args.k}\n")
         fh.write("x ratio sigma\n")
-        if series.s and series.s[-1] > 0:
+        if row[0, -1] > 0:
             if args.alpha is not None:
                 alpha = args.alpha
                 eps = args.epsilon if args.epsilon is not None else 0.0
             else:
-                fr = stats.fit(series)
-                alpha, eps = fr.alpha, fr.epsilon
-            q = series.ratios()
-            for i, x in enumerate(series.x):
-                if x < stats.MODEL_FLOOR:
-                    continue
-                model = stats.sigma(x, alpha, eps)
-                fh.write(f"{int(x)} {q[i]:.12g} {model:.12g}\n")
+                fr = _fit_dicts(stats.fit(x, row))[0]
+                alpha, eps = fr["alpha"], fr["epsilon"]
+            for xm, q in zip(x.tolist(), stats.ratios(x, row[0]).tolist()):
+                if xm >= stats.MODEL_FLOOR:
+                    model = stats.sigma(xm, alpha, eps)
+                    fh.write(f"{xm} {q:.12g} {model:.12g}\n")
     _status(f"wrote {out}")
     return EXIT_OK
 
@@ -438,10 +414,7 @@ def cmd_tables(args):
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     kcols = tuple(j * j for j in range(20))
-    entries = {
-        rep: _summarize_class(surveys[rep], checkpoints, cfg.epsilon_grid_step)
-        for rep in reps
-    }
+    entries = {rep: _summarize_class(surveys[rep], checkpoints) for rep in reps}
     width = 9
     print(f"fitted alpha by class and k ({spec.label}, M = {cfg.bound})")
     header = "class".rjust(6) + "".join(str(k).rjust(width) for k in kcols)
@@ -660,7 +633,7 @@ def run_propagation_suite(labels, big=True, threshold=1e-5):
         for n in picks:
             a_n = int(coeff_series.coeffs[n])
             direct = twisted_l1(spec, n, precision=1e-8).l1
-            prop = propagate_l(n, a_n, base)
+            prop = float(propagate_l(n, a_n, base))
             rel = abs(direct - prop) / abs(direct)
             if not rel < threshold:
                 fails.append(
@@ -675,7 +648,7 @@ def run_propagation_suite(labels, big=True, threshold=1e-5):
             fails.append(f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}")
         else:
             base = catalog.baseline(spec, _BIG_N % spec.table_modulus)
-            prop = propagate_l(_BIG_N, a_big, base)
+            prop = float(propagate_l(_BIG_N, a_big, base))
             if abs(prop - _BIG_L) > 1e-9 * _BIG_L:
                 fails.append(
                     f"propagation 11a1 n={_BIG_N}: {prop!r} != {_BIG_L!r}"

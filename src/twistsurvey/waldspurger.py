@@ -151,11 +151,14 @@ def _check_square(k, n, curve_label):
 
 
 def propagate_l(n, a_n, baseline):
-    """L(1) of the twist by -n from the class anchor (exact transfer law)."""
-    if a_n == 0:
+    """L(1) of the twist by -n from the class anchor (exact transfer law),
+    elementwise over arrays of n and a_n."""
+    af = np.asarray(a_n, dtype=np.float64)
+    if (af == 0).any():
         raise ValueError("transfer needs a_n != 0")
-    ratio = (a_n * a_n) / (baseline.a_n0 * baseline.a_n0)
-    return baseline.l_n0 * ratio * math.sqrt(baseline.n0_effective / n)
+    a0sq = float(baseline.a_n0 * baseline.a_n0)
+    n0_over_n = baseline.n0_effective / np.asarray(n, dtype=np.float64)
+    return baseline.l_n0 * (af * af / a0sq) * np.sqrt(n0_over_n)
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,6 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
     if nonsq.any():
         i = int(np.flatnonzero(nonsq)[0])
         _check_square(int(k[i]), int(members[i]), spec.label)
-    af = a.astype(np.float64)
-    a0sq = float(baseline.a_n0 * baseline.a_n0)
-    with np.errstate(invalid="ignore"):
-        l = np.where(
-            nz,
-            baseline.l_n0 * (af * af / a0sq)
-            * np.sqrt(baseline.n0_effective / members.astype(np.float64)),
-            np.nan,
-        )
+    l = np.full(members.size, np.nan)
+    l[nz] = propagate_l(members[nz], a[nz], baseline)
     return ClassSurvey(spec.label, baseline.n0, bound, members, a, k, selmer, l)

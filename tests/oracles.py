@@ -79,6 +79,43 @@ def shifted_add_product(diff, t: int, bound: int):
     return out
 
 
+def series_fit(x, s, grid_step=0.001, band=0.02, floor=16):
+    """(alpha, epsilon, residual, degenerate) of one cumulative count
+    series by the two-stage sigma fit, one series and one grid point at a
+    time.
+
+    Over the checkpoints with x >= floor, alpha is the x-weighted mean of
+    q log x / log log x with q = s/x (0.0 when every q is 0).  epsilon
+    walks the grid -band..band and keeps the least RMS misfit of
+    alpha (log log x)^(1+eps) / log x; a tie keeps the earlier point
+    unless the later one has a smaller |eps|.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    q = np.zeros_like(x)
+    np.divide(np.asarray(s, dtype=float), x, out=q, where=x > 0)
+    keep = x >= floor
+    x, q = x[keep], q[keep]
+    if x.size < 2:
+        raise ValueError("need >= 2 usable checkpoints")
+    alpha = 0.0
+    if q.any():
+        alpha = float(np.average(q * np.log(x) / np.log(np.log(x)), weights=x))
+    ll = np.log(np.log(x))
+    lg = np.log(x)
+    steps = int(round(band / grid_step))
+    best = None
+    for i in range(-steps, steps + 1):
+        eps = round(i * grid_step, 9)
+        model = alpha * ll ** (1.0 + eps) / lg
+        rms = float(np.sqrt(np.mean((q - model) ** 2)))
+        key = (rms, abs(eps))
+        if best is None or key < best[0]:
+            best = (key, eps, rms)
+    return alpha, best[1], best[2], alpha == 0.0
+
+
 def tamagawa_by_root_count(ainvs, n: int) -> int:
     """c(n) = prod over primes p | n of 1 + #roots mod p of the 2-division
     cubic 4x^3 + b2 x^2 + 2 b4 x + b6, with b2, b4, b6 taken from the

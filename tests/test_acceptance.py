@@ -67,7 +67,7 @@ SIGMA_PIN_DEFECT = (
     0.056209,
     "no epsilon in the fitting band reaches it at X = x3 or X = 10^7",
 )
-# fit_epsilon's default step across the +-EPSILON_BAND grid
+# the fit's epsilon step (stats.EPSILON_STEP) across the +-EPSILON_BAND grid
 FIT_GRID_STEP = 0.001
 
 
@@ -89,9 +89,10 @@ def fitted_alpha(full_surveys):
     fits = {}
     for (label, n0), cells in EXPECTED_ALPHA.items():
         surv = surveys[label][n0]
+        ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
+        alpha = dict(zip(ks.tolist(), stats.fit(x, s)[0].tolist()))
         for k in cells:
-            series = stats.tally(surv, k, checkpoints)
-            fits[(label, n0, k)] = stats.fit(series).alpha
+            fits[(label, n0, k)] = alpha[k]
     return fits
 
 
@@ -99,7 +100,9 @@ def test_criterion_1_ratio_tables(full_surveys):
     surveys, times = full_surveys
     worst = 0.0
     for label, n0, k, bounds, want in RATIO_BLOCKS:
-        got = stats.tally(surveys[label][n0], k, bounds).ratios()
+        surv = surveys[label][n0]
+        ks, x, s = stats.tally(surv.members, surv.k, bounds, surv.bound)
+        got = stats.ratios(x, s[ks == k][0])
         for m, g, w in zip(bounds, got, want):
             diff = abs(g - w)
             worst = max(worst, diff)
@@ -145,6 +148,7 @@ def test_criterion_3_sigma_cross_pin(full_surveys):
     # the printed pin is a source defect: no epsilon on the fitting grid
     # reaches it, whether X is read as x3 or as the survey bound
     printed, why = SIGMA_PIN_DEFECT
+    assert FIT_GRID_STEP == stats.EPSILON_STEP  # the grid the fit searches
     steps = int(round(stats.EPSILON_BAND / FIT_GRID_STEP))
     grid = [round(i * FIT_GRID_STEP, 9) for i in range(-steps, steps + 1)]
     print(f"  excluded printed pin {printed}: {why}")
@@ -257,13 +261,9 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     checkpoints = stats.default_checkpoints(BOUND)
     for label, per_class in surveys.items():
         for surv in per_class.values():
-            total = np.zeros(len(checkpoints), dtype=np.int64)
-            x_ref = None
-            for k in np.unique(surv.k).tolist():
-                series = stats.tally(surv, int(k), checkpoints)
-                total += np.asarray(series.s)
-                x_ref = series.x
-            assert tuple(total.tolist()) == x_ref
+            _, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
+            assert s.sum(axis=0).tolist() == x.tolist()
+            assert x[-1] == surv.members.size
 
     # scale invariance of the transfer under F -> 3F
     spec = catalog.curve("11a1")

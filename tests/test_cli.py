@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistsurvey import cli
+from twistsurvey import catalog, cli, stats
+from twistsurvey.errors import DomainError
 
 
 def run(argv):
@@ -96,6 +99,45 @@ def test_fit_command_roundtrip(survey_dir, capsys):
     assert doc["curve"] == "17a1" and doc["n0"] == 3 and doc["k"] == 1
     assert 0 < doc["alpha"] < 1
     assert doc["schema_version"] == 1
+
+
+def test_fit_rejects_bound_beyond_survey(survey_dir, capsys):
+    csv = str(survey_dir / "17a1_class3.csv")
+    assert run(["fit", "--survey-csv", csv, "--k", "1", "--bound", "300000",
+                "--step", "50000"]) == 2
+    err = capsys.readouterr().err
+    assert "300000" in err and "150000" in err, err
+    # a bound inside the surveyed range still fits
+    assert run(["fit", "--survey-csv", csv, "--k", "1", "--bound", "100000"]) == 0
+
+
+def test_fit_matches_survey_summary(survey_dir, tmp_path, capsys):
+    # fit, plot-data and the summary share one count and fit rule
+    csv = str(survey_dir / "17a1_class3.csv")
+    fits = json.loads(
+        (survey_dir / "17a1_summary.json").read_text()
+    )["classes"]["3"]["fits"]
+    keys = ("alpha", "epsilon", "residual", "degenerate")
+    for k, want in fits.items():
+        assert run(["fit", "--survey-csv", csv, "--k", k]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert {key: got[key] for key in keys} == want, k
+    # a k no member has is a degenerate fit, not an error
+    assert run(["fit", "--survey-csv", csv, "--k", "2"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert (got["alpha"], got["epsilon"], got["degenerate"]) == (0.0, 0.0, True)
+
+    live = [k for k, fr in fits.items() if not fr["degenerate"]]
+    assert len(live) > 3
+    for k in live:
+        out = tmp_path / f"k{k}.dat"
+        assert run(["plot-data", "--curve", "17a1", "--n0", "3", "--k", k,
+                    "--bound", "150000", "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines()[5:]]
+        assert rows
+        for x, _, model in rows:
+            want = stats.sigma(int(x), fits[k]["alpha"], fits[k]["epsilon"])
+            assert model == f"{want:.12g}", (k, x)
 
 
 def test_plot_data_columns(tmp_path):
@@ -223,6 +265,49 @@ def test_exit_codes_config_errors(tmp_path):
                 "--classes", "4", "--out", str(tmp_path)]) == 2
     assert run(["survey", "--bound", "100000"]) == 2  # curve is required
     assert run(["nonsense"]) == 2
+
+
+def test_malformed_overrides_exit_2(tmp_path, capsys):
+    ov = tmp_path / "garbage.ov"
+    ov.write_text("garbage line\n")
+    assert run(["survey", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3", "--out", str(tmp_path),
+                "--overrides", str(ov)]) == 2
+    assert "override line 1" in capsys.readouterr().err
+    ov.write_text("# anchors\n11a1.3.k0 = 4.5\n")
+    assert run(["verify", "--curve", "11a1", "--depth", "quick",
+                "--overrides", str(ov), "--out", str(tmp_path / "r.json")]) == 2
+    assert "override line 2" in capsys.readouterr().err
+
+
+_CONFIG_KEYS = sorted(cli._CONFIG_PARSERS) + ["epsilon_grid_step", "rank"]
+_OVERRIDE_FIELDS = ["k0", "selmer_n0", "l_n0", "a_n0", "rank"]
+_line_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                     max_size=12)
+_config_lines = st.one_of(
+    _line_text,
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS), _line_text),
+)
+_override_lines = st.one_of(
+    _line_text,
+    st.builds(
+        "{}.{}.{} = {}".format,
+        st.sampled_from(list(catalog.LABELS) + ["37a1"]),
+        st.one_of(st.integers(-5, 130).map(str), _line_text),
+        st.sampled_from(_OVERRIDE_FIELDS),
+        st.one_of(st.integers().map(str), st.floats().map(str), _line_text),
+    ),
+)
+
+
+@given(st.lists(_config_lines, max_size=6), st.lists(_override_lines, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_config_and_override_parsers_fail_only_with_domain_error(cfg, ov):
+    for parse, lines in ((cli.parse_config, cfg), (catalog.parse_overrides, ov)):
+        try:
+            parse("\n".join(lines))
+        except DomainError:
+            pass
 
 
 def test_survey_aborts_on_forged_baseline(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twistsurvey import catalog, stats
+from twistsurvey import catalog, cli, stats
 from twistsurvey.errors import (
     DimensionError,
     DomainError,
@@ -14,17 +14,10 @@ from twistsurvey.errors import (
 )
 from twistsurvey.qseries import build_F, theta_difference
 from twistsurvey.sieve import build_sieve
-from twistsurvey.stats import (
-    RatioSeries,
-    default_checkpoints,
-    fit,
-    fit_alpha,
-    fit_epsilon,
-    quotient_fit,
-    sigma,
-    tally,
-)
+from twistsurvey.stats import default_checkpoints, fit, ratios, sigma, tally
 from twistsurvey.waldspurger import build_tamagawa, survey_class
+
+from oracles import series_fit
 
 
 @pytest.fixture(scope="module")
@@ -49,17 +42,17 @@ def test_default_checkpoints():
 
 def test_ratio_series_invariants():
     with pytest.raises(DimensionError):
-        RatioSeries((1, 2), (1,), (0,))
+        fit((1, 2), [(1,)])
     with pytest.raises(DomainError):
-        RatioSeries((2, 2), (1, 1), (0, 0))  # not ascending
+        tally([1], [0], (2, 2), 10)  # not ascending
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (1, 2), (2, 2))  # s > x
+        fit((1, 2), [(2, 2)])  # s > x
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (2, 1), (0, 0))  # x decreasing
+        fit((2, 1), [(0, 0)])  # x decreasing
     with pytest.raises(DomainError):
-        RatioSeries((1, 2), (1, 2), (-1, 0))
-    ok = RatioSeries((1, 2), (0, 4), (0, 1))
-    assert ok.ratios().tolist() == [0.0, 0.25]  # zero-count checkpoint guarded
+        fit((1, 2), [(-1, 0)])
+    # zero-count checkpoint guarded
+    assert ratios((0, 4), [(0, 1)]).tolist() == [[0.0, 0.25]]
 
 
 def test_sigma_values_frozen():
@@ -72,117 +65,146 @@ def test_sigma_values_frozen():
 
 
 def synthetic_series(alpha, eps, npts=8):
-    cps = tuple(50000 * (i + 1) for i in range(npts))
-    xs = tuple(int(round(1e14 * (i + 1))) for i in range(npts))
-    ss = tuple(int(round(sigma(x, alpha, eps) * x)) for x in xs)
-    return RatioSeries(cps, xs, ss)
+    """(x, s) of one exact-model row: s = round(sigma(x) x)."""
+    xs = [int(round(1e14 * (i + 1))) for i in range(npts)]
+    ss = [int(round(sigma(x, alpha, eps) * x)) for x in xs]
+    return np.array(xs), np.array([ss])
 
 
 def test_fit_alpha_exact_recovery():
-    series = synthetic_series(0.31, 0.0)
-    assert fit_alpha(series) == pytest.approx(0.31, rel=1e-10)
+    x, s = synthetic_series(0.31, 0.0)
+    assert fit(x, s)[0][0] == pytest.approx(0.31, rel=1e-10)
 
 
 def test_fit_alpha_linear_in_counts():
-    series = synthetic_series(0.2, 0.0)
-    doubled = RatioSeries(
-        series.checkpoints, series.x, tuple(2 * s for s in series.s)
-    )
-    assert fit_alpha(doubled) == pytest.approx(2 * fit_alpha(series), rel=1e-12)
+    x, s = synthetic_series(0.2, 0.0)
+    alpha = fit(x, np.vstack([s, 2 * s]))[0]
+    assert alpha[1] == pytest.approx(2 * alpha[0], rel=1e-12)
 
 
 def test_fit_alpha_needs_two_points():
-    lone = RatioSeries((50000,), (10 ** 14,), (10 ** 12,))
     with pytest.raises(InsufficientDataError):
-        fit_alpha(lone)
+        fit((10 ** 14,), [(10 ** 12,)])
+    with pytest.raises(InsufficientDataError):
+        fit((15, 10 ** 14), [(1, 10 ** 12)])  # x = 15 is below the floor
 
 
 def test_fit_epsilon_recovers_grid_point():
-    # with the true alpha supplied, the grid lands on the generating eps
-    series = synthetic_series(0.31, 0.007)
-    got = fit_epsilon(series, 0.31)
-    assert got.epsilon == 0.007
-    assert got.residual < 1e-8
-    assert not got.degenerate
+    # rows generated at eps = 0 fit alpha exactly, so the grid lands on
+    # the generating point for every row at once
+    x, s = synthetic_series(0.31, 0.0)
+    _, s2 = synthetic_series(0.2, 0.0)
+    _, eps, residual, degenerate = fit(x, np.vstack([s, s2]))
+    assert eps.tolist() == [0.0, 0.0]
+    assert (residual < 1e-8).all()
+    assert not degenerate.any()
 
 
 def test_fit_two_stage_self_consistent():
     # the averaged alpha absorbs part of a small eps; the combined fit
     # still reproduces the observed ratios
-    series = synthetic_series(0.31, 0.007)
-    got = fit(series)
-    assert got.alpha == pytest.approx(0.31, rel=0.02)
-    x = np.asarray(series.x, dtype=float)
-    ll = np.log(np.log(x))
-    model = got.alpha * ll ** (1.0 + got.epsilon) / np.log(x)
-    assert np.max(np.abs(model - series.ratios())) < 5e-4
+    x, s = synthetic_series(0.31, 0.007)
+    alpha, eps, _, _ = fit(x, s)
+    assert alpha[0] == pytest.approx(0.31, rel=0.02)
+    xf = x.astype(float)
+    ll = np.log(np.log(xf))
+    model = alpha[0] * ll ** (1.0 + eps[0]) / np.log(xf)
+    assert np.max(np.abs(model - ratios(x, s[0]))) < 5e-4
 
 
 def test_fit_degenerate_all_zero():
-    series = RatioSeries(
-        (50000, 100000), (10 ** 9, 2 * 10 ** 9), (0, 0)
-    )
-    got = fit(series)
-    assert got.degenerate
-    assert got.alpha == 0.0 and got.epsilon == 0.0
+    alpha, eps, residual, degenerate = fit((10 ** 9, 2 * 10 ** 9), [(0, 0)])
+    assert degenerate.tolist() == [True]
+    assert alpha[0] == 0.0 and eps[0] == 0.0 and residual[0] == 0.0
 
 
 def test_fit_epsilon_stays_inside_band():
     # a series far steeper than the model family still fits at the edge
-    series = synthetic_series(0.31, 0.5)
-    got = fit_epsilon(series, fit_alpha(series))
-    assert abs(got.epsilon) <= stats.EPSILON_BAND + 1e-12
-
-
-def test_quotient_fit_identity_and_scaling():
-    a = synthetic_series(0.3, 0.0)
-    c, delta = quotient_fit(a, a)
-    assert c == pytest.approx(1.0, abs=1e-12)
-    assert delta == pytest.approx(0.0, abs=1e-12)
-    halved = RatioSeries(
-        a.checkpoints, a.x, tuple(s // 2 for s in a.s)
-    )
-    c2, d2 = quotient_fit(halved, a)
-    assert c2 == pytest.approx(0.5, rel=1e-6)
-    assert d2 == pytest.approx(0.0, abs=1e-4)
-
-
-def test_quotient_fit_guards():
-    a = synthetic_series(0.3, 0.0)
-    b = RatioSeries((1, 2), (100, 200), (1, 2))
-    with pytest.raises(DimensionError):
-        quotient_fit(a, b)
-    zero = RatioSeries(a.checkpoints, a.x, tuple(0 for _ in a.s))
-    with pytest.raises(InsufficientDataError):
-        quotient_fit(a, zero)
+    x, s = synthetic_series(0.31, 0.5)
+    eps = fit(x, s)[1]
+    assert abs(eps[0]) <= stats.EPSILON_BAND + 1e-12
 
 
 def test_tally_partition_identity(mini_survey):
     cps = default_checkpoints(mini_survey.bound)
-    ks = sorted({int(v) for v in mini_survey.k.tolist()})
-    total = np.zeros(len(cps), dtype=np.int64)
-    x_ref = None
-    for k in ks:
-        series = tally(mini_survey, k, cps)
-        total += np.asarray(series.s)
-        x_ref = series.x
-    assert tuple(total.tolist()) == x_ref
-    # the x column really counts surveyed members
+    ks, x, s = tally(mini_survey.members, mini_survey.k, cps, mini_survey.bound)
+    assert ks.tolist() == sorted({int(v) for v in mini_survey.k.tolist()})
+    assert s.shape == (ks.size, len(cps))
+    assert s.sum(axis=0).tolist() == x.tolist()
+    # a member on a checkpoint counts there; one past the last counts nowhere
+    ks2, x2, s2 = tally([5, 10, 11, 20, 21], [1, 0, 1, 1, 0], (10, 20), 25)
+    assert ks2.tolist() == [0, 1]
+    assert x2.tolist() == [2, 4]
+    assert s2.tolist() == [[1, 1], [1, 3]]
+    # the x column really counts surveyed members, and each row its k
     members = mini_survey.members
-    for cp, x in zip(cps, x_ref):
-        assert x == int((members <= cp).sum())
+    for j, cp in enumerate(cps):
+        assert x[j] == int((members <= cp).sum())
+        for i, k in enumerate(ks.tolist()):
+            assert s[i, j] == int(((members <= cp) & (mini_survey.k == k)).sum())
 
 
 def test_tally_checkpoint_beyond_bound(mini_survey):
+    members, k = mini_survey.members, mini_survey.k
     with pytest.raises(RangeError):
-        tally(mini_survey, 1, (50000, 200000))
+        tally(members, k, (50000, 200000), mini_survey.bound)
     with pytest.raises(DomainError):
-        tally(mini_survey, -1, (50000,))
+        tally(members, np.where(k == 1, -1, k), (50000,), mini_survey.bound)
 
 
 def test_fit_on_real_survey_sane(mini_survey):
-    series = tally(mini_survey, 1, default_checkpoints(mini_survey.bound))
-    got = fit(series)
-    assert 0.2 < got.alpha < 0.8
-    assert got.residual < 0.05
-    assert not got.degenerate
+    cps = default_checkpoints(mini_survey.bound)
+    ks, x, s = tally(mini_survey.members, mini_survey.k, cps, mini_survey.bound)
+    alpha, _, residual, degenerate = fit(x, s[ks == 1])
+    assert 0.2 < alpha[0] < 0.8
+    assert residual[0] < 0.05
+    assert not degenerate[0]
+
+
+def _oracle_rows(x, s):
+    return [series_fit(x, row) for row in s]
+
+
+def _fit_rows(x, s):
+    return list(zip(*(f.tolist() for f in fit(x, s))))
+
+
+@pytest.mark.parametrize("label", ["17a1", "34a1"])
+def test_fit_matches_series_oracle(label):
+    # every (class, k) at 2*10^5 on 200 checkpoints, the count a full
+    # survey to 10^7 fits on: counts and fits equal the one-series
+    # reference exactly
+    bound = 200000
+    cps = default_checkpoints(bound, step=1000)
+    cells = 0
+    for surv in cli.survey_curve(catalog.curve(label), bound).values():
+        ks, x, s = tally(surv.members, surv.k, cps, bound)
+        cparr = np.asarray(cps)
+        assert x.tolist() == np.searchsorted(surv.members, cparr, "right").tolist()
+        for k, row in zip(ks.tolist(), s.tolist()):
+            hits = surv.members[surv.k == k]
+            assert row == np.searchsorted(hits, cparr, "right").tolist()
+        assert _fit_rows(x, s) == _oracle_rows(x, s)
+        cells += ks.size
+    assert cells > 100
+
+
+def test_fit_synthetic_rows_match_series_oracle():
+    rows = {
+        # all zero: alpha = 0, degenerate, and every eps ties at rms 0
+        "degenerate": ((40, 90), [(0, 0)]),
+        # the model is far below q, so all 41 grid points tie exactly
+        "all_tie": ((16, 10 ** 16), [(16, 16)]),
+        # the misfit bottoms out on the last three grid points
+        "edge_tie": ((102, 2962759211873721), [(95, 95)]),
+        # a checkpoint with x = 0 (ratio 0) and one below the floor
+        "x_zero": ((0, 10, 20, 40, 80), [(0, 1, 3, 5, 9)]),
+    }
+    got = {name: _fit_rows(x, s) for name, (x, s) in rows.items()}
+    for name, (x, s) in rows.items():
+        assert got[name] == _oracle_rows(x, s), name
+    assert got["degenerate"] == [(0.0, 0.0, 0.0, True)]
+    assert got["all_tie"][0][1] == 0.0  # the smallest |eps| wins
+    assert got["edge_tie"][0][1] == 0.018
+    # ties between +eps and -eps go to the negative one
+    assert stats._EPSILONS[:5].tolist() == [0.0, -0.001, 0.001, -0.002, 0.002]
