@@ -48,6 +48,8 @@ SCHEMA_VERSION = 1
 CSV_HEADER = "n,a_n,k,selmer,L"
 # standard checkpoint grid rendered in summary tables
 TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000)
+# rows formatted per string handed to the file: bounds the text in memory
+_ROWS_PER_WRITE = 65536
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,23 +192,45 @@ def survey_curve(spec, bound, reps=None, overrides=None):
     return out
 
 
-def _write_class_csv(path, surv):
-    with open(path, "w") as fh:
-        fh.write(f"# schema_version {SCHEMA_VERSION}\n")
-        fh.write(f"# curve {surv.curve}\n")
-        fh.write(f"# n0 {surv.n0}\n")
-        fh.write(f"# bound {surv.bound}\n")
-        fh.write(f"{CSV_HEADER}\n")
-        members = surv.members
-        for i in range(members.size):
-            a_n = int(surv.a[i])
-            if a_n == 0:
-                fh.write(f"{int(members[i])},0,0,0,\n")
-            else:
-                fh.write(
-                    f"{int(members[i])},{a_n},{int(surv.k[i])},"
-                    f"{int(surv.selmer[i])},{float(surv.l[i]):.12g}\n"
-                )
+def _write_file(path, chunks):
+    """Write the strings of chunks to path.tmp and rename it onto path, so
+    path never holds part of a file; the temp file goes if anything raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path, doc):
+    """doc and its schema_version as JSON to path (stdout if path is empty)."""
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if path:
+        _write_file(path, [text])
+    else:
+        sys.stdout.write(text)
+
+
+def _header(**meta):
+    """The '# schema_version' line, then one '# key value' line per item."""
+    items = {"schema_version": SCHEMA_VERSION, **meta}.items()
+    return "".join(f"# {key} {val}\n" for key, val in items)
+
+
+def _table(head, row, *columns):
+    """head, then row(*values) over the columns, _ROWS_PER_WRITE rows a string."""
+    yield head
+    for lo in range(0, columns[0].size, _ROWS_PER_WRITE):
+        part = [col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns]
+        yield "".join(map(row, *part))
+
+
+def _class_row(n, a, k, selmer, l):
+    return f"{n},0,0,0,\n" if a == 0 else f"{n},{a},{k},{selmer},{l:.12g}\n"
 
 
 def _fit_dicts(fits):
@@ -251,7 +275,6 @@ def _summarize(spec, surveys, checkpoints, bound, step, overrides=None):
         entry["n0_effective"] = base.n0_effective
         classes[str(rep)] = entry
     return {
-        "schema_version": SCHEMA_VERSION,
         "curve": spec.label,
         "bound": bound,
         "checkpoint_step": step,
@@ -261,19 +284,13 @@ def _summarize(spec, surveys, checkpoints, bound, step, overrides=None):
 
 def cmd_expand(args):
     spec = catalog.curve(args.curve)
-    bound = args.bound
-    if bound < 1:
+    if args.bound < 1:
         raise DomainError("bound must be positive")
     out = args.out or f"{spec.label}_an.csv"
-    coeffs = build_F(spec.recipe, bound)
-    sieve_tables = build_sieve(bound)
-    ns = np.nonzero(sieve_tables.squarefree)[0]
-    ns = ns[ns >= 1]
-    with open(out, "w") as fh:
-        fh.write(f"# schema_version {SCHEMA_VERSION}\n")
-        fh.write("n,a_n\n")
-        for n in ns:
-            fh.write(f"{int(n)},{int(coeffs.coeffs[n])}\n")
+    coeffs = build_F(spec.recipe, args.bound)
+    ns = np.flatnonzero(build_sieve(args.bound).squarefree)
+    head = _header() + "n,a_n\n"
+    _write_file(out, _table(head, "{},{}\n".format, ns, coeffs.coeffs[ns]))
     _status(f"wrote {out} ({ns.size} rows)")
     return EXIT_OK
 
@@ -288,22 +305,25 @@ def cmd_survey(args):
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
     _status(f"{spec.label}: surveyed {len(reps)} classes in {time.time()-t0:.1f}s")
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
-    for rep in reps:
-        path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
-        _write_class_csv(path, surveys[rep])
+    # summarized first: a survey that cannot be fitted writes no file
     summary = _summarize(
         spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step, overrides
     )
+    for rep, surv in surveys.items():
+        path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
+        head = _header(curve=surv.curve, n0=surv.n0, bound=surv.bound)
+        _write_file(path, _table(
+            f"{head}{CSV_HEADER}\n", _class_row,
+            surv.members, surv.a, surv.k, surv.selmer, surv.l,
+        ))
     spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(spath, summary)
     _status(f"wrote {len(reps)} class files and {spath}")
     return EXIT_OK
 
 
 def _read_class_csv(path):
-    """Metadata and the n, k columns of a class CSV, as _write_class_csv
+    """Metadata and the n, k columns of a class CSV, as cmd_survey
     writes it: '# key value' lines (integer n0 and bound) with
     '# schema_version 1' before the header, then rows of 5 fields with
     integer n and k and strictly ascending n.  Any other line raises
@@ -363,18 +383,12 @@ def cmd_fit(args):
     )
     kv, x, s = stats.tally(ns, ks, checkpoints, surveyed)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "curve": meta.get("curve", ""),
         "n0": int(meta.get("n0", 0)),
         "k": args.k,
     }
     doc.update(_fit_dicts(stats.fit(x, _k_row(kv, s, args.k)))[0])
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -387,21 +401,20 @@ def cmd_plot_data(args):
     ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
     row = _k_row(ks, s, args.k)
     out = args.out or f"{spec.label}_n{args.n0}_k{args.k}.dat"
-    with open(out, "w") as fh:
-        fh.write(f"# schema_version {SCHEMA_VERSION}\n")
-        fh.write(f"# curve {spec.label}\n# n0 {args.n0}\n# k {args.k}\n")
-        fh.write("x ratio sigma\n")
-        if row[0, -1] > 0:
-            if args.alpha is not None:
-                alpha = args.alpha
-                eps = args.epsilon if args.epsilon is not None else 0.0
-            else:
-                fr = _fit_dicts(stats.fit(x, row))[0]
-                alpha, eps = fr["alpha"], fr["epsilon"]
-            for xm, q in zip(x.tolist(), stats.ratios(x, row[0]).tolist()):
-                if xm >= stats.MODEL_FLOOR:
-                    model = stats.sigma(xm, alpha, eps)
-                    fh.write(f"{xm} {q:.12g} {model:.12g}\n")
+    lines = [_header(curve=spec.label, n0=args.n0, k=args.k), "x ratio sigma\n"]
+    if row[0, -1] > 0:
+        # each flag replaces only its own fitted value
+        alpha, eps = args.alpha, args.epsilon
+        if alpha is None or eps is None:
+            fr = _fit_dicts(stats.fit(x, row))[0]
+            alpha = fr["alpha"] if alpha is None else alpha
+            eps = fr["epsilon"] if eps is None else eps
+        lines += [
+            f"{xm} {q:.12g} {stats.sigma(xm, alpha, eps):.12g}\n"
+            for xm, q in zip(x.tolist(), stats.ratios(x, row[0]).tolist())
+            if xm >= stats.MODEL_FLOOR
+        ]
+    _write_file(out, lines)
     _status(f"wrote {out}")
     return EXIT_OK
 
@@ -696,18 +709,12 @@ def cmd_verify(args):
         run("propagation", run_propagation_suite, labels)
     passed = all(s["passed"] for s in suites)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "depth": args.depth,
         "curves": list(labels),
         "suites": suites,
         "passed": passed,
     }
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, report)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -789,6 +796,7 @@ def main(argv=None):
         RangeError,
         InsufficientDataError,
         OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

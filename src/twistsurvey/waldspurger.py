@@ -101,18 +101,8 @@ def _euler_chi(d, ps):
     return np.where(result == 1, 1, -1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class TamagawaTables:
-    curve: str
-    bound: int
-    cprod: np.ndarray  # int32, prod of c_p over p | n (squarefree queries)
-
-    def __post_init__(self):
-        self.cprod.setflags(write=False)
-
-
 def build_tamagawa(spec, diff):
-    """Vectorized c(n) for all n <= bound, where bound = diff.size - 1.
+    """Read-only int32 c(n) for all n <= bound, where bound = diff.size - 1.
 
     diff is the recipe's theta difference D = Theta(Q1) - Theta(Q2).
     When the cubic is irreducible (11a1) the per-prime counts come from
@@ -140,7 +130,8 @@ def build_tamagawa(spec, diff):
     for p, c in zip(ps.tolist(), cp.tolist()):
         if c != 1:
             cprod[p::p] *= c
-    return TamagawaTables(spec.label, bound, cprod)
+    cprod.setflags(write=False)
+    return cprod
 
 
 def _check_square(k, n, curve_label):
@@ -175,7 +166,7 @@ class ClassSurvey:
     l: np.ndarray  # nan where k = 0
 
 
-def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
+def survey_class(spec, baseline, coeff_series, sieve_tables, cprod, bound):
     """The transfer law from the class anchor to every squarefree class
     member <= bound, in exact int64 arithmetic.
 
@@ -186,7 +177,7 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, tables, bound):
     """
     members = class_members(sieve_tables, baseline.n0, spec.table_modulus, bound)
     a = coeff_series.coeffs[members]
-    c = tables.cprod[members].astype(np.int64)
+    c = cprod[members].astype(np.int64)
     t = spec.family_torsion
     amax = int(np.abs(a).max(initial=1))
     cmax = int(c.max(initial=1))

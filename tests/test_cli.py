@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from twistsurvey import catalog, cli, stats
 from twistsurvey.errors import DomainError
+from twistsurvey.qseries import build_F
+from twistsurvey.sieve import build_sieve
 
 
 def run(argv):
@@ -436,3 +440,178 @@ def test_fit_rejects_malformed_csv(survey_dir, tmp_path, capsys, case):
     assert run(["fit", "--survey-csv", str(bad), "--k", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} line {named + 1}: "), err
+
+
+@pytest.mark.parametrize("flags", [
+    {"alpha": 0.25}, {"epsilon": -0.015}, {"alpha": 0.25, "epsilon": -0.015},
+], ids=["alpha", "epsilon", "both"])
+def test_plot_data_flags_replace_only_their_own_value(survey_dir, tmp_path,
+                                                      flags):
+    # --epsilon alone once changed nothing, and --alpha alone paired with
+    # eps = 0 instead of the fitted eps
+    fitted = json.loads(
+        (survey_dir / "17a1_summary.json").read_text()
+    )["classes"]["3"]["fits"]["1"]
+    assert fitted["alpha"] != 0.25 and fitted["epsilon"] not in (0, -0.015)
+    alpha = flags.get("alpha", fitted["alpha"])
+    eps = flags.get("epsilon", fitted["epsilon"])
+    argv = ["plot-data", "--curve", "17a1", "--n0", "3", "--k", "1",
+            "--bound", "150000", "--out"]
+    assert run(argv + [str(tmp_path / "fitted.dat")]) == 0
+    extra = [arg for key, val in flags.items() for arg in (f"--{key}", str(val))]
+    assert run(argv + [str(tmp_path / "flags.dat")] + extra) == 0
+    fitted_lines = (tmp_path / "fitted.dat").read_text().splitlines()
+    lines = (tmp_path / "flags.dat").read_text().splitlines()
+    assert lines[:5] == fitted_lines[:5] and len(lines) == len(fitted_lines) == 8
+    for line, fitted_line in zip(lines[5:], fitted_lines[5:]):
+        x, ratio, model = line.split()
+        assert [x, ratio] == fitted_line.split()[:2]
+        assert model == f"{stats.sigma(int(x), alpha, eps):.12g}", line
+        assert line != fitted_line
+
+
+def test_survey_that_cannot_be_fitted_writes_nothing(tmp_path, capsys):
+    # two checkpoints of 200 hold too few members to fit; the class CSVs
+    # used to be written before the summary failed
+    assert run(["survey", "--curve", "11a1", "--bound", "400", "--step", "200",
+                "--out", str(tmp_path)]) == 2
+    assert "need >= 2 usable checkpoints" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["expand", "survey"])
+def test_bound_too_big_for_memory_exits_2(tmp_path, capsys, command):
+    # 10^15 coefficients fit in no 64-bit address space, so the first
+    # full-length array fails to allocate at once on any machine
+    out = tmp_path / "out"
+    assert run([command, "--curve", "11a1", "--bound", str(10 ** 15),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def _class_csv_by_loop(surv):
+    """A class CSV rendered one row at a time: the reference for the
+    chunked writer."""
+    text = (f"# schema_version 1\n# curve {surv.curve}\n# n0 {surv.n0}\n"
+            f"# bound {surv.bound}\nn,a_n,k,selmer,L\n")
+    for i in range(surv.members.size):
+        n, a = int(surv.members[i]), int(surv.a[i])
+        if a == 0:
+            text += f"{n},0,0,0,\n"
+        else:
+            text += (f"{n},{a},{int(surv.k[i])},{int(surv.selmer[i])},"
+                     f"{float(surv.l[i]):.12g}\n")
+    return text.encode()
+
+
+def test_row_files_identical_across_chunk_sizes(tmp_path, monkeypatch):
+    bound = 30000
+    spec = catalog.curve("17a1")
+    surv = cli.survey_curve(spec, bound, (3,))[3]
+    coeffs = build_F(spec.recipe, bound).coeffs
+    squarefree = build_sieve(bound).squarefree
+    want_an = "# schema_version 1\nn,a_n\n" + "".join(
+        f"{n},{int(coeffs[n])}\n" for n in range(1, bound + 1) if squarefree[n]
+    )
+    # neither file is a whole number of 3-row chunks
+    assert surv.members.size % 3 and squarefree[1:].sum() % 3
+    for rows in (1, 3, 65536):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+        out = tmp_path / str(rows)
+        assert run(["survey", "--curve", "17a1", "--bound", str(bound),
+                    "--step", "10000", "--classes", "3",
+                    "--out", str(out)]) == 0
+        assert run(["expand", "--curve", "17a1", "--bound", str(bound),
+                    "--out", str(out / "an.csv")]) == 0
+        assert (out / "17a1_class3.csv").read_bytes() == _class_csv_by_loop(surv)
+        assert (out / "an.csv").read_bytes() == want_an.encode()
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "17a1_class3.csv"
+    tmp = tmp_path / "17a1_class3.csv.tmp"
+    path.write_text("old\n")
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    rows = []
+    real_row = cli._class_row
+
+    def row(*values):
+        rows.append(values)
+        if len(rows) == 6:  # the second chunk
+            assert tmp.exists()
+            raise RuntimeError("row failed")
+        return real_row(*values)
+
+    monkeypatch.setattr(cli, "_class_row", row)
+    with pytest.raises(RuntimeError, match="row failed"):
+        run(["survey", "--curve", "17a1", "--bound", "30000", "--step", "10000",
+             "--classes", "3", "--out", str(tmp_path)])
+    assert len(rows) == 6
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+PACKAGE_DIR = Path(cli.__file__).parent
+
+
+def write_opens(source):
+    """(enclosing function, line) of every call that can open a file for
+    writing: open / io.open / os.open with any mode that is not a literal
+    read-only one, and Path.write_text / write_bytes."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                called = getattr(f, "id", None) or getattr(f, "attr", None)
+                if called in ("write_text", "write_bytes"):
+                    found.append((func, child.lineno))
+                elif called == "open":
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (kw.value for kw in child.keywords if kw.arg == "mode"),
+                        None,
+                    )
+                    read_only = mode is None or (
+                        isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and set(mode.value) <= set("rbt")
+                    )
+                    if not read_only:
+                        found.append((func, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_write_file_opens_for_writing():
+    found = [
+        (path.name, func)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for func, _ in write_opens(path.read_text())
+    ]
+    assert found == [("cli.py", "_write_file")]
+
+
+def test_write_open_guard_catches_each_form():
+    forms = [
+        'open(p, "w")',
+        'open(p, "a")',
+        'open(p, mode="x")',
+        'open(p, "r+")',
+        'io.open(p, "wb")',
+        "open(p, mode)",
+        "os.open(p, os.O_WRONLY)",
+        'Path(p).write_text("x")',
+        "p.write_bytes(b)",
+    ]
+    for source in forms:
+        assert write_opens(source) == [(None, 1)], source
+    nested = 'class C:\n    def f(self):\n        with open(p, "w") as fh:\n'
+    assert write_opens(nested + "            pass\n") == [("f", 3)]
+    clean = 'open(p)\nopen(p, "r")\nopen(p, "rb")\nopen(p, mode="rt")\n'
+    assert write_opens(clean) == []

@@ -86,7 +86,7 @@ def test_build_tamagawa_matches_scalar(label, sieve_tables):
     for n in range(1, 3001, 2):
         if not sieve_tables.squarefree[n] or math.gcd(n, spec.conductor) != 1:
             continue
-        assert int(tables.cprod[n]) == tamagawa_product(spec, n), n
+        assert int(tables[n]) == tamagawa_product(spec, n), n
 
 
 def test_11a1_theta_sign_rule_matches_root_count():
@@ -98,7 +98,7 @@ def test_11a1_theta_sign_rule_matches_root_count():
     good = [p for p in primes_upto(bound).tolist() if p > 2 and p != 11]
     assert len(good) > 2000
     for p in good:
-        assert int(tables.cprod[p]) == tamagawa_cp(spec, p), p
+        assert int(tables[p]) == tamagawa_cp(spec, p), p
     assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
 
 
