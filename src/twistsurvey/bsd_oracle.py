@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .catalog import ClassBaseline
 from .errors import (
     ConvergenceError,
     InvalidClassError,
@@ -51,15 +52,11 @@ def count_ap(spec, p):
     """p-th coefficient: p + 1 - #E(F_p); handles good and bad primes.
 
     Odd good p: character sum over the 2-division cubic.  p = 2 and the
-    bad primes (all <= 17 here) are brute-force point counts; at bad p
-    the nonsingular count gives the multiplicative/additive coefficient
-    in {-1, 0, 1}.
+    bad primes (all <= 17 here) take the affine point count.
     """
     p = int(p)
-    if spec.conductor % p == 0:
-        return _ap_bad(spec, p)
-    if p == 2:
-        return _ap_brute(spec, 2)
+    if p == 2 or spec.conductor % p == 0:
+        return _ap_brute(spec, p)
     b2, b4, b6 = spec.b_invariants()
     x = np.arange(p, dtype=np.int64)
     g = (((4 * x + b2) % p * x + 2 * b4) % p * x + b6) % p
@@ -70,6 +67,9 @@ def count_ap(spec, p):
 
 
 def _ap_brute(spec, p):
+    """p - #{affine points mod p} on the minimal model.  A singular point
+    is counted, so this is p + 1 - #E~(F_p) at good and bad p alike
+    (Cremona, Algorithms for Modular Elliptic Curves, 1997)."""
     a1, a2, a3, a4, a6 = spec.weierstrass
     cnt = 0
     for x in range(p):
@@ -80,22 +80,17 @@ def _ap_brute(spec, p):
     return p - cnt
 
 
-def _ap_bad(spec, p):
-    """a_p at bad p from the nonsingular affine count."""
-    a1, a2, a3, a4, a6 = spec.weierstrass
-    cnt = 0
-    for x in range(p):
-        for y in range(p):
-            f = (y * y + a1 * x * y + a3 * y
-                 - (x ** 3 + a2 * x * x + a4 * x + a6)) % p
-            if f:
-                continue
-            fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
-            fy = (2 * y + a1 * x + a3) % p
-            if fx == 0 and fy == 0:
-                continue
-            cnt += 1
-    return p - (cnt + 1)
+def _scale_prime_powers(out, p, factors):
+    """out[m] *= factors[k] wherever p^k exactly divides m (k >= 1), in one
+    strided pass per prime power below out.size."""
+    for k in range(1, len(factors)):
+        pk = p ** k
+        if pk >= out.size:
+            break
+        idx = np.arange(pk, out.size, pk, dtype=np.int64)
+        if pk * p < out.size:
+            idx = idx[(idx // pk) % p != 0]
+        out[idx] *= factors[k]
 
 
 def expand_b(spec, bound):
@@ -115,15 +110,7 @@ def expand_b(spec, bound):
         bp = [1, ap]
         while p ** len(bp) <= bound:
             bp.append(ap * bp[-1] - (p * bp[-2] if good else 0))
-        pk = p
-        k = 1
-        while pk <= bound:
-            idx = np.arange(pk, bound + 1, pk, dtype=np.int64)
-            if pk * p <= bound:
-                idx = idx[(idx // pk) % p != 0]
-            b[idx] *= bp[k]
-            pk *= p
-            k += 1
+        _scale_prime_powers(b, p, bp)
     return WeightTwoCoefficients(bound, b)
 
 
@@ -144,15 +131,8 @@ def kronecker_table(disc):
             chip = 1 if disc % 8 in (1, 7) else -1
         else:
             chip = 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
-        pk = p
-        k = 1
-        while pk < q:
-            idx = np.arange(pk, q, pk, dtype=np.int64)
-            if pk * p < q:
-                idx = idx[(idx // pk) % p != 0]
-            tab[idx] *= chip ** k
-            pk *= p
-            k += 1
+        powers = [chip ** k for k in range(q.bit_length())]
+        _scale_prime_powers(tab, p, powers)
     out = tab.copy()
     out.setflags(write=False)
     return out
@@ -293,16 +273,18 @@ def real_period(spec, n):
 
 
 def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
-    """#S of the class anchor, assembled from scratch:
+    """The class anchor re-derived from scratch, as a ClassBaseline.
+
+    n0_effective is the least class member with a nonzero coefficient
+    and a_n0 its coefficient; c_n0 comes from component counts, l_n0
+    from the series, and #S from
 
         #S = L(1) * t^3 / (period * c(n) * B)
 
-    with L from the series, the period from AGM, c(n) from component
-    counts and B the catalogued parity constant.  The result must sit
-    within 1e-6 relative of an integer and divide into a perfect square
-    by t, or the class normalization is wrong.
+    with the period from AGM and B the catalogued parity constant.  #S
+    must sit within 1e-6 relative of an integer and divide into a
+    perfect square by t, or the class normalization is wrong.
     """
-    from .catalog import baseline
     from .qseries import build_F
     from .sieve import build_sieve, class_members
 
@@ -328,7 +310,8 @@ def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
     period = real_period(spec, n_eff)
     c = tamagawa_product(spec, n_eff)
     t = spec.family_torsion
-    raw = ldata.l1 * t ** 3 / (period * c * spec.bsd_local[n_eff % 4])
+    local = spec.bsd_local[n_eff % 4]
+    raw = ldata.l1 * t ** 3 / (period * c * local)
     selmer = round(raw)
     if selmer < 1 or abs(raw - selmer) > 1e-6 * selmer:
         raise NormalizationError(
@@ -339,7 +322,17 @@ def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
             f"{spec.label} class {n0}: selmer {selmer} not divisible by {t}"
         )
     _check_square(selmer // t, n_eff, spec.label)
-    return selmer
+    return ClassBaseline(
+        curve=spec.label,
+        n0=n0,
+        n0_effective=n_eff,
+        a_n0=coeff_series.coeff(n_eff),
+        c_n0=c,
+        k0=selmer // t,
+        selmer_n0=selmer,
+        l_n0=ldata.l1,
+        bsd_local_factor=local,
+    )
 
 
 def transfer_defect(n, n0, a_n, a_n0, l_n, l_n0):

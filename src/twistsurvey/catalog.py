@@ -10,9 +10,10 @@ product c_n0, the anchor k0 = #S(E_{-n0_eff}) / t, the L-value l_n0, and
 a per-parity BSD bookkeeping constant bsd_local_factor.  These were
 derived once by the slow assembly in bsd_oracle (series L(1), AGM period,
 component counts) over every class member below 700 and frozen here;
-test_catalog re-derives them from scratch.  k0 equals 1 everywhere except
-six classes (14a1: 29, 37; 34a1: 43, 83, 123 at 4, and 34a1: 53 at 9)
-where the whole class sits that factor above the parity base.
+test_catalog and verify re-derive every field from scratch.  k0 equals
+1 everywhere except six classes (14a1: 29, 37; 34a1: 43, 83, 123 at 4,
+and 34a1: 53 at 9) where the whole class sits that factor above the
+parity base.
 """
 
 from __future__ import annotations
@@ -234,12 +235,11 @@ def curve(label):
     return spec
 
 
-def baseline(spec, n0, oracle=None, overrides=None):
-    """Frozen baseline for a class; optionally re-derive through the oracle.
+def baseline(spec, n0, overrides=None):
+    """Frozen baseline for a class, with any overrides of its fields.
 
-    oracle, if given, must provide baseline_selmer(spec, n0) and
-    twisted_l1(spec, n, ...); the frozen constants are checked against it
-    (selmer exactly, l_n0 to 1e-9 relative).
+    `verify`'s baseline_reproduction suite compares every field with a
+    fresh derivation by bsd_oracle.baseline_selmer.
     """
     if n0 not in spec.class_reps:
         raise NotInCatalogError(f"{spec.label} has no class {n0}")
@@ -263,19 +263,6 @@ def baseline(spec, n0, oracle=None, overrides=None):
         }
         if fields:
             base = replace(base, **fields)
-    if oracle is not None:
-        fresh = oracle.baseline_selmer(spec, n0)
-        if fresh != base.selmer_n0:
-            raise BaselineFailureError(
-                f"{spec.label} class {n0}: oracle selmer {fresh} != cached "
-                f"{base.selmer_n0}"
-            )
-        fresh_l = oracle.twisted_l1(spec, base.n0_effective).l1
-        if abs(fresh_l - base.l_n0) > 1e-9 * base.l_n0:
-            raise BaselineFailureError(
-                f"{spec.label} class {n0}: oracle L {fresh_l!r} != cached "
-                f"{base.l_n0!r}"
-            )
     return base
 
 

@@ -66,7 +66,7 @@ class SurveyConfig:
     curve: str = ""
     bound: int = 10**7
     classes: tuple = ()
-    checkpoint_step: int = 50000
+    checkpoint_step: int = stats.CHECKPOINT_STEP
     output_dir: str = "."
     threads: int = 0  # 0 = auto
     overrides: str = ""
@@ -378,9 +378,7 @@ def cmd_fit(args):
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
     surveyed = int(meta.get("bound", ns[-1]))
-    checkpoints = stats.default_checkpoints(
-        args.bound or surveyed, args.step or 50000
-    )
+    checkpoints = stats.default_checkpoints(args.bound or surveyed, args.step)
     kv, x, s = stats.tally(ns, ks, checkpoints, surveyed)
     doc = {
         "curve": meta.get("curve", ""),
@@ -396,8 +394,8 @@ def cmd_plot_data(args):
     spec = catalog.curve(args.curve)
     if args.n0 not in spec.class_reps:
         raise InvalidClassError(f"{args.n0} not a {spec.label} class")
+    checkpoints = stats.default_checkpoints(args.bound, args.step)
     surv = survey_curve(spec, args.bound, (args.n0,))[args.n0]
-    checkpoints = stats.default_checkpoints(args.bound, args.step or 50000)
     ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
     row = _k_row(ks, s, args.k)
     out = args.out or f"{spec.label}_n{args.n0}_k{args.k}.dat"
@@ -527,98 +525,113 @@ def run_cassels_suite(labels, bound, overrides=None):
     return fails
 
 
-def run_waldspurger_suite(labels, pairs, member_bound=20000, threshold=1e-5,
-                          precision=1e-7):
-    fails = []
-    sieve_tables = build_sieve(member_bound)
+# the suites' fixed settings: member ranges, series precisions, the
+# relative-defect threshold and the number of vanishing twists per curve
+_PAIR_BOUND, _PAIR_PRECISION = 20000, 1e-7
+_ZERO_BOUND, _ZERO_PRECISION, _ZERO_PICKS = 3000, 1e-8, 2
+_PROPAGATION_BOUND, _PROPAGATION_PRECISION = 2000, 1e-8
+_DEFECT_THRESHOLD = 1e-5
+
+
+def _class_coefficients(labels, bound):
+    """Per label: the spec and (rep, members, a_n) for each class, over
+    the squarefree class members <= bound."""
+    sieve_tables = build_sieve(bound)
     for label in labels:
         spec = catalog.curve(label)
-        coeff_series = build_F(spec.recipe, member_bound)
-        chosen = {}
+        coeffs = build_F(spec.recipe, bound).coeffs
+        classes = []
         for rep in spec.class_reps:
             members = class_members(
-                sieve_tables, rep, spec.table_modulus, member_bound
+                sieve_tables, rep, spec.table_modulus, bound
             )
-            nz = members[coeff_series.coeffs[members] != 0]
-            take = nz[: pairs + 1]
-            if take.size < 2:
-                fails.append(f"waldspurger {label}/{rep}: not enough members")
+            classes.append((rep, members, coeffs[members]))
+        yield spec, classes
+
+
+def run_waldspurger_suite(labels, pairs):
+    fails = []
+    for spec, classes in _class_coefficients(labels, _PAIR_BOUND):
+        chosen = {}
+        for rep, members, a in classes:
+            nz = a != 0
+            ns = members[nz][: pairs + 1].tolist()
+            if len(ns) < 2:
+                fails.append(
+                    f"waldspurger {spec.label}/{rep}: not enough members"
+                )
                 continue
-            chosen[rep] = take
+            chosen[rep] = ns, a[nz][: pairs + 1].tolist()
         if not chosen:
             continue
         # conductor (and so the term count) depends on n mod 4, not just
         # on the size of n, so take the max over the actual picks
         needed = max(
-            terms_needed(spec, int(n), precision)
-            for take in chosen.values()
-            for n in take
+            terms_needed(spec, n, _PAIR_PRECISION)
+            for ns, _ in chosen.values()
+            for n in ns
         )
         coeffs = expand_b(spec, needed)
         for rep in sorted(chosen):
-            take = chosen[rep]
-            n0 = int(take[0])
-            a_n0 = int(coeff_series.coeffs[n0])
-            l_n0 = twisted_l1(spec, n0, precision=precision, coeffs=coeffs).l1
-            for n in take[1:]:
-                n = int(n)
-                a_n = int(coeff_series.coeffs[n])
-                l_n = twisted_l1(
-                    spec, n, precision=precision, coeffs=coeffs
-                ).l1
-                defect = transfer_defect(n, n0, a_n, a_n0, l_n, l_n0)
-                if not defect < threshold:
+            ns, an = chosen[rep]
+            ls = [
+                twisted_l1(spec, n, precision=_PAIR_PRECISION, coeffs=coeffs).l1
+                for n in ns
+            ]
+            for n, a_n, l_n in zip(ns[1:], an[1:], ls[1:]):
+                defect = transfer_defect(n, ns[0], a_n, an[0], l_n, ls[0])
+                if not defect < _DEFECT_THRESHOLD:
                     fails.append(
-                        f"waldspurger {label}/{rep} n={n}: defect {defect:.2e}"
+                        f"waldspurger {spec.label}/{rep} n={n}: "
+                        f"defect {defect:.2e}"
                     )
     return fails
 
 
-def run_zero_suite(labels, per_curve=2, member_bound=3000, precision=1e-8):
+def run_zero_suite(labels):
     fails = []
-    sieve_tables = build_sieve(member_bound)
-    for label in labels:
-        spec = catalog.curve(label)
-        coeff_series = build_F(spec.recipe, member_bound)
-        zeros = []
-        for rep in spec.class_reps:
-            members = class_members(
-                sieve_tables, rep, spec.table_modulus, member_bound
-            )
-            zeros.extend(
-                int(n) for n in members[coeff_series.coeffs[members] == 0]
-            )
+    for spec, classes in _class_coefficients(labels, _ZERO_BOUND):
+        zeros = [n for _, ms, a in classes for n in ms[a == 0].tolist()]
         if not zeros:
-            fails.append(f"zero {label}: no vanishing coefficient found")
+            fails.append(f"zero {spec.label}: no vanishing coefficient found")
             continue
-        picks = sorted(zeros)[:per_curve]
-        needed = max(terms_needed(spec, n, precision) for n in picks)
+        picks = sorted(zeros)[:_ZERO_PICKS]
+        needed = max(terms_needed(spec, n, _ZERO_PRECISION) for n in picks)
         coeffs = expand_b(spec, needed)
         for n in picks:
-            data = twisted_l1(spec, n, precision=precision, coeffs=coeffs)
+            data = twisted_l1(spec, n, precision=_ZERO_PRECISION, coeffs=coeffs)
             if not data.zero_consistent:
                 fails.append(
-                    f"zero {label} n={n}: |L| = {abs(data.l1):.2e} above "
+                    f"zero {spec.label} n={n}: |L| = {abs(data.l1):.2e} above "
                     f"threshold {data.zero_threshold:.2e}"
                 )
     return fails
 
 
 def run_baseline_suite(reps_by_label, overrides=None):
+    """Every field of each frozen anchor against a fresh derivation:
+    l_n0 to 1e-9 relative, the rest exactly."""
     fails = []
     for label in sorted(reps_by_label):
         spec = catalog.curve(label)
         for rep in reps_by_label[label]:
-            want = catalog.baseline(spec, rep, overrides=overrides).selmer_n0
+            want = catalog.baseline(spec, rep, overrides=overrides)
             try:
                 got = baseline_selmer(spec, rep)
             except (NormalizationError, ConvergenceError, NumericError) as exc:
                 fails.append(f"baseline {label}/{rep}: {exc}")
                 continue
-            if got != want:
-                fails.append(
-                    f"baseline {label}/{rep}: oracle {got} != catalog {want}"
-                )
+            for field in dataclasses.fields(want):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "l_n0":
+                    same = abs(g - w) <= 1e-9 * abs(w)
+                else:
+                    same = g == w
+                if not same:
+                    fails.append(
+                        f"baseline {label}/{rep}: {field.name} oracle {g!r} "
+                        f"!= catalog {w!r}"
+                    )
     return fails
 
 
@@ -629,34 +642,24 @@ _BIG_A = -128
 _BIG_L = 2.100720230610905
 
 
-def run_propagation_suite(labels, big=True, threshold=1e-5):
+def run_propagation_suite(labels):
     fails = []
-    member_bound = 2000
-    sieve_tables = build_sieve(member_bound)
-    for label in labels:
-        spec = catalog.curve(label)
-        coeff_series = build_F(spec.recipe, member_bound)
-        rep = spec.class_reps[0]
+    for spec, classes in _class_coefficients(labels, _PROPAGATION_BOUND):
+        rep, members, a = classes[0]
         base = catalog.baseline(spec, rep)
-        members = class_members(
-            sieve_tables, rep, spec.table_modulus, member_bound
-        )
-        nz = members[coeff_series.coeffs[members] != 0]
-        picks = [int(n) for n in nz if n > base.n0_effective][:2]
-        for n in picks:
-            a_n = int(coeff_series.coeffs[n])
-            direct = twisted_l1(spec, n, precision=1e-8).l1
+        later = (a != 0) & (members > base.n0_effective)
+        for n, a_n in zip(members[later][:2].tolist(), a[later][:2].tolist()):
+            direct = twisted_l1(spec, n, precision=_PROPAGATION_PRECISION).l1
             prop = float(propagate_l(n, a_n, base))
             rel = abs(direct - prop) / abs(direct)
-            if not rel < threshold:
+            if not rel < _DEFECT_THRESHOLD:
                 fails.append(
-                    f"propagation {label} n={n}: direct {direct:.9f} vs "
+                    f"propagation {spec.label} n={n}: direct {direct:.9f} vs "
                     f"propagated {prop:.9f} (rel {rel:.2e})"
                 )
-    if big and "11a1" in labels:
+    if "11a1" in labels:
         spec = catalog.curve("11a1")
-        coeff_series = build_F(spec.recipe, _BIG_N + 1)
-        a_big = int(coeff_series.coeffs[_BIG_N])
+        a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
         if a_big != _BIG_A:
             fails.append(f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}")
         else:
@@ -747,7 +750,7 @@ def build_parser():
     pf.add_argument("--survey-csv", required=True)
     pf.add_argument("--k", type=int, required=True)
     pf.add_argument("--bound", type=int)
-    pf.add_argument("--step", type=int)
+    pf.add_argument("--step", type=int, default=stats.CHECKPOINT_STEP)
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_fit)
 
@@ -763,7 +766,7 @@ def build_parser():
     pp.add_argument("--n0", type=int, required=True)
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--bound", type=int, default=10**7)
-    pp.add_argument("--step", type=int)
+    pp.add_argument("--step", type=int, default=stats.CHECKPOINT_STEP)
     pp.add_argument("--alpha", type=float)
     pp.add_argument("--epsilon", type=float)
     pp.add_argument("--out")

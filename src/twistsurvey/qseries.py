@@ -8,8 +8,8 @@ where Theta(Q) counts lattice representations by a positive definite
 binary quadratic form.  D is exact int64.  Each coefficient of F is a
 sum of at most 2*zmax + 1 terms D[m - t*z^2] (z = 0 and +-z), with
 zmax = isqrt(bound // t), so |F[m]| <= max|D| * (2*zmax + 1); build_F
-checks that this bound is below 2^31 and then works exactly in int32,
-raising OverflowGuardError instead when it is not.
+checks that this bound is below 2^31 and then works, and returns F,
+exactly in int32, raising OverflowGuardError instead when it is not.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class BinaryQuadraticForm:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Dense integer q-expansion truncated at q^bound."""
+    """Dense integer q-expansion truncated at q^bound (read-only int32 or
+    int64 coefficients)."""
 
     bound: int
     coeffs: np.ndarray
@@ -64,8 +65,8 @@ class PowerSeries:
             raise DimensionError(
                 f"need {self.bound + 1} coefficients, got {self.coeffs.shape}"
             )
-        if self.coeffs.dtype != np.int64:
-            raise TypeError("coefficients must be int64")
+        if self.coeffs.dtype not in (np.int32, np.int64):
+            raise TypeError("coefficients must be int32 or int64")
         self.coeffs.setflags(write=False)
 
     def coeff(self, m: int) -> int:
@@ -170,4 +171,4 @@ def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
                     break
                 start = max(lo, s)
                 out[start:hi] += twice[start - s : hi - s]
-    return PowerSeries(bound, out.astype(np.int64))
+    return PowerSeries(bound, out)

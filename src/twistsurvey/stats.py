@@ -24,6 +24,8 @@ EPSILON_BAND = 0.02
 EPSILON_STEP = 0.001
 # below e^e the double log is nonpositive and the model is meaningless
 MODEL_FLOOR = 16
+# default spacing of the checkpoint grid
+CHECKPOINT_STEP = 50000
 
 _STEPS = int(round(EPSILON_BAND / EPSILON_STEP))
 # ordered by |eps|, then sign, so the first minimum settles ties
@@ -33,7 +35,7 @@ _EPSILONS = np.array(sorted(
 ))
 
 
-def default_checkpoints(bound, step=50000):
+def default_checkpoints(bound, step=CHECKPOINT_STEP):
     """The nested interval family [0, step*i] capped at bound."""
     bound = int(bound)
     step = int(step)

@@ -176,7 +176,8 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, cprod, bound):
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
     members = class_members(sieve_tables, baseline.n0, spec.table_modulus, bound)
-    a = coeff_series.coeffs[members]
+    # int64 before any product: a Python int times int32 stays int32
+    a = coeff_series.coeffs[members].astype(np.int64)
     c = cprod[members].astype(np.int64)
     t = spec.family_torsion
     amax = int(np.abs(a).max(initial=1))

@@ -229,9 +229,9 @@ def test_baseline_selmer_flags_corrupt_local_factor():
 
 
 def test_baseline_selmer_examples():
-    assert baseline_selmer(SPECS["11a1"], 3) == 1
-    assert baseline_selmer(SPECS["17a1"], 3) == 2
-    assert baseline_selmer(SPECS["14a1"], 29) == 8
+    assert baseline_selmer(SPECS["11a1"], 3).selmer_n0 == 1
+    assert baseline_selmer(SPECS["17a1"], 3).selmer_n0 == 2
+    assert baseline_selmer(SPECS["14a1"], 29).selmer_n0 == 8
 
 
 def test_transfer_defect_small_pair():

@@ -355,6 +355,51 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
     assert bad["failures"]
 
 
+# one forged value per anchor field, on classes that quick verify
+# re-derives; c_n0 = 4 keeps every transferred k a square, and the
+# n0_effective and l_n0 forgeries only rescale the class's L column
+_FORGED_FIELDS = {
+    "n0_effective": ("11a1", "47"),
+    "a_n0": ("17a1", "-2"),
+    "c_n0": ("11a1", "4"),
+    "k0": ("17a1", "4"),
+    "selmer_n0": ("17a1", "8"),
+    "l_n0": ("17a1", "3.0"),
+    "bsd_local_factor": ("11a1", "0.5"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(catalog._OVERRIDE_TYPES))
+def test_verify_catches_each_forged_anchor_field(tmp_path, field):
+    label, value = _FORGED_FIELDS[field]
+    ov = tmp_path / "forged.cfg"
+    ov.write_text(f"{label}.3.{field} = {value}\n")
+    out = tmp_path / "report.json"
+    code = run(["verify", "--curve", label, "--depth", "quick",
+                "--overrides", str(ov), "--out", str(out)])
+    assert code == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    failures = suites["baseline_reproduction"]["failures"]
+    head = f"baseline {label}/3: {field} oracle "
+    tail = f" != catalog {catalog._OVERRIDE_TYPES[field](value)!r}"
+    assert any(f.startswith(head) and f.endswith(tail) for f in failures), (
+        failures
+    )
+
+
+@pytest.mark.parametrize("command", ["fit", "plot-data"])
+def test_zero_checkpoint_step_exits_2(survey_dir, tmp_path, capsys, command):
+    if command == "fit":
+        argv = ["fit", "--survey-csv", str(survey_dir / "17a1_class3.csv"),
+                "--k", "1"]
+    else:
+        argv = ["plot-data", "--curve", "17a1", "--n0", "3", "--k", "1",
+                "--bound", "150000", "--out", str(tmp_path / "p.dat")]
+    assert run(argv + ["--step", "0"]) == 2
+    assert "checkpoint step must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "p.dat").exists()
+
+
 @pytest.mark.parametrize("k0", [2 ** 52, 2 ** 60])
 def test_oversized_anchor_exits_cleanly(tmp_path, capsys, k0):
     # k0 = 2^60 once wrapped around in int64 and surveyed k = 0 everywhere

@@ -145,7 +145,7 @@ def test_series_overflow_guard():
     edge = (2**31 - 1) // 3
     got = times_unary(1, [edge, edge, -edge, 0])
     assert got.coeffs.tolist() == [edge, 3 * edge, edge, -2 * edge]
-    assert got.coeffs.dtype == np.int64
+    assert got.coeffs.dtype == np.int32 and not got.coeffs.flags.writeable
     with pytest.raises(OverflowGuardError):
         times_unary(1, [edge + 1, 0, 0, 0])
     with pytest.raises(OverflowGuardError):
@@ -198,7 +198,7 @@ def test_build_F_catalogue_recipes_across_block_edges(label):
         diff = [d + sign * v for d, v in zip(diff, theta)]
     want = shifted_add_product(diff, recipe.unary_t, bound)
     got = build_F(recipe, bound)
-    assert got.coeffs.dtype == np.int64 and not got.coeffs.flags.writeable
+    assert got.coeffs.dtype == np.int32 and not got.coeffs.flags.writeable
     assert np.array_equal(got.coeffs, want)
 
 

@@ -191,6 +191,15 @@ def test_survey_class_overflow_guard(survey):
             survey("17a1", replace(base, **fields), 1000)
 
 
+def test_survey_class_products_stay_int64(survey, coeff_series):
+    # F is int32 and a Python int times an int32 array stays int32, so an
+    # anchor order of 2^31 shows whether the transfer products wrap
+    assert coeff_series["17a1"].coeffs.dtype == np.int32
+    base = catalog.baseline(SPECS["17a1"], 3)
+    big = survey("17a1", replace(base, selmer_n0=2 ** 31, k0=2 ** 30))
+    assert np.array_equal(big.k, survey("17a1", base).k * 2 ** 30)
+
+
 def test_propagate_l_guards():
     base = catalog.baseline(SPECS["11a1"], 3)
     assert propagate_l(base.n0_effective, base.a_n0, base) == pytest.approx(
