@@ -55,6 +55,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_ABORT = 4
+# faults that abort a run with EXIT_ABORT; the cassels suite records them
+ABORT_ERRORS = (
+    IntegralityError,
+    NormalizationError,
+    CasselsViolationError,
+    BaselineFailureError,
+    OverflowGuardError,
+)
 
 
 def _status(msg):
@@ -181,14 +189,14 @@ def validate_config(cfg):
 
 def survey_curve(spec, bound, reps=None, overrides=None):
     """Shared tables once, then one vectorized survey per class."""
-    sieve_tables = build_sieve(bound)
+    squarefree = build_sieve(bound)
     diff = theta_difference(spec.recipe, bound)
     coeffs = build_F(spec.recipe, bound, diff)
     tama = build_tamagawa(spec, diff)
     out = {}
     for rep in reps or spec.class_reps:
         base = catalog.baseline(spec, rep, overrides=overrides)
-        out[rep] = survey_class(spec, base, coeffs, sieve_tables, tama, bound)
+        out[rep] = survey_class(spec, base, coeffs, squarefree, tama, bound)
     return out
 
 
@@ -288,7 +296,7 @@ def cmd_expand(args):
         raise DomainError("bound must be positive")
     out = args.out or f"{spec.label}_an.csv"
     coeffs = build_F(spec.recipe, args.bound)
-    ns = np.flatnonzero(build_sieve(args.bound).squarefree)
+    ns = np.flatnonzero(build_sieve(args.bound))
     head = _header() + "n,a_n\n"
     _write_file(out, _table(head, "{},{}\n".format, ns, coeffs.coeffs[ns]))
     _status(f"wrote {out} ({ns.size} rows)")
@@ -378,7 +386,8 @@ def cmd_fit(args):
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
     surveyed = int(meta.get("bound", ns[-1]))
-    checkpoints = stats.default_checkpoints(args.bound or surveyed, args.step)
+    bound = surveyed if args.bound is None else args.bound
+    checkpoints = stats.default_checkpoints(bound, args.step)
     kv, x, s = stats.tally(ns, ks, checkpoints, surveyed)
     doc = {
         "curve": meta.get("curve", ""),
@@ -501,13 +510,7 @@ def run_cassels_suite(labels, bound, overrides=None):
         spec = catalog.curve(label)
         try:
             surveys = survey_curve(spec, bound, None, overrides)
-        except (
-            IntegralityError,
-            CasselsViolationError,
-            NormalizationError,
-            BaselineFailureError,
-            OverflowGuardError,
-        ) as exc:
+        except ABORT_ERRORS as exc:
             fails.append(f"cassels {label}: {exc}")
             continue
         for rep in sorted(surveys):
@@ -536,14 +539,14 @@ _DEFECT_THRESHOLD = 1e-5
 def _class_coefficients(labels, bound):
     """Per label: the spec and (rep, members, a_n) for each class, over
     the squarefree class members <= bound."""
-    sieve_tables = build_sieve(bound)
+    squarefree = build_sieve(bound)
     for label in labels:
         spec = catalog.curve(label)
         coeffs = build_F(spec.recipe, bound).coeffs
         classes = []
         for rep in spec.class_reps:
             members = class_members(
-                sieve_tables, rep, spec.table_modulus, bound
+                squarefree, rep, spec.table_modulus, bound
             )
             classes.append((rep, members, coeffs[members]))
         yield spec, classes
@@ -803,13 +806,7 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        IntegralityError,
-        NormalizationError,
-        CasselsViolationError,
-        BaselineFailureError,
-        OverflowGuardError,
-    ) as exc:
+    except ABORT_ERRORS as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

@@ -5,11 +5,16 @@ The coefficient series for a curve family is assembled as
     F = D * (1 + 2*sum_{z>=1} q^(t*z^2)),   D = sum_i sign_i * Theta(Q_i)
 
 where Theta(Q) counts lattice representations by a positive definite
-binary quadratic form.  D is exact int64.  Each coefficient of F is a
-sum of at most 2*zmax + 1 terms D[m - t*z^2] (z = 0 and +-z), with
-zmax = isqrt(bound // t), so |F[m]| <= max|D| * (2*zmax + 1); build_F
-checks that this bound is below 2^31 and then works, and returns F,
-exactly in int32, raising OverflowGuardError instead when it is not.
+binary quadratic form.  theta_difference builds D as one int64 array:
+each form's lattice points are enumerated row by row and scattered into
+it with the form's sign, so no per-form count table is held.  D is
+exact, since |D[m]| is at most the number of points enumerated.
+
+Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
+(z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
+(2*zmax + 1); build_F checks that this bound is below 2^31 and then
+works, and returns F, exactly in int32, raising OverflowGuardError
+instead when it is not.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ import numpy as np
 
 from .errors import DimensionError, InvalidFormError, OverflowGuardError
 
-# Points buffered between bincount flushes in theta_binary; keeps peak
-# memory for a 10^7 expansion around 100 MB.
-_FLUSH_POINTS = 4_000_000
 _INT32_LIMIT = 2**31
 # Output elements per block in build_F: 256 KB of int32, about one L2.
 _BLOCK = 65536
@@ -89,50 +91,32 @@ class ThetaRecipe:
             raise ValueError("unary_t must be positive")
 
 
-def theta_binary(form: BinaryQuadraticForm, bound: int) -> PowerSeries:
-    """Representation counts: coefficient of q^m is #{(x,y) in Z^2 : Q(x,y) = m}.
+def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
+    """D = sum_i sign_i * Theta(Q_i) as int64 coefficients 0..bound.
 
     Rows of constant y are enumerated with the x-range solved exactly from
-    the quadratic, so every generated value is <= bound.  Counts are bounded
-    by the number of enumerated lattice points, which is far below 2^63 for
-    any bound that fits in memory.
+    the quadratic, so every generated value is <= bound, and each row is
+    scattered into D with the unbuffered np.add.at, which counts a value
+    repeated within the row once per point.  |D[m]| is bounded by the
+    number of enumerated lattice points, which is far below 2^63 for any
+    bound that fits in memory.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    a, b, c = form.a, form.b, form.c
-    absd = -form.discriminant()
-    counts = np.zeros(bound + 1, dtype=np.int64)
-    # 4a*Q = (2ax + by)^2 + |D|y^2, so |D|y^2 <= 4a*bound on the ellipse.
-    ymax = math.isqrt(4 * a * bound // absd)
-    pending = []
-    npending = 0
-    for y in range(-ymax, ymax + 1):
-        disc = 4 * a * bound - absd * y * y
-        r = math.isqrt(disc)
-        lo = -((b * y + r) // (2 * a))
-        hi = (r - b * y) // (2 * a)
-        if lo > hi:
-            continue
-        x = np.arange(lo, hi + 1, dtype=np.int64)
-        pending.append((a * x + b * y) * x + c * y * y)
-        npending += hi - lo + 1
-        if npending >= _FLUSH_POINTS:
-            counts += np.bincount(np.concatenate(pending), minlength=bound + 1)
-            pending, npending = [], 0
-    if pending:
-        counts += np.bincount(np.concatenate(pending), minlength=bound + 1)
-    return PowerSeries(bound, counts)
-
-
-def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
-    """D = sum_i sign_i * Theta(Q_i) as int64 coefficients 0..bound."""
     diff = np.zeros(bound + 1, dtype=np.int64)
-    # no name holds a theta across iterations, so only one is alive at a time
     for sign, form in recipe.terms:
-        if sign == 1:
-            diff += theta_binary(form, bound).coeffs
-        else:
-            diff -= theta_binary(form, bound).coeffs
+        a, b, c = form.a, form.b, form.c
+        absd = -form.discriminant()
+        # 4a*Q = (2ax + by)^2 + |D|y^2, so |D|y^2 <= 4a*bound on the ellipse.
+        ymax = math.isqrt(4 * a * bound // absd)
+        for y in range(-ymax, ymax + 1):
+            r = math.isqrt(4 * a * bound - absd * y * y)
+            lo = -((b * y + r) // (2 * a))
+            hi = (r - b * y) // (2 * a)
+            if lo > hi:
+                continue
+            x = np.arange(lo, hi + 1, dtype=np.int64)
+            np.add.at(diff, (a * x + b * y) * x + c * y * y, sign)
     return diff
 
 

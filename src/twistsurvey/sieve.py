@@ -3,22 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidClassError, RangeError
-
-
-@dataclass(frozen=True)
-class SieveTables:
-    """squarefree[n] for 0 <= n <= bound (index 0 unused)."""
-
-    bound: int
-    squarefree: np.ndarray  # bool
-
-    def __post_init__(self):
-        self.squarefree.setflags(write=False)
 
 
 def primes_upto(bound: int) -> np.ndarray:
@@ -50,24 +38,27 @@ def factorize(n: int) -> dict:
     return out
 
 
-def build_sieve(bound: int) -> SieveTables:
-    """Exact squarefree flags: strike the multiples of p^2 for p <= sqrt(bound)."""
+def build_sieve(bound: int) -> np.ndarray:
+    """Read-only bool flags squarefree[n] for 0 <= n <= bound (0 is False):
+    strike the multiples of p^2 for p <= sqrt(bound)."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     squarefree = np.ones(bound + 1, dtype=bool)
     squarefree[0] = False
     for p in primes_upto(math.isqrt(bound)).tolist():
         squarefree[p * p :: p * p] = False
-    return SieveTables(bound, squarefree)
+    squarefree.setflags(write=False)
+    return squarefree
 
 
 def class_members(
-    tables: SieveTables, n0: int, modulus: int, limit: int
+    squarefree: np.ndarray, n0: int, modulus: int, limit: int
 ) -> np.ndarray:
     """Squarefree n <= limit with n congruent to n0 mod modulus, ascending."""
     if not 1 <= n0 < modulus or math.gcd(n0, modulus) != 1:
         raise InvalidClassError(f"{n0} is not a unit modulo {modulus}")
-    if limit > tables.bound:
-        raise RangeError(f"limit {limit} beyond sieve bound {tables.bound}")
+    bound = squarefree.size - 1
+    if limit > bound:
+        raise RangeError(f"limit {limit} beyond sieve bound {bound}")
     candidates = np.arange(n0, limit + 1, modulus, dtype=np.int64)
-    return candidates[tables.squarefree[candidates]]
+    return candidates[squarefree[candidates]]

@@ -166,7 +166,7 @@ class ClassSurvey:
     l: np.ndarray  # nan where k = 0
 
 
-def survey_class(spec, baseline, coeff_series, sieve_tables, cprod, bound):
+def survey_class(spec, baseline, coeff_series, squarefree, cprod, bound):
     """The transfer law from the class anchor to every squarefree class
     member <= bound, in exact int64 arithmetic.
 
@@ -175,7 +175,7 @@ def survey_class(spec, baseline, coeff_series, sieve_tables, cprod, bound):
     An anchor order whose products leave int64 raises OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
-    members = class_members(sieve_tables, baseline.n0, spec.table_modulus, bound)
+    members = class_members(squarefree, baseline.n0, spec.table_modulus, bound)
     # int64 before any product: a Python int times int32 stays int32
     a = coeff_series.coeffs[members].astype(np.int64)
     c = cprod[members].astype(np.int64)

@@ -254,7 +254,7 @@ def test_criterion_7_theta_oracle():
 def test_criterion_8_property_suites(full_surveys, tmp_path):
     surveys, _ = full_surveys
 
-    density = int(build_sieve(BOUND).squarefree[1:].sum()) / BOUND
+    density = int(build_sieve(BOUND)[1:].sum()) / BOUND
     target = 6 / math.pi ** 2
     assert abs(density - target) / target < 0.001
 
@@ -269,15 +269,15 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     spec = catalog.curve("11a1")
     small = 10 ** 5
     series = build_F(spec.recipe, small)
-    sieve_tables = build_sieve(small)
+    squarefree = build_sieve(small)
     tama = build_tamagawa(spec, theta_difference(spec.recipe, small))
     base = catalog.baseline(spec, 3)
     from dataclasses import replace
 
-    one = survey_class(spec, base, series, sieve_tables, tama, small)
+    one = survey_class(spec, base, series, squarefree, tama, small)
     three = survey_class(
         spec, replace(base, a_n0=3 * base.a_n0),
-        PowerSeries(series.bound, 3 * series.coeffs), sieve_tables, tama, small,
+        PowerSeries(series.bound, 3 * series.coeffs), squarefree, tama, small,
     )
     assert np.array_equal(one.k, three.k)
     assert np.array_equal(one.selmer, three.selmer)

@@ -113,6 +113,12 @@ def test_fit_rejects_bound_beyond_survey(survey_dir, capsys):
     assert "300000" in err and "150000" in err, err
     # a bound inside the surveyed range still fits
     assert run(["fit", "--survey-csv", csv, "--k", "1", "--bound", "100000"]) == 0
+    # a zero bound is a bound below the first checkpoint, not a missing one
+    for bound in ("0", "-5"):
+        capsys.readouterr()
+        assert run(["fit", "--survey-csv", csv, "--k", "1",
+                    "--bound", bound]) == 2
+        assert "bound below first checkpoint" in capsys.readouterr().err
 
 
 def test_fit_matches_survey_summary(survey_dir, tmp_path, capsys):
@@ -556,7 +562,7 @@ def test_row_files_identical_across_chunk_sizes(tmp_path, monkeypatch):
     spec = catalog.curve("17a1")
     surv = cli.survey_curve(spec, bound, (3,))[3]
     coeffs = build_F(spec.recipe, bound).coeffs
-    squarefree = build_sieve(bound).squarefree
+    squarefree = build_sieve(bound)
     want_an = "# schema_version 1\nn,a_n\n" + "".join(
         f"{n},{int(coeffs[n])}\n" for n in range(1, bound + 1) if squarefree[n]
     )

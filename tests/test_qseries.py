@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from twistsurvey.qseries import (
     BinaryQuadraticForm,
     ThetaRecipe,
     build_F,
-    theta_binary,
     theta_difference,
 )
 
@@ -35,6 +35,12 @@ def times_unary(t, values):
     return build_F(recipe, diff.size - 1, diff)
 
 
+def theta(a, b, c, bound):
+    """Theta(Q) for one form, as the one-term recipe's theta_difference."""
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(a, b, c)),), 1)
+    return theta_difference(recipe, bound).tolist()
+
+
 def unary(t, bound):
     """1 + 2*sum q^(t z^2) as the product of D = 1 with the unary theta."""
     return times_unary(t, [1] + [0] * bound)
@@ -53,22 +59,21 @@ def test_theta_binary_x2_11y2_low_coefficients():
     # m=0: origin; m=1: (+-1,0); m=4: (+-2,0); m=9: (+-3,0); m=11: (0,+-1);
     # m=12: (+-1,+-1).  Counts are plain representation numbers, so entries
     # at 4 and 9 are 2, not 4.
-    got = theta_binary(BinaryQuadraticForm(1, 0, 11), 12)
-    assert got.coeffs.tolist() == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 2, 4]
-    assert got.coeffs.tolist() == naive_theta(1, 0, 11, 12)
+    got = theta(1, 0, 11, 12)
+    assert got == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 2, 4]
+    assert got == naive_theta(1, 0, 11, 12)
 
 
 def test_theta_binary_skew_form_minimum():
-    got = theta_binary(BinaryQuadraticForm(3, 2, 4), 5)
-    assert got.coeff(0) == 1
-    assert got.coeff(1) == 0
-    assert got.coeff(2) == 0
-    assert got.coeff(3) == 2  # (+-1, 0)
+    got = theta(3, 2, 4, 5)
+    assert got[:4] == [1, 0, 0, 2]  # q^3: (+-1, 0)
+    assert got == naive_theta(3, 2, 4, 5)
 
 
 def test_theta_binary_sum_of_two_squares():
-    got = theta_binary(BinaryQuadraticForm(1, 0, 1), 2)
-    assert got.coeff(2) == 4  # (+-1, +-1)
+    got = theta(1, 0, 1, 2)
+    assert got[2] == 4  # (+-1, +-1)
+    assert got == naive_theta(1, 0, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -88,8 +93,7 @@ def test_theta_binary_sum_of_two_squares():
 )
 def test_theta_binary_matches_naive_oracle(form):
     a, b, c = form
-    got = theta_binary(BinaryQuadraticForm(a, b, c), 500)
-    assert got.coeffs.tolist() == naive_theta(a, b, c, 500)
+    assert theta(a, b, c, 500) == naive_theta(a, b, c, 500)
 
 
 @given(
@@ -102,10 +106,10 @@ def test_theta_binary_matches_naive_oracle(form):
 def test_theta_binary_random_forms_match_oracle(a, b, c, bound):
     if b * b - 4 * a * c >= 0:
         return
-    got = theta_binary(BinaryQuadraticForm(a, b, c), bound)
-    assert got.coeffs.tolist() == naive_theta(a, b, c, bound)
+    got = theta(a, b, c, bound)
+    assert got == naive_theta(a, b, c, bound)
     # central symmetry (x,y) -> (-x,-y) pairs all points off the origin
-    assert all(v % 2 == 0 for v in got.coeffs.tolist()[1:])
+    assert all(v % 2 == 0 for v in got[1:])
 
 
 def test_theta_unary_examples():
@@ -123,6 +127,21 @@ def test_series_sub_and_add():
     assert zero.dtype == np.int64 and not zero.any()
     doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30)
     assert doubled.tolist() == [2 * v for v in naive_theta(1, 0, 11, 30)]
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_theta_difference_peak_memory_is_one_table(label):
+    # every form scatters straight into D, so no second full-length array
+    # is ever allocated; tracemalloc sees numpy's allocations
+    bound = 10**6
+    recipe = catalog.curve(label).recipe
+    tracemalloc.start()
+    try:
+        theta_difference(recipe, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * (bound + 1), peak / (8 * (bound + 1))
 
 
 def test_series_mul_small():

@@ -14,7 +14,7 @@ from oracles import is_squarefree_trial
 
 
 @pytest.fixture(scope="module")
-def tables_1e6():
+def squarefree_1e6():
     return build_sieve(1_000_000)
 
 
@@ -25,25 +25,26 @@ def test_primes_upto_small():
 
 def test_small_values():
     t = build_sieve(20)
-    assert bool(t.squarefree[1])
-    assert not t.squarefree[12]
-    assert bool(t.squarefree[15])
-    assert bool(t.squarefree[2]) and not t.squarefree[16]
+    assert t.dtype == bool and t.shape == (21,) and not t.flags.writeable
+    assert not t[0] and bool(t[1])
+    assert not t[12]
+    assert bool(t[15])
+    assert bool(t[2]) and not t[16]
 
 
 def test_squarefree_count_to_1e4():
     t = build_sieve(10_000)
-    assert int(t.squarefree[1:].sum()) == 6083
+    assert int(t[1:].sum()) == 6083
     assert 6083 == sum(is_squarefree_trial(n) for n in range(1, 10_001))
 
 
-TABLES_1E5 = build_sieve(100_000)
+SQUAREFREE_1E5 = build_sieve(100_000)
 
 
 @given(n=st.integers(1, 100_000))
 @settings(max_examples=120, deadline=None)
 def test_squarefree_matches_trial_division(n):
-    assert bool(TABLES_1E5.squarefree[n]) == is_squarefree_trial(n)
+    assert bool(SQUAREFREE_1E5[n]) == is_squarefree_trial(n)
 
 
 def test_factorize_examples():
@@ -71,14 +72,14 @@ def test_factorize_reconstructs_with_prime_keys(n):
     assert all(e == 1 for e in got.values()) == is_squarefree_trial(n)
 
 
-def test_class_members_examples(tables_1e6):
-    assert class_members(tables_1e6, 1, 44, 100).tolist() == [1, 89]
-    assert class_members(tables_1e6, 3, 44, 50).tolist() == [3, 47]
+def test_class_members_examples(squarefree_1e6):
+    assert class_members(squarefree_1e6, 1, 44, 100).tolist() == [1, 89]
+    assert class_members(squarefree_1e6, 3, 44, 50).tolist() == [3, 47]
 
 
-def test_class_members_pinned_count_mod44(tables_1e6):
+def test_class_members_pinned_count_mod44(squarefree_1e6):
     # independent per-member trial division, then compare the full count
-    members = class_members(tables_1e6, 1, 44, 1_000_000)
+    members = class_members(squarefree_1e6, 1, 44, 1_000_000)
     assert all(n % 44 == 1 for n in members.tolist())
     oracle = sum(
         1
@@ -88,8 +89,8 @@ def test_class_members_pinned_count_mod44(tables_1e6):
     assert len(members) == oracle
 
 
-def test_class_members_strictly_increasing_and_valid(tables_1e6):
-    members = class_members(tables_1e6, 23, 44, 200_000)
+def test_class_members_strictly_increasing_and_valid(squarefree_1e6):
+    members = class_members(squarefree_1e6, 23, 44, 200_000)
     arr = members.tolist()
     assert arr == sorted(set(arr))
     for n in arr[:50]:
@@ -98,20 +99,23 @@ def test_class_members_strictly_increasing_and_valid(tables_1e6):
         assert n % 2 == 1 and n % 11 != 0
 
 
-def test_class_members_rejects_non_unit(tables_1e6):
+def test_class_members_rejects_non_unit(squarefree_1e6):
     with pytest.raises(InvalidClassError):
-        class_members(tables_1e6, 11, 44, 100)
+        class_members(squarefree_1e6, 11, 44, 100)
     with pytest.raises(InvalidClassError):
-        class_members(tables_1e6, 4, 44, 100)
+        class_members(squarefree_1e6, 4, 44, 100)
     with pytest.raises(InvalidClassError):
-        class_members(tables_1e6, 45, 44, 100)
+        class_members(squarefree_1e6, 45, 44, 100)
 
 
-def test_class_members_limit_beyond_bound(tables_1e6):
+def test_class_members_limit_beyond_bound(squarefree_1e6):
     with pytest.raises(RangeError):
-        class_members(tables_1e6, 1, 44, 2_000_000)
+        class_members(squarefree_1e6, 1, 44, 2_000_000)
+    # the sieve ends at its last index: 1_000_001 = 13 mod 44 is past it
+    with pytest.raises(RangeError):
+        class_members(squarefree_1e6, 13, 44, 1_000_001)
 
 
-def test_density_tends_to_6_over_pi_squared(tables_1e6):
-    density = tables_1e6.squarefree[1:].sum() / 1_000_000
+def test_density_tends_to_6_over_pi_squared(squarefree_1e6):
+    density = squarefree_1e6[1:].sum() / 1_000_000
     assert abs(density - 0.607927) < 0.001

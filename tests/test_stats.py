@@ -25,10 +25,10 @@ def mini_survey():
     spec = catalog.curve("11a1")
     bound = 100000
     series = build_F(spec.recipe, bound)
-    sieve_tables = build_sieve(bound)
+    squarefree = build_sieve(bound)
     tables = build_tamagawa(spec, theta_difference(spec.recipe, bound))
     base = catalog.baseline(spec, 3)
-    return survey_class(spec, base, series, sieve_tables, tables, bound)
+    return survey_class(spec, base, series, squarefree, tables, bound)
 
 
 def test_default_checkpoints():

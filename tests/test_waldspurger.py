@@ -33,7 +33,7 @@ SPECS = {label: catalog.curve(label) for label in catalog.LABELS}
 
 
 @pytest.fixture(scope="module")
-def sieve_tables():
+def squarefree():
     return build_sieve(BOUND)
 
 
@@ -80,11 +80,11 @@ def test_tamagawa_cp_range(label):
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
-def test_build_tamagawa_matches_scalar(label, sieve_tables):
+def test_build_tamagawa_matches_scalar(label, squarefree):
     spec = SPECS[label]
     tables = build_tamagawa(spec, theta_difference(spec.recipe, 3000))
     for n in range(1, 3001, 2):
-        if not sieve_tables.squarefree[n] or math.gcd(n, spec.conductor) != 1:
+        if not squarefree[n] or math.gcd(n, spec.conductor) != 1:
             continue
         assert int(tables[n]) == tamagawa_product(spec, n), n
 
@@ -103,12 +103,12 @@ def test_11a1_theta_sign_rule_matches_root_count():
 
 
 @pytest.fixture(scope="module")
-def survey(coeff_series, sieve_tables, tamagawa_tables):
+def survey(coeff_series, squarefree, tamagawa_tables):
     """survey_class over one class at a bound <= BOUND, shared tables."""
 
     def run(label, base, bound=BOUND):
         return survey_class(
-            SPECS[label], base, coeff_series[label], sieve_tables,
+            SPECS[label], base, coeff_series[label], squarefree,
             tamagawa_tables[label], bound,
         )
 
@@ -249,7 +249,7 @@ def test_rebasing_is_involutive(survey):
     assert np.allclose(again.l[keep], sv.l[keep], rtol=1e-12, atol=0)
 
 
-def test_survey_scale_invariance(coeff_series, sieve_tables, tamagawa_tables):
+def test_survey_scale_invariance(coeff_series, squarefree, tamagawa_tables):
     # F -> 3F with the anchor coefficient rescaled the same way
     spec = SPECS["17a1"]
     base = catalog.baseline(spec, 3)
@@ -257,22 +257,22 @@ def test_survey_scale_invariance(coeff_series, sieve_tables, tamagawa_tables):
     scaled = PowerSeries(series.bound, 3 * series.coeffs)
     base3 = replace(base, a_n0=3 * base.a_n0)
     tables = tamagawa_tables["17a1"]
-    one = survey_class(spec, base, series, sieve_tables, tables, BOUND)
-    three = survey_class(spec, base3, scaled, sieve_tables, tables, BOUND)
+    one = survey_class(spec, base, series, squarefree, tables, BOUND)
+    three = survey_class(spec, base3, scaled, squarefree, tables, BOUND)
     assert np.array_equal(one.k, three.k)
     assert np.array_equal(one.selmer, three.selmer)
     keep = one.k > 0
     assert np.allclose(one.l[keep], three.l[keep], rtol=1e-12)
 
 
-def test_survey_class_matches_scalar_loop(survey, coeff_series, sieve_tables):
+def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
     # 17a1/39 and 14a1/29 anchor away from the class rep (n0_eff 107 and
     # 85), and 14a1/29 has k0 = 4
     for label, n0 in (("17a1", 3), ("17a1", 39), ("14a1", 29)):
         spec = SPECS[label]
         base = catalog.baseline(spec, n0)
         got = survey(label, base, 20000)
-        members = class_members(sieve_tables, n0, spec.table_modulus, 20000)
+        members = class_members(squarefree, n0, spec.table_modulus, 20000)
         assert np.array_equal(got.members, members)
         # the catalogued anchor component product agrees with the root count
         assert base.c_n0 == tamagawa_by_root_count(
@@ -295,7 +295,7 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, sieve_tables):
         assert (got.k > 1).any() and (got.k == 0).any()
 
 
-def test_all_classes_survey_clean(coeff_series, sieve_tables, tamagawa_tables):
+def test_all_classes_survey_clean(coeff_series, squarefree, tamagawa_tables):
     # every class at a small bound: correct partition into buckets and
     # square k everywhere (survey_class raises otherwise)
     for label in catalog.LABELS:
@@ -303,7 +303,7 @@ def test_all_classes_survey_clean(coeff_series, sieve_tables, tamagawa_tables):
         for n0 in spec.class_reps:
             base = catalog.baseline(spec, n0)
             sv = survey_class(
-                spec, base, coeff_series[label], sieve_tables,
+                spec, base, coeff_series[label], squarefree,
                 tamagawa_tables[label], BOUND,
             )
             assert sv.members.size > 0
