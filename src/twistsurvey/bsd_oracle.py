@@ -1,10 +1,13 @@
 """Independent slow path: weight-two coefficients by point counting,
-twisted L(1) by exponentially weighted series, real periods by AGM, and
-Selmer orders assembled from the rank-zero BSD formula.
+twisted L(1) by exponentially weighted series, real periods by AGM,
+Selmer orders assembled from the rank-zero BSD formula, and the naive
+lattice reference for the theta coefficients.
 
-Shares no coefficient machinery with qseries; agreement between the two
-paths (the transfer-identity suites) is the strongest end-to-end check
-in the test suite.
+Imports nothing from qseries: reference_series reads only the recipe's
+form coefficients and unary scale, and baseline_selmer takes each
+anchor's n0_effective and a_n0 from it.  Agreement between the two
+paths (the theta reference, anchor reproduction and transfer-identity
+suites) is the strongest end-to-end check in the test suite.
 """
 
 from __future__ import annotations
@@ -272,12 +275,34 @@ def real_period(spec, n):
     return real_period_model(c4, c6, -n)
 
 
-def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
+def reference_series(recipe, bound):
+    """Naive lattice double loop + unary convolution; exact reference."""
+    diff = np.zeros(bound + 1, dtype=np.int64)
+    for sign, form in recipe.terms:
+        a, b, c = form.a, form.b, form.c
+        absd = 4 * a * c - b * b
+        xmax = math.isqrt(4 * c * bound // absd) + 1
+        ymax = math.isqrt(4 * a * bound // absd) + 1
+        ys = np.arange(-ymax, ymax + 1)
+        for x in range(-xmax, xmax + 1):
+            vals = a * x * x + b * x * ys + c * ys * ys
+            good = vals[(vals >= 0) & (vals <= bound)]
+            np.add.at(diff, good, sign)
+    out = diff.copy()
+    r = 1
+    while recipe.unary_t * r * r <= bound:
+        shift = recipe.unary_t * r * r
+        out[shift:] += 2 * diff[: bound + 1 - shift]
+        r += 1
+    return out
+
+
+def baseline_selmer(spec, n0, coeffs=None):
     """The class anchor re-derived from scratch, as a ClassBaseline.
 
-    n0_effective is the least class member with a nonzero coefficient
-    and a_n0 its coefficient; c_n0 comes from component counts, l_n0
-    from the series, and #S from
+    n0_effective is the least squarefree class member up to 2048 with a
+    nonzero reference_series coefficient, and a_n0 that coefficient;
+    c_n0 comes from component counts, l_n0 from the series, and #S from
 
         #S = L(1) * t^3 / (period * c(n) * B)
 
@@ -285,23 +310,16 @@ def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
     must sit within 1e-6 relative of an integer and divide into a
     perfect square by t, or the class normalization is wrong.
     """
-    from .qseries import build_F
-    from .sieve import build_sieve, class_members
-
     if n0 not in spec.class_reps:
         raise InvalidClassError(f"{spec.label} has no class {n0}")
     # locate the effective anchor independently of the frozen catalog row
     scan = 2048
-    if coeff_series is None:
-        coeff_series = build_F(spec.recipe, scan)
-    members = class_members(
-        build_sieve(coeff_series.bound), n0, spec.table_modulus,
-        coeff_series.bound,
-    )
-    hits = members[coeff_series.coeffs[members] != 0]
-    if hits.size == 0:
+    ref = reference_series(spec.recipe, scan)
+    for n_eff in range(n0, scan + 1, spec.table_modulus):
+        if ref[n_eff] and not any(e > 1 for e in factorize(n_eff).values()):
+            break
+    else:
         raise NormalizationError(f"{spec.label} class {n0}: no nonzero member")
-    n_eff = int(hits[0])
     ldata = twisted_l1(spec, n_eff, coeffs=coeffs)
     if ldata.zero_consistent:
         raise NormalizationError(
@@ -326,7 +344,7 @@ def baseline_selmer(spec, n0, coeff_series=None, coeffs=None):
         curve=spec.label,
         n0=n0,
         n0_effective=n_eff,
-        a_n0=coeff_series.coeff(n_eff),
+        a_n0=int(ref[n_eff]),
         c_n0=c,
         k0=selmer // t,
         selmer_n0=selmer,

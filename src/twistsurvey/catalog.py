@@ -318,13 +318,17 @@ def load_overrides(path):
         return parse_overrides(fh.read())
 
 
-def validate_catalog(hasse_limit=100):
+# primes up to which validate_catalog checks the oracle's a_p
+_HASSE_LIMIT = 100
+
+
+def validate_catalog():
     """Full startup validation: structure plus oracle a_p Hasse bounds."""
     from . import bsd_oracle  # deferred: bsd_oracle imports this module
 
     for label in LABELS:
         spec = curve(label)
-        for p in primes_upto(hasse_limit).tolist():
+        for p in primes_upto(_HASSE_LIMIT).tolist():
             ap = bsd_oracle.count_ap(spec, p)
             if spec.conductor % p == 0:
                 if ap not in (-1, 0, 1):

@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 bad configuration, 3 verification failure,
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -22,6 +21,7 @@ from . import catalog, stats
 from .bsd_oracle import (
     baseline_selmer,
     expand_b,
+    reference_series,
     terms_needed,
     transfer_defect,
     twisted_l1,
@@ -81,20 +81,20 @@ class SurveyConfig:
 
 
 def _parse_classes(value):
-    if isinstance(value, tuple):
-        return value
+    """Comma-separated class reps, each at most once."""
     value = value.strip()
     if not value:
         return ()
     try:
-        return tuple(int(part) for part in value.split(","))
+        reps = tuple(int(part) for part in value.split(","))
     except ValueError:
         raise DomainError(f"bad class list {value!r}")
+    if len(set(reps)) != len(reps):
+        raise DomainError(f"repeated class in {value!r}")
+    return reps
 
 
 def _parse_threads(value):
-    if isinstance(value, int):
-        return value
     value = value.strip()
     if value == "auto":
         return 0
@@ -177,8 +177,6 @@ def validate_config(cfg):
         raise DomainError("checkpoint step must be positive")
     if cfg.bound < cfg.checkpoint_step:
         raise DomainError("bound below one checkpoint step")
-    if cfg.threads < 0:
-        raise DomainError("thread count must be nonnegative")
     extra = set(cfg.classes) - set(spec.class_reps)
     if extra:
         raise InvalidClassError(
@@ -247,10 +245,14 @@ def _fit_dicts(fits):
     return [dict(zip(keys, cell)) for cell in zip(*(f.tolist() for f in fits))]
 
 
-def _k_row(ks, s, k):
-    """Row of the count matrix s for k (all zeros when no member has k)."""
+def _check_k(k):
+    """fit and plot-data reject a negative --k before reading or surveying."""
     if k < 0:
         raise DomainError("k must be nonnegative")
+
+
+def _k_row(ks, s, k):
+    """Row of the count matrix s for k (all zeros when no member has k)."""
     hit = ks == k
     return s[hit] if hit.any() else np.zeros((1, s.shape[1]), dtype=s.dtype)
 
@@ -382,6 +384,7 @@ def _read_class_csv(path):
 
 
 def cmd_fit(args):
+    _check_k(args.k)
     meta, ns, ks = _read_class_csv(args.survey_csv)
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
@@ -400,6 +403,7 @@ def cmd_fit(args):
 
 
 def cmd_plot_data(args):
+    _check_k(args.k)
     spec = catalog.curve(args.curve)
     if args.n0 not in spec.class_reps:
         raise InvalidClassError(f"{args.n0} not a {spec.label} class")
@@ -470,34 +474,12 @@ def cmd_tables(args):
 # verification suites
 
 
-def _reference_series(recipe, bound):
-    """Naive lattice double loop + unary convolution; exact reference."""
-    diff = np.zeros(bound + 1, dtype=np.int64)
-    for sign, form in recipe.terms:
-        a, b, c = form.a, form.b, form.c
-        absd = 4 * a * c - b * b
-        xmax = math.isqrt(4 * c * bound // absd) + 1
-        ymax = math.isqrt(4 * a * bound // absd) + 1
-        ys = np.arange(-ymax, ymax + 1)
-        for x in range(-xmax, xmax + 1):
-            vals = a * x * x + b * x * ys + c * ys * ys
-            good = vals[(vals >= 0) & (vals <= bound)]
-            np.add.at(diff, good, sign)
-    out = diff.copy()
-    r = 1
-    while recipe.unary_t * r * r <= bound:
-        shift = recipe.unary_t * r * r
-        out[shift:] += 2 * diff[: bound + 1 - shift]
-        r += 1
-    return out
-
-
 def run_theta_suite(labels, bound):
     fails = []
     for label in labels:
         spec = catalog.curve(label)
         fast = build_F(spec.recipe, bound).coeffs
-        ref = _reference_series(spec.recipe, bound)
+        ref = reference_series(spec.recipe, bound)
         if not np.array_equal(fast, ref):
             first = int(np.nonzero(fast != ref)[0][0])
             fails.append(f"theta {label}: first mismatch at n = {first}")

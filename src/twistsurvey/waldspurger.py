@@ -13,7 +13,7 @@ components: 1 + #roots of the 2-division cubic 4x^3+b2x^2+2b4x+b6 mod p
 (a_n^2/a_n0^2) * sqrt(n0/n).
 
 Class members are odd, squarefree and coprime to the conductor, so the
-primes hitting c(n) never divide 2N or the cubic's quadratic cofactor
+primes hitting c(n) never divide 2N, and so never divide the curve's
 discriminant; the count is well defined everywhere it is used.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,21 +71,6 @@ def tamagawa_product(spec, n):
     return math.prod(tamagawa_cp(spec, p) for p in factorize(n))
 
 
-def _quadratic_cofactor_disc(spec):
-    """Discriminant of the cubic's quadratic cofactor (curves with 2-torsion)."""
-    from .catalog import rational_cubic_roots
-
-    c3, c2, c1, c0 = two_division_cubic(spec)
-    root = rational_cubic_roots(c2, c1 // 2, c0)[0]
-    # divide 4x^3+c2x^2+c1x+c0 by (x - root); coefficients stay rational
-    q2 = Fraction(4)
-    q1 = c2 + q2 * root
-    q0 = c1 + q1 * root
-    disc = q1 * q1 - 4 * q2 * q0
-    assert disc.denominator == 1
-    return int(disc)
-
-
 def _euler_chi(d, ps):
     """kronecker(d, p) for an array of odd primes not dividing d."""
     p = ps.astype(np.int64)
@@ -110,9 +94,14 @@ def build_tamagawa(spec, diff):
     splits (c_p = 4, D[p] > 0), Q2 represents p <=> no roots (c_p = 1,
     D[p] < 0), and neither <=> one root (c_p = 2, D[p] = 0).  Q1 and Q2
     are distinct classes of discriminant -44, so no prime is represented
-    by both and the sign loses nothing.  With a rational 2-torsion point
-    the counts come from one vectorized Euler criterion on the quadratic
-    cofactor discriminant, and diff only fixes the bound.
+    by both and the sign loses nothing.
+
+    With a rational 2-torsion point the counts come from one vectorized
+    Euler criterion on the curve's discriminant Delta, and diff only fixes
+    the bound.  The cubic 4x^3+b2x^2+2b4x+b6 has discriminant 16 Delta; at
+    a good odd p it is separable and keeps its rational root, so it has 3
+    roots mod p when Delta is a square mod p and 1 root otherwise: c_p is
+    3 + kronecker(Delta, p).
     """
     bound = diff.size - 1
     ps = primes_upto(bound)
@@ -123,9 +112,7 @@ def build_tamagawa(spec, diff):
         d = diff[ps[good]]
         cp[good] = np.where(d > 0, 4, np.where(d < 0, 1, 2))
     else:
-        disc2 = _quadratic_cofactor_disc(spec)
-        use = good & (disc2 % ps != 0)
-        cp[use] = 3 + _euler_chi(disc2, ps[use])
+        cp[good] = 3 + _euler_chi(spec.discriminant(), ps[good])
     cprod = np.ones(bound + 1, dtype=np.int32)
     for p, c in zip(ps.tolist(), cp.tolist()):
         if c != 1:

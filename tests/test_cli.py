@@ -275,6 +275,12 @@ def test_exit_codes_config_errors(tmp_path):
                 "--classes", "4", "--out", str(tmp_path)]) == 2
     assert run(["survey", "--bound", "100000"]) == 2  # curve is required
     assert run(["nonsense"]) == 2
+    # a repeated class would be surveyed, written and tabulated twice
+    assert run(["survey", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3,3", "--out", str(tmp_path)]) == 2
+    assert run(["tables", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3,3"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_overrides_exit_2(tmp_path, capsys):
@@ -404,6 +410,22 @@ def test_zero_checkpoint_step_exits_2(survey_dir, tmp_path, capsys, command):
     assert run(argv + ["--step", "0"]) == 2
     assert "checkpoint step must be positive" in capsys.readouterr().err
     assert not (tmp_path / "p.dat").exists()
+
+
+def test_negative_k_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # k is refused before the survey, the costly step, and before any read
+    def no_survey(*args, **kwargs):
+        raise AssertionError("surveyed before checking k")
+
+    monkeypatch.setattr(cli, "survey_curve", no_survey)
+    assert run(["plot-data", "--curve", "17a1", "--n0", "3", "--k", "-1",
+                "--bound", "150000", "--out", str(tmp_path / "p.dat")]) == 2
+    assert "k must be nonnegative" in capsys.readouterr().err
+    # fit refuses k before it opens the CSV
+    assert run(["fit", "--survey-csv", str(tmp_path / "missing.csv"),
+                "--k", "-1"]) == 2
+    assert "k must be nonnegative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k0", [2 ** 52, 2 ** 60])

@@ -1,24 +1,33 @@
-"""tests/oracles.py must not import the package it is a reference for."""
+"""tests/oracles.py must not import the package it is a reference for,
+and the package's own slow path, bsd_oracle, must not import qseries."""
 
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 ORACLES = Path(__file__).with_name("oracles.py")
+BSD_ORACLE = Path(__file__).parents[1] / "src" / "twistsurvey" / "bsd_oracle.py"
 PACKAGE = "twistsurvey"
 
 
 def package_imports(source):
-    """(line, module) for every import of the package in source, at any
+    """(line, name) for every import of the package in source, at any
     depth: import statements, relative imports and __import__ /
-    importlib.import_module calls with a literal name."""
+    importlib.import_module calls with a literal name.  A from-import
+    gives one dotted name per imported item, so `from . import qseries`
+    reads as '.qseries'."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = ["." * node.level + (node.module or "")]
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            names = [base + sep + alias.name for alias in node.names]
         elif isinstance(node, ast.Call):
             func = node.func
             called = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -55,3 +64,45 @@ def test_guard_catches_each_import_form():
         assert package_imports(source), source
     clean = "import numpy\nfrom scipy.integrate import quad\nx = 'twistsurvey'\n"
     assert package_imports(clean) == []
+
+
+def qseries_imports(source):
+    """The package imports in source that name the qseries module."""
+    return [
+        (line, name) for line, name in package_imports(source)
+        if "qseries" in name.split(".")
+    ]
+
+
+def test_qseries_guard_catches_each_import_form():
+    forms = [
+        "from .qseries import build_F",
+        "from . import qseries",
+        "from twistsurvey import catalog, qseries",
+        "import twistsurvey.qseries as q",
+        "def f():\n    from .qseries import theta_difference\n",
+    ]
+    for source in forms:
+        assert qseries_imports(source), source
+    assert qseries_imports("from .sieve import factorize") == []
+
+
+def test_bsd_oracle_does_not_import_qseries():
+    source = BSD_ORACLE.read_text()
+    assert package_imports(source)  # the guard sees its package imports
+    assert qseries_imports(source) == []
+
+
+def test_baseline_selmer_needs_no_qseries(monkeypatch):
+    from twistsurvey import bsd_oracle, catalog, qseries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bsd_oracle reached qseries")
+
+    monkeypatch.setattr(qseries, "build_F", refuse)
+    monkeypatch.setattr(qseries, "theta_difference", refuse)
+    spec = catalog.curve("11a1")
+    want = catalog.baseline(spec, 3)
+    got = bsd_oracle.baseline_selmer(spec, 3)
+    assert got.l_n0 == pytest.approx(want.l_n0, rel=1e-9)
+    assert replace(got, l_n0=want.l_n0) == want

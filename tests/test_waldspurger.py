@@ -89,17 +89,23 @@ def test_build_tamagawa_matches_scalar(label, squarefree):
         assert int(tables[n]) == tamagawa_product(spec, n), n
 
 
-def test_11a1_theta_sign_rule_matches_root_count():
-    # c_p from the sign of D[p] against 1 + #roots of the cubic mod p
-    spec = SPECS["11a1"]
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_tamagawa_rule_matches_root_count(label):
+    # c_p from the sign of D[p] (11a1) or the Euler criterion on the
+    # curve's discriminant (2-torsion curves) against 1 + #roots of the
+    # cubic mod p, at every good odd p
+    spec = SPECS[label]
     bound = 20000
     diff = theta_difference(spec.recipe, bound)
     tables = build_tamagawa(spec, diff)
-    good = [p for p in primes_upto(bound).tolist() if p > 2 and p != 11]
+    good = [
+        p for p in primes_upto(bound).tolist() if p > 2 and spec.conductor % p
+    ]
     assert len(good) > 2000
     for p in good:
         assert int(tables[p]) == tamagawa_cp(spec, p), p
-    assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
+    if spec.family_torsion == 1:
+        assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
 
 
 @pytest.fixture(scope="module")
