@@ -3,11 +3,20 @@ twisted L(1) by exponentially weighted series, real periods by AGM,
 Selmer orders assembled from the rank-zero BSD formula, and the naive
 lattice reference for the theta coefficients.
 
-Imports nothing from qseries: reference_series reads only the recipe's
-form coefficients and unary scale, and baseline_selmer takes each
-anchor's n0_effective and a_n0 from it.  Agreement between the two
-paths (the theta reference, anchor reproduction and transfer-identity
-suites) is the strongest end-to-end check in the test suite.
+count_ap counts points by Shanks-Mestre baby-step giant-step at good
+primes p > 230 (H. Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, 1993, Section 7.4), in O(p^(1/4)) group operations,
+and by the O(p) character sum at the smaller good primes; p = 2
+and the bad primes take the affine point count.  A Shanks-Mestre value
+is accepted only when exactly one group order in the Hasse interval
+fits the point, so each value is exact by itself.
+
+Imports nothing from qseries, directly or through catalog:
+reference_series reads only the recipe's form coefficients and unary
+scale, and baseline_selmer takes each anchor's n0_effective and a_n0
+from it.  Agreement between the two paths (the theta reference, anchor
+reproduction and transfer-identity suites) is the strongest end-to-end
+check in the test suite.
 """
 
 from __future__ import annotations
@@ -51,15 +60,29 @@ class TwistLData:
     zero_consistent: bool  # |l1| below threshold: no nonvanishing claim
 
 
+# count_ap takes Shanks-Mestre above this prime and the character sum at
+# or below it; Mestre's existence theorem needs p > 229.
+_SHANKS_MESTRE_MIN_P = 230
+# x-coordinates x0 = 1, 2, ... tried before count_ap gives up
+_SHANKS_MESTRE_TRIES = 64
+
+
 def count_ap(spec, p):
     """p-th coefficient: p + 1 - #E(F_p); handles good and bad primes.
 
-    Odd good p: character sum over the 2-division cubic.  p = 2 and the
-    bad primes (all <= 17 here) take the affine point count.
+    Good p > 230 take Shanks-Mestre baby-step giant-step (H. Cohen, GTM
+    138, Section 7.4; _ap_shanks_mestre): a value is returned only when
+    exactly one group order in the Hasse interval fits the point used,
+    so it is exact without any comparison.  Odd good p <= 230, where
+    Mestre's theorem does not ensure such a point, take the character
+    sum over the 2-division cubic.  p = 2 and the bad primes (all <= 17
+    here) take the affine point count.
     """
     p = int(p)
     if p == 2 or spec.conductor % p == 0:
         return _ap_brute(spec, p)
+    if p > _SHANKS_MESTRE_MIN_P:
+        return _ap_shanks_mestre(spec, p)
     b2, b4, b6 = spec.b_invariants()
     x = np.arange(p, dtype=np.int64)
     g = (((4 * x + b2) % p * x + 2 * b4) % p * x + b6) % p
@@ -67,6 +90,99 @@ def count_ap(spec, p):
     qr[(x * x) % p] = 1
     chi = np.where(g == 0, 0, 2 * qr[g].astype(np.int64) - 1)
     return -int(chi.sum())
+
+
+def _ec_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b over F_p, affine; None is the origin."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k, P, a, p):
+    """k P for k >= 0 by double-and-add."""
+    out = None
+    while k:
+        if k & 1:
+            out = _ec_add(out, P, a, p)
+        P = _ec_add(P, P, a, p)
+        k >>= 1
+    return out
+
+
+def _ap_shanks_mestre(spec, p):
+    """a_p at a good p > 230 by Shanks-Mestre point counting (H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, 1993,
+    Section 7.4).
+
+    On y^2 = f(x) = x^3 + A x + B, A = -27 c4, B = -54 c6, each x0 with
+    d = f(x0) != 0 gives the point (x0 d, d^2) on y^2 = x^3 + A d^2 x +
+    B d^3, which is E when d is a square mod p and its quadratic twist
+    (a_p negated) when it is not.  Baby-step giant-step lists every m in
+    the Hasse interval, widened by 2, with m P = O; the baby steps must
+    have distinct x-coordinates, which makes that list complete.  The
+    group order is one of those m, so when exactly one satisfies
+    (p + 1 - m)^2 <= 4p it is the group order, and the returned a_p is
+    exact whatever the point.  Mestre's theorem only ensures that some
+    x0 gives such a point; the loop is bounded and raises NumericError
+    when it runs out.
+    """
+    c4, c6 = spec.c_invariants()
+    A, B = -27 * c4 % p, -54 * c6 % p
+    r = math.isqrt(4 * p)
+    lo, hi = p + 1 - r - 2, p + 1 + r + 2
+    s = math.isqrt(hi - lo) + 1
+    for x0 in range(1, _SHANKS_MESTRE_TRIES + 1):
+        d = (x0 * x0 * x0 + A * x0 + B) % p
+        if d == 0:
+            continue
+        a = A * d * d % p
+        P = (x0 * d % p, d * d % p)
+        # baby steps: x(jP) -> (j, y(jP)) for j = 1..s
+        baby = {}
+        Q = P
+        for j in range(1, s + 1):
+            if Q is None or Q[0] in baby:
+                break
+            baby[Q[0]] = (j, Q[1])
+            sP, Q = Q, _ec_add(Q, P, a, p)
+        else:
+            # giant steps R = c P for c = lo + s, lo + 3s, ...: R = -k P
+            # with |k| <= s gives m = c + k, so [lo, hi] is covered
+            c = lo + s
+            R = _ec_mul(c, P, a, p)
+            step = _ec_add(sP, sP, a, p)
+            orders = set()
+            while c - s <= hi:
+                if R is None:
+                    orders.add(c)
+                elif R[0] in baby:
+                    j, y = baby[R[0]]
+                    if R[1] == y:
+                        orders.add(c - j)
+                    if (R[1] + y) % p == 0:
+                        orders.add(c + j)
+                R = _ec_add(R, step, a, p)
+                c += 2 * s
+            hasse = [m for m in orders if (p + 1 - m) ** 2 <= 4 * p]
+            if len(hasse) == 1:
+                ap = p + 1 - hasse[0]
+                return ap if pow(d, (p - 1) // 2, p) == 1 else -ap
+    raise NumericError(
+        f"{spec.label}: no Shanks-Mestre point in {_SHANKS_MESTRE_TRIES} "
+        f"tries at p = {p}"
+    )
 
 
 def _ap_brute(spec, p):

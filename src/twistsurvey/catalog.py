@@ -2,7 +2,9 @@
 
 Per curve: Cremona a-invariants, conductor, the congruence table (modulus
 and retained residue classes), the theta recipe for the coefficient
-series, and the common torsion order t of the twisted curves.
+series, and the common torsion order t of the twisted curves.  The form
+and recipe types are defined here, not in qseries, so that bsd_oracle
+can read a recipe without loading the theta kernel it checks.
 
 Per congruence class: the effective representative n0_eff (least member
 with nonzero coefficient), its coefficient a_n0, its local component
@@ -22,12 +24,52 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BaselineFailureError, DomainError, NotInCatalogError
-from .qseries import BinaryQuadraticForm, ThetaRecipe
-from .sieve import factorize, primes_upto
-from .waldspurger import is_square
+from .errors import (
+    BaselineFailureError,
+    DomainError,
+    InvalidFormError,
+    NotInCatalogError,
+)
+from .sieve import factorize
 
 LABELS = ("11a1", "14a1", "17a1", "20a1", "34a1")
+
+
+@dataclass(frozen=True)
+class BinaryQuadraticForm:
+    """Q(X, Y) = a*X^2 + b*X*Y + c*Y^2, positive definite."""
+
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        if self.a <= 0 or self.discriminant() >= 0:
+            raise InvalidFormError(
+                f"({self.a},{self.b},{self.c}) is not positive definite"
+            )
+
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    def __call__(self, x: int, y: int) -> int:
+        return (self.a * x + self.b * y) * x + self.c * y * y
+
+
+@dataclass(frozen=True)
+class ThetaRecipe:
+    """Signed combination of binary theta series times one unary theta."""
+
+    terms: tuple  # ((sign, BinaryQuadraticForm), ...)
+    unary_t: int
+
+    def __post_init__(self):
+        if not self.terms:
+            raise ValueError("recipe needs at least one term")
+        if any(sign not in (1, -1) for sign, _ in self.terms):
+            raise ValueError("term signs must be +1 or -1")
+        if self.unary_t < 1:
+            raise ValueError("unary_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -316,34 +358,3 @@ def load_overrides(path):
         return None
     with open(path) as fh:
         return parse_overrides(fh.read())
-
-
-# primes up to which validate_catalog checks the oracle's a_p
-_HASSE_LIMIT = 100
-
-
-def validate_catalog():
-    """Full startup validation: structure plus oracle a_p Hasse bounds."""
-    from . import bsd_oracle  # deferred: bsd_oracle imports this module
-
-    for label in LABELS:
-        spec = curve(label)
-        for p in primes_upto(_HASSE_LIMIT).tolist():
-            ap = bsd_oracle.count_ap(spec, p)
-            if spec.conductor % p == 0:
-                if ap not in (-1, 0, 1):
-                    raise BaselineFailureError(f"{label}: bad a_{p} = {ap}")
-            elif ap * ap > 4 * p:
-                raise BaselineFailureError(f"{label}: a_{p} = {ap} beyond Hasse")
-        for n0 in spec.class_reps:
-            base = baseline(spec, n0)
-            if base.a_n0 == 0 or base.l_n0 <= 0:
-                raise BaselineFailureError(f"{label} class {n0}: bad baseline")
-            if (base.n0_effective - n0) % spec.table_modulus:
-                raise BaselineFailureError(
-                    f"{label} class {n0}: effective rep not in class"
-                )
-            if not is_square(base.k0):
-                raise BaselineFailureError(
-                    f"{label} class {n0}: k0 {base.k0} not a square"
-                )

@@ -24,32 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidFormError, OverflowGuardError
+from .catalog import ThetaRecipe
+from .errors import DimensionError, OverflowGuardError
 
 _INT32_LIMIT = 2**31
 # Output elements per block in build_F: 256 KB of int32, about one L2.
 _BLOCK = 65536
-
-
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
-    """Q(X, Y) = a*X^2 + b*X*Y + c*Y^2, positive definite."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant() >= 0:
-            raise InvalidFormError(
-                f"({self.a},{self.b},{self.c}) is not positive definite"
-            )
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def __call__(self, x: int, y: int) -> int:
-        return (self.a * x + self.b * y) * x + self.c * y * y
 
 
 @dataclass(frozen=True)
@@ -73,22 +53,6 @@ class PowerSeries:
 
     def coeff(self, m: int) -> int:
         return int(self.coeffs[m])
-
-
-@dataclass(frozen=True)
-class ThetaRecipe:
-    """Signed combination of binary theta series times one unary theta."""
-
-    terms: tuple  # ((sign, BinaryQuadraticForm), ...)
-    unary_t: int
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("recipe needs at least one term")
-        if any(sign not in (1, -1) for sign, _ in self.terms):
-            raise ValueError("term signs must be +1 or -1")
-        if self.unary_t < 1:
-            raise ValueError("unary_t must be positive")
 
 
 def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:

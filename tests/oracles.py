@@ -142,6 +142,30 @@ def tamagawa_by_root_count(ainvs, n: int) -> int:
     return c
 
 
+def ap_character_sum(ainvs, p: int) -> int:
+    """p - #{affine points mod p} on y^2 + a1 x y + a3 y = x^3 + a2 x^2 +
+    a4 x + a6, counted column by column.  For odd p, completing the square
+    gives (2y + a1 x + a3)^2 = (a1 x + a3)^2 + 4 (x^3 + a2 x^2 + a4 x + a6),
+    so column x holds as many points as the right side has square roots,
+    read from a table of y^2 mod p.  p = 2 counts all four pairs."""
+    a1, a2, a3, a4, a6 = ainvs
+    if p == 2:
+        return p - sum(
+            (y * y + a1 * x * y + a3 * y
+             - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0
+            for x in range(2)
+            for y in range(2)
+        )
+    import numpy as np
+
+    x = np.arange(p, dtype=np.int64)
+    lin = (a1 * x + a3) % p
+    cubic = ((x + a2) % p * x % p + a4) % p * x % p + a6
+    rhs = (lin * lin + 4 * cubic) % p
+    roots = np.bincount(x * x % p, minlength=p)
+    return p - int(roots[rhs].sum())
+
+
 def scalar_transfer(ainvs, t: int, anchor, n: int, a_n: int):
     """(k, selmer, L) of the twist by -n, moved from the class anchor one
     twist at a time:

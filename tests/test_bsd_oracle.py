@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistsurvey import catalog
+from twistsurvey import bsd_oracle, catalog
 from twistsurvey.bsd_oracle import (
     baseline_selmer,
     conductor_twist,
@@ -25,11 +27,17 @@ from twistsurvey.errors import (
     ConvergenceError,
     InvalidClassError,
     NormalizationError,
+    NumericError,
 )
 from twistsurvey.qseries import build_F
 from twistsurvey.sieve import build_sieve, class_members, primes_upto
 
-from oracles import kronecker_bruteforce_table, eta_product_11a1, period_by_quadrature
+from oracles import (
+    ap_character_sum,
+    eta_product_11a1,
+    kronecker_bruteforce_table,
+    period_by_quadrature,
+)
 
 SPECS = {label: catalog.curve(label) for label in catalog.LABELS}
 
@@ -84,6 +92,33 @@ def test_count_ap_hasse_bound(label):
             assert ap in (-1, 0, 1)
         else:
             assert ap * ap <= 4 * p
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_count_ap_matches_character_sum_to_20000(label):
+    # every method count_ap uses, at every prime it can take up to 2*10^4
+    spec = SPECS[label]
+    for p in filter(_is_prime, range(2, 20001)):
+        assert count_ap(spec, p) == ap_character_sum(spec.weierstrass, p), p
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+@given(n=st.integers(231, 999_983))
+@settings(max_examples=30, deadline=None)
+def test_count_ap_matches_character_sum_at_random_primes(label, n):
+    p = next(q for q in range(n, 10 ** 6) if _is_prime(q))
+    spec = SPECS[label]
+    assert count_ap(spec, p) == ap_character_sum(spec.weierstrass, p)
+
+
+def test_count_ap_out_of_tries_raises(monkeypatch):
+    monkeypatch.setattr(bsd_oracle, "_SHANKS_MESTRE_TRIES", 0)
+    with pytest.raises(NumericError):
+        count_ap(SPECS["11a1"], 233)
 
 
 def test_expand_b_matches_eta_product():

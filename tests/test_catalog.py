@@ -80,10 +80,6 @@ def test_recipe_forms_share_discriminant():
         assert next(iter(discs)) < 0
 
 
-def test_validate_catalog_clean():
-    catalog.validate_catalog()
-
-
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_baseline_fields(label):
     spec = catalog.curve(label)

@@ -1,9 +1,13 @@
 """tests/oracles.py must not import the package it is a reference for,
-and the package's own slow path, bsd_oracle, must not import qseries."""
+and the package's own slow path, bsd_oracle, must not import qseries,
+directly or through the modules it imports."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,6 +95,20 @@ def test_bsd_oracle_does_not_import_qseries():
     source = BSD_ORACLE.read_text()
     assert package_imports(source)  # the guard sees its package imports
     assert qseries_imports(source) == []
+
+
+def test_importing_bsd_oracle_loads_no_qseries():
+    # the module graph, not only bsd_oracle's own imports: catalog and
+    # waldspurger, which it imports, must not pull qseries in either
+    probe = "import sys, twistsurvey.bsd_oracle; print('twistsurvey.qseries' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(BSD_ORACLE.parents[1])},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_baseline_selmer_needs_no_qseries(monkeypatch):

@@ -9,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistsurvey import catalog, qseries
+from twistsurvey.catalog import BinaryQuadraticForm, ThetaRecipe
 from twistsurvey.errors import DimensionError, InvalidFormError, OverflowGuardError
-from twistsurvey.qseries import (
-    BinaryQuadraticForm,
-    ThetaRecipe,
-    build_F,
-    theta_difference,
-)
+from twistsurvey.qseries import build_F, theta_difference
 
 from oracles import naive_recipe_series, naive_theta, shifted_add_product
 
