@@ -14,9 +14,10 @@ fits the point, so each value is exact by itself.
 Imports nothing from qseries, directly or through catalog:
 reference_series reads only the recipe's form coefficients and unary
 scale, and baseline_selmer takes each anchor's n0_effective and a_n0
-from it.  Agreement between the two paths (the theta reference, anchor
-reproduction and transfer-identity suites) is the strongest end-to-end
-check in the test suite.
+from it.  Agreement between the two paths is the strongest end-to-end
+check: verify's theta_reference suite compares the coefficients,
+baseline_reproduction the frozen anchors, and waldspurger_pairs the
+production transfer waldspurger.propagate_l with twisted_l1.
 """
 
 from __future__ import annotations
@@ -304,13 +305,15 @@ def terms_needed(spec, n, precision=1e-9):
     return t
 
 
-def twisted_l1(spec, n, terms=None, precision=1e-9, coeffs=None):
+def twisted_l1(spec, n, precision=1e-9, coeffs=None):
     """L(1) of the twist by -n, by the exponentially weighted series
 
         L(1) = 2 sum_m (chi_D(m) b_m / m) exp(-2 pi m / sqrt(N_twist))
 
-    (even functional equation on the retained classes).  Refuses n from
-    deleted classes, where the sign is -1 and the sum above is wrong.
+    (even functional equation on the retained classes), summed to
+    terms_needed(spec, n, precision) terms; coeffs shorter than that raise
+    ConvergenceError.  Refuses n from deleted classes, where the sign is
+    -1 and the sum above is wrong.
     A value below zero_threshold is flagged zero_consistent; the oracle
     never asserts vanishing on its own.
     """
@@ -324,14 +327,8 @@ def twisted_l1(spec, n, terms=None, precision=1e-9, coeffs=None):
         )
     ntw = conductor_twist(spec, n)
     sqn = math.sqrt(ntw)
-    if terms is None:
-        terms = terms_needed(spec, n, precision)
+    terms = terms_needed(spec, n, precision)
     tail = _tail_bound(terms, sqn)
-    if tail >= precision:
-        raise ConvergenceError(
-            f"{terms} terms give tail {tail:.2e} >= {precision:.2e} "
-            f"(conductor {ntw})"
-        )
     if coeffs is None:
         coeffs = expand_b(spec, terms)
     if coeffs.bound < terms:
@@ -467,13 +464,3 @@ def baseline_selmer(spec, n0, coeffs=None):
         l_n0=ldata.l1,
         bsd_local_factor=local,
     )
-
-
-def transfer_defect(n, n0, a_n, a_n0, l_n, l_n0):
-    """Relative defect of the Waldspurger pair identity
-
-        a_n0^2 sqrt(n) L(-n) = a_n^2 sqrt(n0) L(-n0).
-    """
-    lhs = a_n0 * a_n0 * math.sqrt(n) * l_n
-    rhs = a_n * a_n * math.sqrt(n0) * l_n0
-    return abs(lhs - rhs) / abs(lhs)

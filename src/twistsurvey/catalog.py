@@ -11,26 +11,21 @@ with nonzero coefficient), its coefficient a_n0, its local component
 product c_n0, the anchor k0 = #S(E_{-n0_eff}) / t, the L-value l_n0, and
 a per-parity BSD bookkeeping constant bsd_local_factor.  These were
 derived once by the slow assembly in bsd_oracle (series L(1), AGM period,
-component counts) over every class member below 700 and frozen here;
-test_catalog and verify re-derive every field from scratch.  k0 equals
-1 everywhere except six classes (14a1: 29, 37; 34a1: 43, 83, 123 at 4,
-and 34a1: 53 at 9) where the whole class sits that factor above the
-parity base.
+component counts) over every class member below 700 and frozen here.  k0
+equals 1 everywhere except six classes (14a1: 29, 37; 34a1: 43, 83, 123
+at 4, and 34a1: 53 at 9) where the whole class sits that factor above
+the parity base.
+
+Nothing here is checked at run time, and the module imports only
+errors.  tests/test_catalog.py pins every row and the invariants the rows
+keep; it and verify's baseline_reproduction suite re-derive the anchors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .errors import (
-    BaselineFailureError,
-    DomainError,
-    InvalidFormError,
-    NotInCatalogError,
-)
-from .sieve import factorize
+from .errors import DomainError, InvalidFormError, NotInCatalogError
 
 LABELS = ("11a1", "14a1", "17a1", "20a1", "34a1")
 
@@ -51,9 +46,6 @@ class BinaryQuadraticForm:
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def __call__(self, x: int, y: int) -> int:
-        return (self.a * x + self.b * y) * x + self.c * y * y
 
 
 @dataclass(frozen=True)
@@ -220,61 +212,12 @@ def _build_curves():
 
 
 _CURVES = _build_curves()
-_CHECKED = set()
-
-
-def rational_cubic_roots(b2, b4, b6):
-    """Rational roots of 4x^3 + b2 x^2 + 2 b4 x + b6 (the 2-division cubic)."""
-    roots = []
-    if b6 == 0:
-        roots.append(Fraction(0))
-    nums = {d for d in range(1, abs(b6) + 1) if b6 % d == 0} if b6 else {0}
-    for num in sorted(nums):
-        for den in (1, 2, 4):
-            for sign in (1, -1):
-                r = Fraction(sign * num, den)
-                if 4 * r ** 3 + b2 * r ** 2 + 2 * b4 * r + b6 == 0:
-                    if r not in roots:
-                        roots.append(r)
-    return sorted(roots)
-
-
-def _check_curve(spec):
-    """Cheap structural validation, once per label."""
-    bad_primes = factorize(spec.conductor).keys()
-    if factorize(spec.discriminant()).keys() != bad_primes:
-        raise BaselineFailureError(
-            f"{spec.label}: discriminant prime support does not match conductor"
-        )
-    if spec.table_modulus % 4:
-        raise BaselineFailureError(f"{spec.label}: modulus not divisible by 4")
-    for p in bad_primes:
-        if p != 2 and spec.table_modulus % p:
-            raise BaselineFailureError(
-                f"{spec.label}: modulus misses conductor prime {p}"
-            )
-    for n0 in spec.class_reps:
-        if math.gcd(n0, spec.table_modulus) != 1:
-            raise BaselineFailureError(f"{spec.label}: rep {n0} not a unit")
-    nroots = len(rational_cubic_roots(*spec.b_invariants()))
-    if spec.family_torsion != 1 + nroots:
-        raise BaselineFailureError(
-            f"{spec.label}: torsion {spec.family_torsion} vs 2-division "
-            f"roots {nroots}"
-        )
-    discs = {f.discriminant() for _, f in spec.recipe.terms}
-    if len(discs) != 1:
-        raise BaselineFailureError(f"{spec.label}: recipe forms mix discriminants")
 
 
 def curve(label):
     if label not in _CURVES:
         raise NotInCatalogError(f"unknown curve {label!r}; have {LABELS}")
-    spec = _CURVES[label]
-    if label not in _CHECKED:
-        _check_curve(spec)
-        _CHECKED.add(label)
-    return spec
+    return _CURVES[label]
 
 
 def baseline(spec, n0, overrides=None):

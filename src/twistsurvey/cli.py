@@ -23,11 +23,9 @@ from .bsd_oracle import (
     expand_b,
     reference_series,
     terms_needed,
-    transfer_defect,
     twisted_l1,
 )
 from .errors import (
-    BaselineFailureError,
     CasselsViolationError,
     ConvergenceError,
     DomainError,
@@ -42,7 +40,7 @@ from .errors import (
 )
 from .qseries import build_F, theta_difference
 from .sieve import build_sieve, class_members
-from .waldspurger import build_tamagawa, is_square, propagate_l, survey_class
+from .waldspurger import build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "n,a_n,k,selmer,L"
@@ -60,7 +58,6 @@ ABORT_ERRORS = (
     IntegralityError,
     NormalizationError,
     CasselsViolationError,
-    BaselineFailureError,
     OverflowGuardError,
 )
 
@@ -173,10 +170,6 @@ def validate_config(cfg):
     if not cfg.curve:
         raise DomainError("no curve given")
     spec = catalog.curve(cfg.curve)
-    if cfg.checkpoint_step <= 0:
-        raise DomainError("checkpoint step must be positive")
-    if cfg.bound < cfg.checkpoint_step:
-        raise DomainError("bound below one checkpoint step")
     extra = set(cfg.classes) - set(spec.class_reps)
     if extra:
         raise InvalidClassError(
@@ -307,6 +300,8 @@ def cmd_expand(args):
 
 def cmd_survey(args):
     cfg = make_config(args)
+    # the grid is checked before any directory is made or class surveyed
+    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     spec = catalog.curve(cfg.curve)
     overrides = catalog.load_overrides(cfg.overrides)
     reps = cfg.classes or spec.class_reps
@@ -314,7 +309,6 @@ def cmd_survey(args):
     t0 = time.time()
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
     _status(f"{spec.label}: surveyed {len(reps)} classes in {time.time()-t0:.1f}s")
-    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     # summarized first: a survey that cannot be fitted writes no file
     summary = _summarize(
         spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step, overrides
@@ -432,11 +426,11 @@ def cmd_plot_data(args):
 
 def cmd_tables(args):
     cfg = make_config(args)
+    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     spec = catalog.curve(cfg.curve)
     reps = cfg.classes or spec.class_reps
     overrides = catalog.load_overrides(cfg.overrides)
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
-    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     kcols = tuple(j * j for j in range(20))
     entries = {rep: _summarize_class(surveys[rep], checkpoints) for rep in reps}
     width = 9
@@ -500,13 +494,6 @@ def run_cassels_suite(labels, bound, overrides=None):
             nz = surv.a != 0
             if (surv.k[nz] == 0).any() or (surv.k[~nz] != 0).any():
                 fails.append(f"cassels {label}/{rep}: k = 0 bucket mismatch")
-            if not is_square(surv.k[nz]).all():
-                fails.append(f"cassels {label}/{rep}: non-square k")
-            counted = sum(
-                int((surv.k == kk).sum()) for kk in np.unique(surv.k)
-            )
-            if counted != surv.members.size:
-                fails.append(f"cassels {label}/{rep}: partition broken")
     return fails
 
 
@@ -514,7 +501,6 @@ def run_cassels_suite(labels, bound, overrides=None):
 # relative-defect threshold and the number of vanishing twists per curve
 _PAIR_BOUND, _PAIR_PRECISION = 20000, 1e-7
 _ZERO_BOUND, _ZERO_PRECISION, _ZERO_PICKS = 3000, 1e-8, 2
-_PROPAGATION_BOUND, _PROPAGATION_PRECISION = 2000, 1e-8
 _DEFECT_THRESHOLD = 1e-5
 
 
@@ -535,40 +521,43 @@ def _class_coefficients(labels, bound):
 
 
 def run_waldspurger_suite(labels, pairs):
+    """The production transfer propagate_l from each class anchor against
+    the direct series twisted_l1 at the first `pairs` later members with
+    a_n != 0."""
     fails = []
     for spec, classes in _class_coefficients(labels, _PAIR_BOUND):
         chosen = {}
         for rep, members, a in classes:
-            nz = a != 0
-            ns = members[nz][: pairs + 1].tolist()
-            if len(ns) < 2:
+            base = catalog.baseline(spec, rep)
+            later = (a != 0) & (members > base.n0_effective)
+            if not later.any():
                 fails.append(
                     f"waldspurger {spec.label}/{rep}: not enough members"
                 )
                 continue
-            chosen[rep] = ns, a[nz][: pairs + 1].tolist()
+            chosen[rep] = base, members[later][:pairs], a[later][:pairs]
         if not chosen:
             continue
         # conductor (and so the term count) depends on n mod 4, not just
         # on the size of n, so take the max over the actual picks
         needed = max(
             terms_needed(spec, n, _PAIR_PRECISION)
-            for ns, _ in chosen.values()
-            for n in ns
+            for _, ns, _ in chosen.values()
+            for n in ns.tolist()
         )
         coeffs = expand_b(spec, needed)
         for rep in sorted(chosen):
-            ns, an = chosen[rep]
-            ls = [
-                twisted_l1(spec, n, precision=_PAIR_PRECISION, coeffs=coeffs).l1
-                for n in ns
-            ]
-            for n, a_n, l_n in zip(ns[1:], an[1:], ls[1:]):
-                defect = transfer_defect(n, ns[0], a_n, an[0], l_n, ls[0])
-                if not defect < _DEFECT_THRESHOLD:
+            base, ns, an = chosen[rep]
+            props = propagate_l(ns, an, base).tolist()
+            for n, prop in zip(ns.tolist(), props):
+                direct = twisted_l1(
+                    spec, n, precision=_PAIR_PRECISION, coeffs=coeffs
+                ).l1
+                rel = abs(direct - prop) / abs(direct)
+                if not rel < _DEFECT_THRESHOLD:
                     fails.append(
-                        f"waldspurger {spec.label}/{rep} n={n}: "
-                        f"defect {defect:.2e}"
+                        f"waldspurger {spec.label}/{rep} n={n}: direct "
+                        f"{direct:.9f} vs propagated {prop:.9f} (rel {rel:.2e})"
                     )
     return fails
 
@@ -628,33 +617,18 @@ _BIG_L = 2.100720230610905
 
 
 def run_propagation_suite(labels):
-    fails = []
-    for spec, classes in _class_coefficients(labels, _PROPAGATION_BOUND):
-        rep, members, a = classes[0]
-        base = catalog.baseline(spec, rep)
-        later = (a != 0) & (members > base.n0_effective)
-        for n, a_n in zip(members[later][:2].tolist(), a[later][:2].tolist()):
-            direct = twisted_l1(spec, n, precision=_PROPAGATION_PRECISION).l1
-            prop = float(propagate_l(n, a_n, base))
-            rel = abs(direct - prop) / abs(direct)
-            if not rel < _DEFECT_THRESHOLD:
-                fails.append(
-                    f"propagation {spec.label} n={n}: direct {direct:.9f} vs "
-                    f"propagated {prop:.9f} (rel {rel:.2e})"
-                )
-    if "11a1" in labels:
-        spec = catalog.curve("11a1")
-        a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
-        if a_big != _BIG_A:
-            fails.append(f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}")
-        else:
-            base = catalog.baseline(spec, _BIG_N % spec.table_modulus)
-            prop = float(propagate_l(_BIG_N, a_big, base))
-            if abs(prop - _BIG_L) > 1e-9 * _BIG_L:
-                fails.append(
-                    f"propagation 11a1 n={_BIG_N}: {prop!r} != {_BIG_L!r}"
-                )
-    return fails
+    """The frozen anchor a(8090677) = -128 and its propagated L-value."""
+    if "11a1" not in labels:
+        return []
+    spec = catalog.curve("11a1")
+    a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
+    if a_big != _BIG_A:
+        return [f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}"]
+    base = catalog.baseline(spec, _BIG_N % spec.table_modulus)
+    prop = float(propagate_l(_BIG_N, a_big, base))
+    if abs(prop - _BIG_L) > 1e-9 * _BIG_L:
+        return [f"propagation 11a1 n={_BIG_N}: {prop!r} != {_BIG_L!r}"]
+    return []
 
 
 def cmd_verify(args):

@@ -25,10 +25,6 @@ class NotInCatalogError(LookupError):
     """Unknown curve label."""
 
 
-class BaselineFailureError(RuntimeError):
-    """Baseline derivation did not converge."""
-
-
 class NormalizationError(ArithmeticError):
     """A quantity that must be an integer is not near one."""
 

@@ -60,6 +60,41 @@ def is_squarefree_trial(n: int) -> bool:
     return True
 
 
+def prime_support(n: int) -> set:
+    """The primes dividing n != 0, by trial division."""
+    n = abs(n)
+    assert n >= 1
+    primes = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
+def rational_cubic_roots(b2: int, b4: int, b6: int) -> list:
+    """Rational roots of 4x^3 + b2 x^2 + 2 b4 x + b6 (the 2-division cubic).
+
+    A root num/den in lowest terms has num | b6 and den | 4, so trying
+    every such fraction finds them all."""
+    roots = []
+    if b6 == 0:
+        roots.append(Fraction(0))
+    nums = {d for d in range(1, abs(b6) + 1) if b6 % d == 0} if b6 else {0}
+    for num in sorted(nums):
+        for den in (1, 2, 4):
+            for sign in (1, -1):
+                r = Fraction(sign * num, den)
+                if 4 * r ** 3 + b2 * r ** 2 + 2 * b4 * r + b6 == 0:
+                    if r not in roots:
+                        roots.append(r)
+    return sorted(roots)
+
+
 def shifted_add_product(diff, t: int, bound: int):
     """D * (1 + 2*sum_{z>=1} q^(t z^2)) truncated at bound, in plain int64.
 

@@ -9,6 +9,8 @@ from twistsurvey import bsd_oracle, catalog
 from twistsurvey.bsd_oracle import expand_b, terms_needed
 from twistsurvey.errors import NotInCatalogError
 
+from oracles import prime_support, rational_cubic_roots
+
 
 def test_labels_and_lookup():
     assert catalog.LABELS == ("11a1", "14a1", "17a1", "20a1", "34a1")
@@ -65,11 +67,30 @@ def test_torsion_matches_two_division_roots():
     # of 4x^3 + b2 x^2 + 2 b4 x + b6
     for label in catalog.LABELS:
         spec = catalog.curve(label)
-        roots = catalog.rational_cubic_roots(*spec.b_invariants())
+        roots = rational_cubic_roots(*spec.b_invariants())
         assert spec.family_torsion == 1 + len(roots)
         for r in roots:
             b2, b4, b6 = spec.b_invariants()
             assert 4 * r ** 3 + b2 * r ** 2 + 2 * b4 * r + b6 == 0
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_discriminant_has_the_conductors_prime_support(label):
+    spec = catalog.curve(label)
+    assert prime_support(spec.discriminant()) == prime_support(spec.conductor)
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_modulus_and_class_reps_fit_the_conductor(label):
+    # the modulus carries 4 and every odd conductor prime, and each rep is
+    # a unit mod it, so every class member is odd and coprime to N
+    spec = catalog.curve(label)
+    modulus = spec.table_modulus
+    assert modulus % 4 == 0
+    for p in prime_support(spec.conductor) - {2}:
+        assert modulus % p == 0, p
+    for n0 in spec.class_reps:
+        assert math.gcd(n0, modulus) == 1, n0
 
 
 def test_recipe_forms_share_discriminant():

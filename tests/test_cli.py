@@ -367,6 +367,40 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
     assert bad["failures"]
 
 
+def test_waldspurger_pairs_checks_the_production_transfer(monkeypatch):
+    # a transfer off by 1e-4 relative must show against the direct series
+    assert cli.run_waldspurger_suite(("17a1",), 3) == []
+    real = cli.propagate_l
+
+    def skewed(n, a_n, baseline):
+        return real(n, a_n, baseline) * (1 + 1e-4)
+
+    monkeypatch.setattr(cli, "propagate_l", skewed)
+    failures = cli.run_waldspurger_suite(("17a1",), 3)
+    assert len(failures) == 3 * len(catalog.curve("17a1").class_reps)
+    assert all(f.startswith("waldspurger 17a1/") for f in failures)
+
+
+def test_verify_quick_catches_forged_catalogue_l_value(tmp_path, monkeypatch):
+    # quick verify re-derives only class 1 of 34a1; a wrong frozen L-value
+    # on class 53 shows only through the transfer against the series
+    row = catalog._BASELINE_ROWS["34a1"][53]
+    monkeypatch.setitem(
+        catalog._BASELINE_ROWS["34a1"], 53, row[:4] + (row[4] * 1.001,)
+    )
+    out = tmp_path / "report.json"
+    code = run(["verify", "--curve", "34a1", "--depth", "quick",
+                "--out", str(out)])
+    assert code == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    failed = sorted(name for name, s in suites.items() if not s["passed"])
+    assert failed == ["waldspurger_pairs"]
+    assert all(
+        f.startswith("waldspurger 34a1/53 ")
+        for f in suites["waldspurger_pairs"]["failures"]
+    )
+
+
 # one forged value per anchor field, on classes that quick verify
 # re-derives; c_n0 = 4 keeps every transferred k a square, and the
 # n0_effective and l_n0 forgeries only rescale the class's L column
@@ -410,6 +444,25 @@ def test_zero_checkpoint_step_exits_2(survey_dir, tmp_path, capsys, command):
     assert run(argv + ["--step", "0"]) == 2
     assert "checkpoint step must be positive" in capsys.readouterr().err
     assert not (tmp_path / "p.dat").exists()
+
+
+@pytest.mark.parametrize("command", ["survey", "tables"])
+def test_survey_grid_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                             command):
+    # the checkpoint grid is checked once, by stats.default_checkpoints,
+    # before the output directory is made and before the survey
+    def no_survey(*args, **kwargs):
+        raise AssertionError("surveyed before checking the checkpoint grid")
+
+    monkeypatch.setattr(cli, "survey_curve", no_survey)
+    argv = [command, "--curve", "17a1"]
+    if command == "survey":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv + ["--bound", "100000", "--step", "0"]) == 2
+    assert "checkpoint step must be positive" in capsys.readouterr().err
+    assert run(argv + ["--bound", "1000"]) == 2
+    assert "bound below first checkpoint" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_k_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
