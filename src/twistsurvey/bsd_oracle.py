@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -234,44 +233,31 @@ def expand_b(spec, bound):
     return WeightTwoCoefficients(bound, b)
 
 
-@lru_cache(maxsize=32)
-def kronecker_table(disc):
-    """kronecker(disc, m) for m in [0, |disc|), built prime by prime."""
-    q = abs(disc)
-    tab = np.ones(q, dtype=np.int64)
-    if q == 1:
-        # (1/m) = 1 for every m, including m = 0
-        tab.setflags(write=False)
-        return tab
-    tab[0] = 0
-    for p in primes_upto(q - 1).tolist() if q > 2 else []:
-        if disc % p == 0:
-            chip = 0
-        elif p == 2:
-            chip = 1 if disc % 8 in (1, 7) else -1
-        else:
-            chip = 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
-        powers = [chip ** k for k in range(q.bit_length())]
-        _scale_prime_powers(tab, p, powers)
-    out = tab.copy()
-    out.setflags(write=False)
-    return out
-
-
-def kronecker_values(disc, bound):
-    """kronecker(disc, m) for m = 0..bound (periodic mod |disc|)."""
-    tab = kronecker_table(disc)
-    reps = bound // abs(disc) + 1
-    return np.tile(tab, reps)[: bound + 1]
-
-
-def kronecker(disc, m):
-    return int(kronecker_table(disc)[m % abs(disc)])
-
-
 def twist_disc(n):
     """Fundamental discriminant of Q(sqrt(-n)), n odd squarefree."""
     return -n if n % 4 == 3 else -4 * n
+
+
+def twist_character(n, bound):
+    """kronecker(D, m) for m = 0..bound, D = twist_disc(n), n odd squarefree.
+
+    By reciprocity (H. Cohen, GTM 138, 1993, Section 1.4): for n = 3 mod 4,
+    D = -n = 1 mod 4 and kronecker(D, m) = (m / n) at every m >= 0, m = 2
+    included; for n = 1 mod 4, D = -4n and kronecker(D, m) = chi_{-4}(m)
+    (n / m) = chi_{-4}(m) (m / n), which is 0 at even m.  The Jacobi symbol
+    (m / n) is the product of the Legendre symbols (m / p) over p | n, so
+    one period mod |D| is a product of Legendre tables, tiled to bound.
+    """
+    q = abs(twist_disc(n))
+    m = np.arange(q, dtype=np.int64)
+    chi4 = (0, 1, 0, -1) if n % 4 == 1 else (1, 1, 1, 1)
+    period = np.array(chi4, dtype=np.int64)[m % 4]
+    for p in factorize(n):
+        legendre = np.full(p, -1, dtype=np.int64)
+        legendre[0] = 0
+        legendre[m[1:p] ** 2 % p] = 1
+        period *= legendre[m % p]
+    return np.tile(period, bound // q + 1)[: bound + 1]
 
 
 def _odd_part(n):
@@ -336,7 +322,7 @@ def twisted_l1(spec, n, precision=1e-9, coeffs=None):
             f"need coefficients to {terms}, have {coeffs.bound}"
         )
     disc = twist_disc(n)
-    chi = kronecker_values(disc, terms)
+    chi = twist_character(n, terms)
     m = np.arange(terms + 1, dtype=np.float64)
     m[0] = 1.0
     c = (chi * coeffs.b[: terms + 1]).astype(np.float64)

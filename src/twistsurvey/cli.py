@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
 )
 from .qseries import build_F, theta_difference
-from .sieve import build_sieve, class_members
+from .sieve import build_sieve
 from .waldspurger import build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
@@ -480,20 +480,23 @@ def run_theta_suite(labels, bound):
     return fails
 
 
-def run_cassels_suite(labels, bound, overrides=None):
-    fails = []
+def _surveys(labels, bound, suite, fails, overrides=None):
+    """(spec, survey_curve to bound) per label; aborts go to fails."""
     for label in labels:
         spec = catalog.curve(label)
         try:
-            surveys = survey_curve(spec, bound, None, overrides)
+            yield spec, survey_curve(spec, bound, None, overrides)
         except ABORT_ERRORS as exc:
-            fails.append(f"cassels {label}: {exc}")
-            continue
-        for rep in sorted(surveys):
-            surv = surveys[rep]
+            fails.append(f"{suite} {label}: {exc}")
+
+
+def run_cassels_suite(labels, bound, overrides=None):
+    fails = []
+    for spec, surveys in _surveys(labels, bound, "cassels", fails, overrides):
+        for rep, surv in sorted(surveys.items()):
             nz = surv.a != 0
             if (surv.k[nz] == 0).any() or (surv.k[~nz] != 0).any():
-                fails.append(f"cassels {label}/{rep}: k = 0 bucket mismatch")
+                fails.append(f"cassels {surv.curve}/{rep}: k = 0 bucket mismatch")
     return fails
 
 
@@ -504,52 +507,36 @@ _ZERO_BOUND, _ZERO_PRECISION, _ZERO_PICKS = 3000, 1e-8, 2
 _DEFECT_THRESHOLD = 1e-5
 
 
-def _class_coefficients(labels, bound):
-    """Per label: the spec and (rep, members, a_n) for each class, over
-    the squarefree class members <= bound."""
-    squarefree = build_sieve(bound)
-    for label in labels:
-        spec = catalog.curve(label)
-        coeffs = build_F(spec.recipe, bound).coeffs
-        classes = []
-        for rep in spec.class_reps:
-            members = class_members(
-                squarefree, rep, spec.table_modulus, bound
-            )
-            classes.append((rep, members, coeffs[members]))
-        yield spec, classes
-
-
 def run_waldspurger_suite(labels, pairs):
-    """The production transfer propagate_l from each class anchor against
-    the direct series twisted_l1 at the first `pairs` later members with
-    a_n != 0."""
+    """The L column of survey_curve, which the production transfer fills
+    from each class anchor, against the direct series twisted_l1 at the
+    first `pairs` later members with a_n != 0."""
     fails = []
-    for spec, classes in _class_coefficients(labels, _PAIR_BOUND):
+    for spec, surveys in _surveys(labels, _PAIR_BOUND, "waldspurger", fails):
         chosen = {}
-        for rep, members, a in classes:
+        for rep in spec.class_reps:
+            surv = surveys[rep]
             base = catalog.baseline(spec, rep)
-            later = (a != 0) & (members > base.n0_effective)
+            later = (surv.a != 0) & (surv.members > base.n0_effective)
             if not later.any():
                 fails.append(
                     f"waldspurger {spec.label}/{rep}: not enough members"
                 )
                 continue
-            chosen[rep] = base, members[later][:pairs], a[later][:pairs]
+            chosen[rep] = surv.members[later][:pairs], surv.l[later][:pairs]
         if not chosen:
             continue
         # conductor (and so the term count) depends on n mod 4, not just
         # on the size of n, so take the max over the actual picks
         needed = max(
             terms_needed(spec, n, _PAIR_PRECISION)
-            for _, ns, _ in chosen.values()
+            for ns, _ in chosen.values()
             for n in ns.tolist()
         )
         coeffs = expand_b(spec, needed)
         for rep in sorted(chosen):
-            base, ns, an = chosen[rep]
-            props = propagate_l(ns, an, base).tolist()
-            for n, prop in zip(ns.tolist(), props):
+            ns, props = chosen[rep]
+            for n, prop in zip(ns.tolist(), props.tolist()):
                 direct = twisted_l1(
                     spec, n, precision=_PAIR_PRECISION, coeffs=coeffs
                 ).l1
@@ -563,13 +550,15 @@ def run_waldspurger_suite(labels, pairs):
 
 
 def run_zero_suite(labels):
+    """L(1) consistent with 0 at the first twists in the survey's k = 0
+    rows, where a_n = 0."""
     fails = []
-    for spec, classes in _class_coefficients(labels, _ZERO_BOUND):
-        zeros = [n for _, ms, a in classes for n in ms[a == 0].tolist()]
-        if not zeros:
+    for spec, surveys in _surveys(labels, _ZERO_BOUND, "zero", fails):
+        zeros = np.concatenate([s.members[s.k == 0] for s in surveys.values()])
+        if not zeros.size:
             fails.append(f"zero {spec.label}: no vanishing coefficient found")
             continue
-        picks = sorted(zeros)[:_ZERO_PICKS]
+        picks = np.sort(zeros)[:_ZERO_PICKS].tolist()
         needed = max(terms_needed(spec, n, _ZERO_PRECISION) for n in picks)
         coeffs = expand_b(spec, needed)
         for n in picks:
@@ -616,10 +605,8 @@ _BIG_A = -128
 _BIG_L = 2.100720230610905
 
 
-def run_propagation_suite(labels):
-    """The frozen anchor a(8090677) = -128 and its propagated L-value."""
-    if "11a1" not in labels:
-        return []
+def run_propagation_suite():
+    """The frozen 11a1 anchor a(8090677) = -128 and its propagated L-value."""
     spec = catalog.curve("11a1")
     a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
     if a_big != _BIG_A:
@@ -667,8 +654,8 @@ def cmd_verify(args):
     run("waldspurger_pairs", run_waldspurger_suite, labels, pairs)
     run("zero_consistency", run_zero_suite, labels)
     run("baseline_reproduction", run_baseline_suite, baseline_reps, overrides)
-    if extended:
-        run("propagation", run_propagation_suite, labels)
+    if extended and "11a1" in labels:
+        run("propagation", run_propagation_suite)
     passed = all(s["passed"] for s in suites)
     report = {
         "depth": args.depth,
@@ -758,9 +745,12 @@ def main(argv=None):
         RangeError,
         InsufficientDataError,
         OSError,
-        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # an allocation refused inside the interpreter carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except ABORT_ERRORS as exc:
         print(f"abort: {exc}", file=sys.stderr)

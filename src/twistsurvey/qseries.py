@@ -5,10 +5,11 @@ The coefficient series for a curve family is assembled as
     F = D * (1 + 2*sum_{z>=1} q^(t*z^2)),   D = sum_i sign_i * Theta(Q_i)
 
 where Theta(Q) counts lattice representations by a positive definite
-binary quadratic form.  theta_difference builds D as one int64 array:
+binary quadratic form.  theta_difference builds D as one int32 array:
 each form's lattice points are enumerated row by row and scattered into
 it with the form's sign, so no per-form count table is held.  D is
-exact, since |D[m]| is at most the number of points enumerated.
+exact, since |D[m]| is at most the number of points enumerated, which
+theta_difference checks is below 2^31.
 
 Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 (z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
@@ -56,18 +57,20 @@ class PowerSeries:
 
 
 def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
-    """D = sum_i sign_i * Theta(Q_i) as int64 coefficients 0..bound.
+    """D = sum_i sign_i * Theta(Q_i) as int32 coefficients 0..bound.
 
     Rows of constant y are enumerated with the x-range solved exactly from
     the quadratic, so every generated value is <= bound, and each row is
     scattered into D with the unbuffered np.add.at, which counts a value
     repeated within the row once per point.  |D[m]| is bounded by the
-    number of enumerated lattice points, which is far below 2^63 for any
-    bound that fits in memory.
+    number of enumerated lattice points; a row that would take that count
+    to 2^31 raises OverflowGuardError before it is scattered.  An int32
+    sign keeps np.add.at on its fast same-type loop.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    diff = np.zeros(bound + 1, dtype=np.int64)
+    diff = np.zeros(bound + 1, dtype=np.int32)
+    points = 0
     for sign, form in recipe.terms:
         a, b, c = form.a, form.b, form.c
         absd = -form.discriminant()
@@ -79,8 +82,11 @@ def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
             hi = (r - b * y) // (2 * a)
             if lo > hi:
                 continue
+            points += hi - lo + 1
+            if points >= _INT32_LIMIT:
+                raise OverflowGuardError(f"{points} lattice points reach 2^31")
             x = np.arange(lo, hi + 1, dtype=np.int64)
-            np.add.at(diff, (a * x + b * y) * x + c * y * y, sign)
+            np.add.at(diff, (a * x + b * y) * x + c * y * y, np.int32(sign))
     return diff
 
 
@@ -90,9 +96,10 @@ def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
     D is the recipe's theta_difference; a caller that already holds it
     passes it as diff.  For the catalogued recipes the binary difference
     kills the constant term (the two forms lie in one genus), leaving a
-    cusp form.  Under the int32 bound of the module docstring, 2D is
-    added at each shift t*z^2 one 64K-element output block at a time, so
-    the block stays in cache across the zmax shifts.
+    cusp form.  Under the int32 bound of the module docstring, G = sum of
+    D at the shifts t*z^2 (z >= 1) is added one 64K-element output block
+    at a time, so the block stays in cache across the zmax shifts; then
+    2G + D is formed in place (|2G| <= 2*max|D|*zmax, still in int32).
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -108,15 +115,16 @@ def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
         raise OverflowGuardError(
             f"max|D| * (2*zmax + 1) = {peak} * {2 * zmax + 1} reaches 2^31"
         )
-    out = diff.astype(np.int32)
-    if zmax:
-        twice = 2 * out
-        shifts = [recipe.unary_t * z * z for z in range(1, zmax + 1)]
-        for lo in range(0, bound + 1, _BLOCK):
-            hi = min(lo + _BLOCK, bound + 1)
-            for s in shifts:
-                if s >= hi:
-                    break
-                start = max(lo, s)
-                out[start:hi] += twice[start - s : hi - s]
+    diff = diff.astype(np.int32, copy=False)
+    out = np.zeros(bound + 1, dtype=np.int32)
+    shifts = [recipe.unary_t * z * z for z in range(1, zmax + 1)]
+    for lo in range(0, bound + 1, _BLOCK):
+        hi = min(lo + _BLOCK, bound + 1)
+        for s in shifts:
+            if s >= hi:
+                break
+            start = max(lo, s)
+            out[start:hi] += diff[start - s : hi - s]
+    out *= 2
+    out += diff
     return PowerSeries(bound, out)

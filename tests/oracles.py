@@ -258,28 +258,46 @@ def eta_product_11a1(bound: int) -> list:
     return [0] + series[: bound]
 
 
+def _kronecker_prime(d: int, p: int) -> int:
+    """Kronecker(d, p) at a prime p: the value at 2 from d mod 8, and
+    Euler's criterion d^((p-1)/2) mod p at odd p."""
+    if p == 2:
+        if d % 2 == 0:
+            return 0
+        return 1 if d % 8 in (1, 7) else -1
+    if d % p == 0:
+        return 0
+    return 1 if pow(d % p, (p - 1) // 2, p) == 1 else -1
+
+
+def kronecker_symbol(d: int, m: int) -> int:
+    """Kronecker(d, m) for m >= 0 from its definition: (d / 0) is 1 for
+    d = +-1 and 0 otherwise, and for m >= 1 the symbol is multiplicative
+    in m, so it is the product of _kronecker_prime over m's prime factors
+    (trial division)."""
+    if m == 0:
+        return 1 if abs(d) == 1 else 0
+    val = 1
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            val *= _kronecker_prime(d, p)
+            m //= p
+        p += 1
+    if m > 1:
+        val *= _kronecker_prime(d, m)
+    return val
+
+
 def kronecker_bruteforce_table(dmax: int) -> dict:
     """(d, m) -> Kronecker(d, m) for fundamental d, |d| <= dmax, 1 <= m <= 30.
 
     Built from the defining character: for fundamental discriminant d the
     symbol is the unique real primitive character mod |d|, recovered here
     from Legendre symbols at odd primes via Euler's criterion plus the
-    standard values at 2 and -1, extended multiplicatively.
+    standard values at 2 and -1, extended multiplicatively
+    (kronecker_symbol).
     """
-
-    def legendre(a: int, p: int) -> int:
-        a %= p
-        if a == 0:
-            return 0
-        r = pow(a, (p - 1) // 2, p)
-        return 1 if r == 1 else -1
-
-    def kron_prime(d: int, p: int) -> int:
-        if p == 2:
-            if d % 2 == 0:
-                return 0
-            return 1 if d % 8 in (1, 7) else -1
-        return legendre(d, p)
 
     def is_fundamental(d: int) -> bool:
         if d == 1:
@@ -296,23 +314,12 @@ def kronecker_bruteforce_table(dmax: int) -> dict:
                 )
         return False
 
-    table = {}
-    for d in range(-dmax, dmax + 1):
-        if d == 0 or not is_fundamental(d):
-            continue
-        for m in range(1, 31):
-            val = 1
-            mm = m
-            p = 2
-            while p * p <= mm:
-                while mm % p == 0:
-                    val *= kron_prime(d, p)
-                    mm //= p
-                p += 1
-            if mm > 1:
-                val *= kron_prime(d, mm)
-            table[(d, m)] = val
-    return table
+    return {
+        (d, m): kronecker_symbol(d, m)
+        for d in range(-dmax, dmax + 1)
+        if d != 0 and is_fundamental(d)
+        for m in range(1, 31)
+    }
 
 
 def period_by_quadrature(a4: float, a6: float) -> float:

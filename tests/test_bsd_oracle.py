@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistsurvey import bsd_oracle, catalog
@@ -14,11 +14,10 @@ from twistsurvey.bsd_oracle import (
     conductor_twist,
     count_ap,
     expand_b,
-    kronecker,
-    kronecker_values,
     real_period,
     real_period_model,
     terms_needed,
+    twist_character,
     twist_disc,
     twisted_l1,
 )
@@ -34,7 +33,9 @@ from twistsurvey.sieve import build_sieve, class_members, primes_upto
 from oracles import (
     ap_character_sum,
     eta_product_11a1,
+    is_squarefree_trial,
     kronecker_bruteforce_table,
+    kronecker_symbol,
     period_by_quadrature,
 )
 
@@ -146,17 +147,39 @@ def test_expand_b_prime_power_recursion(label):
 
 
 def test_kronecker_against_brute_force():
+    # twist_character covers the discriminants twist_disc(n), n odd and
+    # squarefree: the table's negative ones that are odd or 4 * odd
     table = kronecker_bruteforce_table(50)
+    seen = set()
     for (d, m), want in table.items():
-        assert kronecker(d, m) == want, (d, m)
+        n = -d if d % 2 else -d // 4
+        if d > 0 or n % 2 == 0:
+            continue
+        assert twist_disc(n) == d
+        assert twist_character(n, 30)[m] == want, (d, m)
+        seen.add(d)
+    assert sorted(seen) == [-47, -43, -39, -35, -31, -23, -20, -19, -15,
+                            -11, -7, -4, -3]
 
 
 def test_kronecker_values_periodic():
-    vals = kronecker_values(-4, 12)
+    vals = twist_character(1, 12)  # D = -4
     assert vals.tolist() == [0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0]
-    long = kronecker_values(-44, 500)
+    long = twist_character(13, 500)  # D = -52
     assert long.size == 501
-    assert long[467] == long[467 % 44]
+    assert long[467] == long[467 % 52]
+    assert np.array_equal(long[52:104], long[:52])
+
+
+@given(
+    n=st.integers(0, 49_999).map(lambda k: 2 * k + 1),
+    m=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_twist_character_matches_kronecker_symbol(n, m):
+    assume(is_squarefree_trial(n))
+    d = -n if n % 4 == 3 else -4 * n
+    assert int(twist_character(n, m)[m]) == kronecker_symbol(d, m)
 
 
 def test_twist_disc_rule():

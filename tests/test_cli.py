@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey import catalog, cli, stats
+from twistsurvey import catalog, cli, stats, waldspurger
 from twistsurvey.errors import DomainError
 from twistsurvey.qseries import build_F
 from twistsurvey.sieve import build_sieve
@@ -368,17 +368,57 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
 
 
 def test_waldspurger_pairs_checks_the_production_transfer(monkeypatch):
-    # a transfer off by 1e-4 relative must show against the direct series
+    # a transfer off by 1e-4 relative must show against the direct series;
+    # the suite reads the L column that survey_class fills through
+    # waldspurger.propagate_l, so the skew is put there
     assert cli.run_waldspurger_suite(("17a1",), 3) == []
-    real = cli.propagate_l
+    real = waldspurger.propagate_l
 
     def skewed(n, a_n, baseline):
         return real(n, a_n, baseline) * (1 + 1e-4)
 
-    monkeypatch.setattr(cli, "propagate_l", skewed)
+    monkeypatch.setattr(waldspurger, "propagate_l", skewed)
     failures = cli.run_waldspurger_suite(("17a1",), 3)
     assert len(failures) == 3 * len(catalog.curve("17a1").class_reps)
     assert all(f.startswith("waldspurger 17a1/") for f in failures)
+
+
+def test_propagation_suite_checks_the_worked_example(monkeypatch):
+    assert cli.run_propagation_suite() == []
+    monkeypatch.setattr(cli, "_BIG_A", -127)
+    assert cli.run_propagation_suite() == [
+        "propagation 11a1: a(8090677) = -128 != -127"
+    ]
+
+
+@pytest.mark.parametrize("label, runs", [("20a1", False), ("11a1", True)])
+def test_extended_verify_runs_propagation_only_for_11a1(tmp_path, monkeypatch,
+                                                        label, runs):
+    # the suite's one check is an 11a1 anchor; for another curve it would
+    # make no check and so is not reported at all
+    for name in ("run_theta_suite", "run_cassels_suite",
+                 "run_waldspurger_suite", "run_zero_suite",
+                 "run_baseline_suite", "run_propagation_suite"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: [])
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", label, "--depth", "extended",
+                "--out", str(out)]) == 0
+    names = [s["name"] for s in json.loads(out.read_text())["suites"]]
+    assert ("propagation" in names) == runs
+    assert len(names) == 5 + runs
+
+
+@pytest.mark.parametrize("suite, prefix", [
+    ("run_waldspurger_suite", "waldspurger"), ("run_zero_suite", "zero"),
+])
+def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
+    # a frozen anchor with k0 = 2 makes survey_curve raise
+    # CasselsViolationError; the suite records it instead of aborting verify
+    row = catalog._BASELINE_ROWS["17a1"][3]
+    monkeypatch.setitem(catalog._BASELINE_ROWS["17a1"], 3, row[:3] + (2, row[4]))
+    args = (("17a1",), 3) if prefix == "waldspurger" else (("17a1",),)
+    failures = getattr(cli, suite)(*args)
+    assert len(failures) == 1 and failures[0].startswith(f"{prefix} 17a1: ")
 
 
 def test_verify_quick_catches_forged_catalogue_l_value(tmp_path, monkeypatch):
@@ -614,7 +654,21 @@ def test_bound_too_big_for_memory_exits_2(tmp_path, capsys, command):
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+    assert err[len("error: "):].strip(), "no reason given"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):
+    # an allocation refused inside the interpreter raises MemoryError()
+    # with no message; the error line still gives a reason
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "survey_curve", no_memory)
+    assert run(["survey", "--curve", "11a1", "--bound", "100000",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _class_csv_by_loop(surv):

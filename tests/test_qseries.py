@@ -120,7 +120,7 @@ def test_theta_unary_examples():
 def test_series_sub_and_add():
     form = BinaryQuadraticForm(1, 0, 11)
     zero = theta_difference(ThetaRecipe(((1, form), (-1, form)), 11), 30)
-    assert zero.dtype == np.int64 and not zero.any()
+    assert zero.dtype == np.int32 and not zero.any()
     doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30)
     assert doubled.tolist() == [2 * v for v in naive_theta(1, 0, 11, 30)]
 
@@ -137,7 +137,44 @@ def test_theta_difference_peak_memory_is_one_table(label):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 8 * (bound + 1), peak / (8 * (bound + 1))
+    assert peak <= 1.1 * 4 * (bound + 1), peak / (4 * (bound + 1))
+
+
+def test_theta_difference_guards_its_point_count(monkeypatch):
+    # |D[m]| is at most the number of lattice points scattered, so D is
+    # exact in int32 while that count stays below the limit; one point
+    # more than the limit allows is refused before it is scattered
+    bound = 300
+    points = sum(
+        sum(naive_theta(form.a, form.b, form.c, bound))
+        for _, form in RECIPE_11A1.terms
+    )
+    want = [
+        u - v for u, v in zip(naive_theta(1, 0, 11, bound),
+                              naive_theta(3, 2, 4, bound))
+    ]
+    monkeypatch.setattr(qseries, "_INT32_LIMIT", points + 1)
+    got = theta_difference(RECIPE_11A1, bound)
+    assert got.dtype == np.int32 and got.tolist() == want
+    monkeypatch.setattr(qseries, "_INT32_LIMIT", points)
+    with pytest.raises(OverflowGuardError):
+        theta_difference(RECIPE_11A1, bound)
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_build_F_holds_one_table(label):
+    # G and then 2G + D are summed in the int32 output itself, so given D
+    # build_F allocates that one table and no doubled copy of D
+    bound = 10**6
+    recipe = catalog.curve(label).recipe
+    diff = theta_difference(recipe, bound)
+    tracemalloc.start()
+    try:
+        build_F(recipe, bound, diff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4 * (bound + 1), peak / (4 * (bound + 1))
 
 
 def test_series_mul_small():
