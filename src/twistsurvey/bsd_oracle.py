@@ -11,13 +11,15 @@ and the bad primes take the affine point count.  A Shanks-Mestre value
 is accepted only when exactly one group order in the Hasse interval
 fits the point, so each value is exact by itself.
 
-Imports nothing from qseries, directly or through catalog:
-reference_series reads only the recipe's form coefficients and unary
-scale, and baseline_selmer takes each anchor's n0_effective and a_n0
-from it.  Agreement between the two paths is the strongest end-to-end
-check: verify's theta_reference suite compares the coefficients,
-baseline_reproduction the frozen anchors, and waldspurger_pairs the
-production transfer waldspurger.propagate_l with twisted_l1.
+Imports nothing from qseries, directly or through catalog, and nothing
+from waldspurger: reference_series reads only the recipe's form
+coefficients and unary scale, and baseline_selmer takes each anchor's
+n0_effective and a_n0 from it, counts the cubic's roots for c_n0 itself
+(tamagawa_product) and tests k0 with math.isqrt.  Agreement between the
+two paths is the strongest end-to-end check: verify's theta_reference
+suite compares the coefficients, baseline_reproduction the frozen
+anchors, and waldspurger_pairs the production transfer
+waldspurger.propagate_l with twisted_l1.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import numpy as np
 
 from .catalog import ClassBaseline
 from .errors import (
+    CasselsViolationError,
     ConvergenceError,
     InvalidClassError,
     NormalizationError,
     NumericError,
 )
 from .sieve import factorize, primes_upto
-from .waldspurger import _check_square, tamagawa_product
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,28 @@ _SHANKS_MESTRE_MIN_P = 230
 _SHANKS_MESTRE_TRIES = 64
 
 
+def _cubic_mod_p(spec, p):
+    """The 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 at every x mod p."""
+    b2, b4, b6 = spec.b_invariants()
+    x = np.arange(p, dtype=np.int64)
+    return (((4 * x + b2) % p * x + 2 * b4) % p * x + b6) % p
+
+
+def count_cubic_roots(spec, p):
+    """#roots of the 2-division cubic mod p (odd p)."""
+    return int((_cubic_mod_p(spec, p) == 0).sum())
+
+
+def tamagawa_cp(spec, p):
+    """c_p of the twist at an odd good p | n: 1 + #roots of the cubic."""
+    return 1 + count_cubic_roots(spec, p)
+
+
+def tamagawa_product(spec, n):
+    """prod c_p over p | n."""
+    return math.prod(tamagawa_cp(spec, p) for p in factorize(n))
+
+
 def count_ap(spec, p):
     """p-th coefficient: p + 1 - #E(F_p); handles good and bad primes.
 
@@ -83,11 +107,9 @@ def count_ap(spec, p):
         return _ap_brute(spec, p)
     if p > _SHANKS_MESTRE_MIN_P:
         return _ap_shanks_mestre(spec, p)
-    b2, b4, b6 = spec.b_invariants()
-    x = np.arange(p, dtype=np.int64)
-    g = (((4 * x + b2) % p * x + 2 * b4) % p * x + b6) % p
+    g = _cubic_mod_p(spec, p)
     qr = np.zeros(p, dtype=np.int8)
-    qr[(x * x) % p] = 1
+    qr[np.arange(p, dtype=np.int64) ** 2 % p] = 1
     chi = np.where(g == 0, 0, 2 * qr[g].astype(np.int64) - 1)
     return -int(chi.sum())
 
@@ -406,8 +428,9 @@ def baseline_selmer(spec, n0, coeffs=None):
         #S = L(1) * t^3 / (period * c(n) * B)
 
     with the period from AGM and B the catalogued parity constant.  #S
-    must sit within 1e-6 relative of an integer and divide into a
-    perfect square by t, or the class normalization is wrong.
+    must sit within 1e-6 relative of an integer and divide by t, or the
+    class normalization is wrong; a non-square k0 = #S / t raises
+    CasselsViolationError.
     """
     if n0 not in spec.class_reps:
         raise InvalidClassError(f"{spec.label} has no class {n0}")
@@ -427,8 +450,7 @@ def baseline_selmer(spec, n0, coeffs=None):
     period = real_period(spec, n_eff)
     c = tamagawa_product(spec, n_eff)
     t = spec.family_torsion
-    local = spec.bsd_local[n_eff % 4]
-    raw = ldata.l1 * t ** 3 / (period * c * local)
+    raw = ldata.l1 * t ** 3 / (period * c * spec.bsd_local[n_eff % 4])
     selmer = round(raw)
     if selmer < 1 or abs(raw - selmer) > 1e-6 * selmer:
         raise NormalizationError(
@@ -438,15 +460,17 @@ def baseline_selmer(spec, n0, coeffs=None):
         raise NormalizationError(
             f"{spec.label} class {n0}: selmer {selmer} not divisible by {t}"
         )
-    _check_square(selmer // t, n_eff, spec.label)
+    k0 = selmer // t
+    if math.isqrt(k0) ** 2 != k0:
+        raise CasselsViolationError(
+            f"{spec.label}: k = {k0} at n = {n_eff} is not a perfect square"
+        )
     return ClassBaseline(
         curve=spec.label,
         n0=n0,
         n0_effective=n_eff,
         a_n0=int(ref[n_eff]),
         c_n0=c,
-        k0=selmer // t,
-        selmer_n0=selmer,
+        k0=k0,
         l_n0=ldata.l1,
-        bsd_local_factor=local,
     )

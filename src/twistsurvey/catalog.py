@@ -6,15 +6,16 @@ series, and the common torsion order t of the twisted curves.  The form
 and recipe types are defined here, not in qseries, so that bsd_oracle
 can read a recipe without loading the theta kernel it checks.
 
-Per congruence class: the effective representative n0_eff (least member
-with nonzero coefficient), its coefficient a_n0, its local component
-product c_n0, the anchor k0 = #S(E_{-n0_eff}) / t, the L-value l_n0, and
-a per-parity BSD bookkeeping constant bsd_local_factor.  These were
-derived once by the slow assembly in bsd_oracle (series L(1), AGM period,
-component counts) over every class member below 700 and frozen here.  k0
-equals 1 everywhere except six classes (14a1: 29, 37; 34a1: 43, 83, 123
-at 4, and 34a1: 53 at 9) where the whole class sits that factor above
-the parity base.
+Per congruence class, five frozen facts: the effective representative
+n0_eff (least member with nonzero coefficient), its coefficient a_n0, its
+local component product c_n0, the anchor k0 = #S(E_{-n0_eff}) / t and
+the L-value l_n0.  The anchor's Selmer order t*k0 and its parity constant
+bsd_local[n0_eff % 4] follow from these and the curve, and are not
+stored.  The facts were derived once by the slow assembly in bsd_oracle
+(series L(1), AGM period, component counts) over every class member
+below 700 and frozen here.  k0 equals 1 everywhere except six classes
+(14a1: 29, 37; 34a1: 43, 83, 123 at 4, and 34a1: 53 at 9) where the
+whole class sits that factor above the parity base.
 
 Nothing here is checked at run time, and the module imports only
 errors.  tests/test_catalog.py pins every row and the invariants the rows
@@ -103,9 +104,7 @@ class ClassBaseline:
     a_n0: int
     c_n0: int  # prod of local component counts over p | n0_effective
     k0: int  # #S(E_{-n0_effective}) / t; a perfect square
-    selmer_n0: int  # t * k0
     l_n0: float
-    bsd_local_factor: float
 
 
 _RECIPES = {
@@ -228,18 +227,8 @@ def baseline(spec, n0, overrides=None):
     """
     if n0 not in spec.class_reps:
         raise NotInCatalogError(f"{spec.label} has no class {n0}")
-    n0_eff, a_n0, c_n0, k0, l_n0 = _BASELINE_ROWS[spec.label][n0]
-    base = ClassBaseline(
-        curve=spec.label,
-        n0=n0,
-        n0_effective=n0_eff,
-        a_n0=a_n0,
-        c_n0=c_n0,
-        k0=k0,
-        selmer_n0=spec.family_torsion * k0,
-        l_n0=l_n0,
-        bsd_local_factor=spec.bsd_local[n0_eff % 4],
-    )
+    # a row holds the record's fields after curve and n0, in order
+    base = ClassBaseline(spec.label, n0, *_BASELINE_ROWS[spec.label][n0])
     if overrides:
         fields = {
             key[2]: value
@@ -256,16 +245,14 @@ _OVERRIDE_TYPES = {
     "a_n0": int,
     "c_n0": int,
     "k0": int,
-    "selmer_n0": int,
     "l_n0": float,
-    "bsd_local_factor": float,
 }
 
 
 def parse_overrides(text):
     """Parse `curve.class.field = value` lines into an override mapping.
 
-    Any malformed line raises DomainError naming it.
+    Any malformed or repeated line raises DomainError naming it.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -291,7 +278,10 @@ def parse_overrides(text):
             raise DomainError(f"{where}: bad class or value in {line!r}")
         if n0 not in _BASELINE_ROWS[label]:
             raise DomainError(f"{where}: unknown class {n0}")
-        out[(label, n0, field_name)] = value
+        key = (label, n0, field_name)
+        if key in out:
+            raise DomainError(f"{where}: repeated {label}.{n0}.{field_name}")
+        out[key] = value
     return out
 
 

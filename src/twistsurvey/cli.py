@@ -116,7 +116,8 @@ _CONFIG_PARSERS = {
 
 
 def parse_config(text):
-    """Flat key = value lines mirroring SurveyConfig; # starts a comment."""
+    """Flat key = value lines mirroring SurveyConfig, each key at most
+    once; # starts a comment."""
     out = {}
     for idx, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -129,6 +130,8 @@ def parse_config(text):
         val = val.strip()
         if key not in _CONFIG_PARSERS:
             raise DomainError(f"config line {idx}: unknown key {key!r}")
+        if key in out:
+            raise DomainError(f"config line {idx}: repeated key {key!r}")
         try:
             out[key] = _CONFIG_PARSERS[key](val)
         except DomainError:
@@ -270,12 +273,11 @@ def _summarize_class(surv, checkpoints):
     return {"members": int(surv.members.size), "fits": fits, "table_rows": rows}
 
 
-def _summarize(spec, surveys, checkpoints, bound, step, overrides=None):
+def _summarize(spec, surveys, checkpoints, bound, step):
     classes = {}
     for rep in sorted(surveys):
-        base = catalog.baseline(spec, rep, overrides=overrides)
         entry = _summarize_class(surveys[rep], checkpoints)
-        entry["n0_effective"] = base.n0_effective
+        entry["n0_effective"] = surveys[rep].n0_effective
         classes[str(rep)] = entry
     return {
         "curve": spec.label,
@@ -289,6 +291,8 @@ def cmd_expand(args):
     spec = catalog.curve(args.curve)
     if args.bound < 1:
         raise DomainError("bound must be positive")
+    if args.threads is not None:
+        _parse_threads(args.threads)
     out = args.out or f"{spec.label}_an.csv"
     coeffs = build_F(spec.recipe, args.bound)
     ns = np.flatnonzero(build_sieve(args.bound))
@@ -311,7 +315,7 @@ def cmd_survey(args):
     _status(f"{spec.label}: surveyed {len(reps)} classes in {time.time()-t0:.1f}s")
     # summarized first: a survey that cannot be fitted writes no file
     summary = _summarize(
-        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step, overrides
+        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
     )
     for rep, surv in surveys.items():
         path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
@@ -514,10 +518,8 @@ def run_waldspurger_suite(labels, pairs):
     fails = []
     for spec, surveys in _surveys(labels, _PAIR_BOUND, "waldspurger", fails):
         chosen = {}
-        for rep in spec.class_reps:
-            surv = surveys[rep]
-            base = catalog.baseline(spec, rep)
-            later = (surv.a != 0) & (surv.members > base.n0_effective)
+        for rep, surv in surveys.items():
+            later = (surv.a != 0) & (surv.members > surv.n0_effective)
             if not later.any():
                 fails.append(
                     f"waldspurger {spec.label}/{rep}: not enough members"

@@ -30,7 +30,7 @@ class NormalizationError(ArithmeticError):
 
 
 class IntegralityError(ArithmeticError):
-    """Transferred Selmer order is not a positive integer multiple of t."""
+    """Transferred k = #S / t is not an integer."""
 
 
 class CasselsViolationError(ArithmeticError):

@@ -5,12 +5,13 @@ Within one congruence class the Selmer order moves by the exact rational
     #S(E_{-n}) = #S(E_{-n0}) * (a_n^2 / a_n0^2) * (c(n0) / c(n)),
 
 where c(n) = prod_{p | n} c_p and c_p is the Tamagawa number of the
-twisted curve at p.  At every odd good p | n the twist acquires Kodaira
-type I0*, whose Tamagawa number is the number of Frobenius-fixed
-components: 1 + #roots of the 2-division cubic 4x^3+b2x^2+2b4x+b6 mod p
-(1, 2 or 4).  These exact counts, not the split-case shift
-4^(omega(n0)-omega(n)), enter the transfer.  L-values move by
-(a_n^2/a_n0^2) * sqrt(n0/n).
+twisted curve at p.  With #S = t*k, the transfer carries k itself:
+k = k0 * c_n0 * a_n^2 / (a_n0^2 * c(n)).  At every odd good p | n the
+twist acquires Kodaira type I0*, whose Tamagawa number is the number of
+Frobenius-fixed components: 1 + #roots of the 2-division cubic
+4x^3+b2x^2+2b4x+b6 mod p (1, 2 or 4; bsd_oracle counts the roots).
+These exact counts, not the split-case shift 4^(omega(n0)-omega(n)),
+enter the transfer.  L-values move by (a_n^2/a_n0^2) * sqrt(n0/n).
 
 Class members are odd, squarefree and coprime to the conductor, so the
 primes hitting c(n) never divide 2N, and so never divide the curve's
@@ -19,13 +20,12 @@ discriminant; the count is well defined everywhere it is used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CasselsViolationError, IntegralityError, OverflowGuardError
-from .sieve import class_members, factorize, primes_upto
+from .sieve import class_members, primes_upto
 
 # float64 holds every integer below 2^53 exactly and sqrt rounds
 # correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
@@ -47,28 +47,6 @@ def is_square(k):
     k = k.astype(np.int64, copy=False)
     root = np.rint(np.sqrt(np.maximum(k, 0).astype(np.float64)))
     return root.astype(np.int64) ** 2 == k
-
-
-def two_division_cubic(spec):
-    b2, b4, b6 = spec.b_invariants()
-    return 4, b2, 2 * b4, b6
-
-
-def count_cubic_roots(spec, p):
-    """#roots of the 2-division cubic mod p (odd p)."""
-    c3, c2, c1, c0 = two_division_cubic(spec)
-    x = np.arange(p, dtype=np.int64)
-    g = (((c3 * x + c2) % p * x + c1) % p * x + c0) % p
-    return int((g == 0).sum())
-
-
-def tamagawa_cp(spec, p):
-    return 1 + count_cubic_roots(spec, p)
-
-
-def tamagawa_product(spec, n):
-    """prod c_p over p | n (scalar path)."""
-    return math.prod(tamagawa_cp(spec, p) for p in factorize(n))
 
 
 def _euler_chi(d, ps):
@@ -121,13 +99,6 @@ def build_tamagawa(spec, diff):
     return cprod
 
 
-def _check_square(k, n, curve_label):
-    if not is_square(k):
-        raise CasselsViolationError(
-            f"{curve_label}: k = {k} at n = {n} is not a perfect square"
-        )
-
-
 def propagate_l(n, a_n, baseline):
     """L(1) of the twist by -n from the class anchor (exact transfer law),
     elementwise over arrays of n and a_n."""
@@ -145,6 +116,7 @@ class ClassSurvey:
 
     curve: str
     n0: int
+    n0_effective: int  # the anchor the class was transferred from
     bound: int
     members: np.ndarray  # ascending squarefree class members
     a: np.ndarray
@@ -155,50 +127,48 @@ class ClassSurvey:
 
 def survey_class(spec, baseline, coeff_series, squarefree, cprod, bound):
     """The transfer law from the class anchor to every squarefree class
-    member <= bound, in exact int64 arithmetic.
+    member <= bound, in exact int64 arithmetic: k from k0, and then
+    selmer = t * k.
 
-    A non-integral order means the class normalization is wrong and
-    raises IntegralityError; a non-square k raises CasselsViolationError.
-    An anchor order whose products leave int64 raises OverflowGuardError.
+    A non-integral k means the class normalization is wrong and raises
+    IntegralityError; a non-square k raises CasselsViolationError.  An
+    anchor k0 whose products leave int64 raises OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
     members = class_members(squarefree, baseline.n0, spec.table_modulus, bound)
     # int64 before any product: a Python int times int32 stays int32
     a = coeff_series.coeffs[members].astype(np.int64)
     c = cprod[members].astype(np.int64)
-    t = spec.family_torsion
     amax = int(np.abs(a).max(initial=1))
     cmax = int(c.max(initial=1))
     if max(
-        abs(baseline.selmer_n0 * baseline.c_n0) * amax * amax,
+        abs(baseline.k0 * baseline.c_n0) * amax * amax,
         baseline.a_n0 * baseline.a_n0 * cmax,
     ) >= 2 ** 63:
         raise OverflowGuardError(
             f"{spec.label} class {baseline.n0}: the anchor's transfer "
             f"products leave int64"
         )
-    num = baseline.selmer_n0 * baseline.c_n0 * a * a
+    num = baseline.k0 * baseline.c_n0 * a * a
     den = baseline.a_n0 * baseline.a_n0 * c
-    rem = num % den
     nz = a != 0
-    bad = nz & (rem != 0)
+    bad = nz & (num % den != 0)
     if bad.any():
         n = int(members[bad][0])
         raise IntegralityError(
-            f"{spec.label} class {baseline.n0}: non-integral selmer at n = {n}"
+            f"{spec.label} class {baseline.n0}: non-integral k at n = {n}"
         )
-    selmer = np.where(nz, num // den, 0)
-    if (nz & (selmer % t != 0)).any():
-        n = int(members[nz & (selmer % t != 0)][0])
-        raise IntegralityError(
-            f"{spec.label} class {baseline.n0}: selmer not divisible by t "
-            f"at n = {n}"
-        )
-    k = selmer // t
+    k = np.where(nz, num // den, 0)
     nonsq = nz & ~is_square(k)
     if nonsq.any():
         i = int(np.flatnonzero(nonsq)[0])
-        _check_square(int(k[i]), int(members[i]), spec.label)
+        raise CasselsViolationError(
+            f"{spec.label}: k = {int(k[i])} at n = {int(members[i])} is not "
+            f"a perfect square"
+        )
     l = np.full(members.size, np.nan)
     l[nz] = propagate_l(members[nz], a[nz], baseline)
-    return ClassSurvey(spec.label, baseline.n0, bound, members, a, k, selmer, l)
+    return ClassSurvey(
+        spec.label, baseline.n0, baseline.n0_effective, bound, members, a, k,
+        spec.family_torsion * k, l,
+    )

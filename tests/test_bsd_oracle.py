@@ -284,9 +284,10 @@ def test_baseline_selmer_flags_corrupt_local_factor():
 
 
 def test_baseline_selmer_examples():
-    assert baseline_selmer(SPECS["11a1"], 3).selmer_n0 == 1
-    assert baseline_selmer(SPECS["17a1"], 3).selmer_n0 == 2
-    assert baseline_selmer(SPECS["14a1"], 29).selmer_n0 == 8
+    # the anchor Selmer order #S = t * k0
+    for label, n0, selmer in (("11a1", 3, 1), ("17a1", 3, 2), ("14a1", 29, 8)):
+        spec = SPECS[label]
+        assert spec.family_torsion * baseline_selmer(spec, n0).k0 == selmer
 
 
 def test_transfer_defect_small_pair():

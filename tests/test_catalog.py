@@ -109,11 +109,11 @@ def test_baseline_fields(label):
         assert base.curve == label and base.n0 == n0
         assert base.n0_effective % spec.table_modulus == n0
         assert base.a_n0 != 0
-        assert base.selmer_n0 == spec.family_torsion * base.k0
         r = math.isqrt(base.k0)
         assert r * r == base.k0
         assert base.l_n0 > 0
-        assert base.bsd_local_factor == spec.bsd_local[base.n0_effective % 4]
+        # every anchor's parity has a catalogued BSD constant
+        assert base.n0_effective % 4 in spec.bsd_local
 
 
 def test_baseline_unknown_class():
@@ -128,21 +128,21 @@ def test_parse_overrides_roundtrip():
     text = """
     # tweak one anchor
     14a1.29.k0 = 9
-    14a1.29.selmer_n0 = 18
+    14a1.29.c_n0 = 16
     11a1.3.l_n0 = 1.25
     """
     got = catalog.parse_overrides(text)
     assert got == {
         ("14a1", 29, "k0"): 9,
-        ("14a1", 29, "selmer_n0"): 18,
+        ("14a1", 29, "c_n0"): 16,
         ("11a1", 3, "l_n0"): 1.25,
     }
     spec = catalog.curve("14a1")
     base = catalog.baseline(spec, 29, overrides=got)
-    assert base.k0 == 9 and base.selmer_n0 == 18
+    assert base.k0 == 9 and base.c_n0 == 16
     # untouched classes keep their frozen row
     other = catalog.baseline(spec, 1, overrides=got)
-    assert other.k0 == 1 and other.selmer_n0 == 2
+    assert other.k0 == 1 and other.c_n0 == 1
 
 
 @pytest.mark.parametrize(
@@ -154,6 +154,8 @@ def test_parse_overrides_roundtrip():
         "14a1.28.k0 = 4",  # unknown class
         "14a1.29.rank = 4",  # unknown field
         "14a1.29.k0 = x",  # bad int
+        "14a1.29.k0 = 4\n14a1.29.k0 = 9",  # repeated field
+        "14a1.29.k0 = 4\n# same field\n14a1.029.k0 = 4",  # repeated class
     ],
 )
 def test_parse_overrides_rejects(line):

@@ -230,7 +230,7 @@ def test_tables_match_survey_summary(survey_dir, tmp_path, capsys):
 
     # a config whose overrides file scales class 3's anchor order by 4
     ov = tmp_path / "anchor.ov"
-    ov.write_text("11a1.3.selmer_n0 = 4\n11a1.3.k0 = 4\n")
+    ov.write_text("11a1.3.k0 = 4\n")
     cfg = tmp_path / "tables.cfg"
     cfg.write_text(
         f"curve = 11a1\nbound = 200000\nclasses = 3\noverrides = {ov}\n"
@@ -280,6 +280,13 @@ def test_exit_codes_config_errors(tmp_path):
                 "--classes", "3,3", "--out", str(tmp_path)]) == 2
     assert run(["tables", "--curve", "17a1", "--bound", "100000",
                 "--classes", "3,3"]) == 2
+    # every command that takes --threads checks it the same way
+    for argv in (["expand", "--curve", "17a1", "--bound", "10",
+                  "--out", str(tmp_path / "x.csv")],
+                 ["survey", "--curve", "17a1", "--bound", "100000",
+                  "--out", str(tmp_path)],
+                 ["tables", "--curve", "17a1", "--bound", "100000"]):
+        assert run(argv + ["--threads", "banana"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -326,9 +333,61 @@ def test_config_and_override_parsers_fail_only_with_domain_error(cfg, ov):
             pass
 
 
+@pytest.mark.parametrize("field", ["selmer_n0", "bsd_local_factor"])
+def test_derived_anchor_values_are_not_override_fields(tmp_path, capsys, field):
+    # t * k0 and the parity constant follow from the frozen facts; a line
+    # naming either would set a value the survey never reads
+    ov = tmp_path / "derived.ov"
+    ov.write_text(f"# anchors\n17a1.3.{field} = 8\n")
+    assert run(["survey", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3", "--out", str(tmp_path / "out"),
+                "--overrides", str(ov)]) == 2
+    assert f"override line 2: unknown field {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_exits_2_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "survey.cfg"
+    cfg.write_text("curve = 17a1\nbound = 100000\n\nbound = 200000\n")
+    assert run(["survey", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    assert "config line 4: repeated key 'bound'" in capsys.readouterr().err
+    ov = tmp_path / "twice.ov"
+    ov.write_text("17a1.3.k0 = 4\n17a1.3.l_n0 = 3.0\n17a1.3.k0 = 9\n")
+    assert run(["survey", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3", "--out", str(tmp_path / "out"),
+                "--overrides", str(ov)]) == 2
+    assert "override line 3: repeated 17a1.3.k0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_k0_override_scales_the_class(survey_dir, tmp_path):
+    # the transfer carries k0: a fourfold k0 gives fourfold k and selmer
+    # on every member and leaves a_n and L as they were
+    ov = tmp_path / "k0.ov"
+    ov.write_text("17a1.3.k0 = 4\n")
+    out = tmp_path / "out"
+    assert run(["survey", "--curve", "17a1", "--bound", "150000",
+                "--classes", "3,7", "--out", str(out),
+                "--overrides", str(ov)]) == 0
+
+    def rows(path):
+        lines = path.read_text().splitlines()
+        head = lines.index(cli.CSV_HEADER)
+        return [line.split(",") for line in lines[head + 1:]]
+
+    base, scaled = (rows(d / "17a1_class3.csv") for d in (survey_dir, out))
+    assert len(base) == len(scaled) > 1000
+    assert any(row[2] != "0" for row in base)
+    for (n, a, k, selmer, l), got in zip(base, scaled):
+        assert got == [n, a, str(4 * int(k)), str(4 * int(selmer)), l]
+    other = "17a1_class7.csv"
+    assert (out / other).read_bytes() == (survey_dir / other).read_bytes()
+
+
 def test_survey_aborts_on_forged_baseline(tmp_path):
     ov = tmp_path / "forged.cfg"
-    ov.write_text("17a1.3.selmer_n0 = 6\n")
+    ov.write_text("17a1.3.k0 = 3\n")
     code = run([
         "survey", "--curve", "17a1", "--bound", "100000", "--classes", "3",
         "--out", str(tmp_path), "--overrides", str(ov),
@@ -355,7 +414,7 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
     # k0 = 4 keeps every transferred order a perfect square, so only the
     # from-scratch baseline re-derivation can notice
     ov = tmp_path / "forged.cfg"
-    ov.write_text("17a1.3.selmer_n0 = 8\n17a1.3.k0 = 4\n")
+    ov.write_text("17a1.3.k0 = 4\n")
     out = tmp_path / "report.json"
     code = run(["verify", "--curve", "17a1", "--depth", "quick",
                 "--overrides", str(ov), "--out", str(out)])
@@ -449,9 +508,7 @@ _FORGED_FIELDS = {
     "a_n0": ("17a1", "-2"),
     "c_n0": ("11a1", "4"),
     "k0": ("17a1", "4"),
-    "selmer_n0": ("17a1", "8"),
     "l_n0": ("17a1", "3.0"),
-    "bsd_local_factor": ("11a1", "0.5"),
 }
 
 
@@ -525,7 +582,7 @@ def test_negative_k_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
 def test_oversized_anchor_exits_cleanly(tmp_path, capsys, k0):
     # k0 = 2^60 once wrapped around in int64 and surveyed k = 0 everywhere
     ov = tmp_path / "big.ov"
-    ov.write_text(f"17a1.3.selmer_n0 = {2 * k0}\n17a1.3.k0 = {k0}\n")
+    ov.write_text(f"17a1.3.k0 = {k0}\n")
     cfg = tmp_path / "big.cfg"
     cfg.write_text(
         f"curve = 17a1\nbound = 100000\nclasses = 3\noverrides = {ov}\n"

@@ -1,6 +1,7 @@
 """tests/oracles.py must not import the package it is a reference for,
-and the package's own slow path, bsd_oracle, must not import qseries,
-directly or through the modules it imports."""
+and the package's own slow path, bsd_oracle, must not import qseries or
+waldspurger, the production modules it checks, directly or through the
+modules it imports."""
 
 from __future__ import annotations
 
@@ -70,12 +71,29 @@ def test_guard_catches_each_import_form():
     assert package_imports(clean) == []
 
 
-def qseries_imports(source):
-    """The package imports in source that name the qseries module."""
+def module_imports(source, module):
+    """The package imports in source that name the given module."""
     return [
         (line, name) for line, name in package_imports(source)
-        if "qseries" in name.split(".")
+        if module in name.split(".")
     ]
+
+
+def loaded_by_bsd_oracle(module):
+    """Whether a fresh `import twistsurvey.bsd_oracle` loads the module:
+    the module graph, not only bsd_oracle's own imports."""
+    probe = (
+        "import sys, twistsurvey.bsd_oracle; "
+        f"print('twistsurvey.{module}' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(BSD_ORACLE.parents[1])},
+    )
+    return out.stdout.strip() == "True"
 
 
 def test_qseries_guard_catches_each_import_form():
@@ -87,28 +105,31 @@ def test_qseries_guard_catches_each_import_form():
         "def f():\n    from .qseries import theta_difference\n",
     ]
     for source in forms:
-        assert qseries_imports(source), source
-    assert qseries_imports("from .sieve import factorize") == []
+        assert module_imports(source, "qseries"), source
+    assert module_imports("from .sieve import factorize", "qseries") == []
 
 
 def test_bsd_oracle_does_not_import_qseries():
     source = BSD_ORACLE.read_text()
     assert package_imports(source)  # the guard sees its package imports
-    assert qseries_imports(source) == []
+    assert module_imports(source, "qseries") == []
 
 
 def test_importing_bsd_oracle_loads_no_qseries():
-    # the module graph, not only bsd_oracle's own imports: catalog and
-    # waldspurger, which it imports, must not pull qseries in either
-    probe = "import sys, twistsurvey.bsd_oracle; print('twistsurvey.qseries' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(BSD_ORACLE.parents[1])},
-    )
-    assert out.stdout.strip() == "False"
+    # catalog, sieve and errors, which it imports, must not pull qseries in
+    assert not loaded_by_bsd_oracle("qseries")
+
+
+def test_bsd_oracle_does_not_import_waldspurger():
+    # its Tamagawa root count and square test are its own
+    source = BSD_ORACLE.read_text()
+    assert module_imports("from .waldspurger import is_square", "waldspurger")
+    assert module_imports(source, "waldspurger") == []
+
+
+def test_importing_bsd_oracle_loads_no_waldspurger():
+    assert not loaded_by_bsd_oracle("waldspurger")
+    assert loaded_by_bsd_oracle("catalog")  # the probe sees loaded modules
 
 
 def test_baseline_selmer_needs_no_qseries(monkeypatch):

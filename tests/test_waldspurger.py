@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from twistsurvey import catalog
-from twistsurvey.bsd_oracle import expand_b, terms_needed, twisted_l1
+from twistsurvey.bsd_oracle import (
+    count_cubic_roots,
+    expand_b,
+    tamagawa_cp,
+    tamagawa_product,
+    terms_needed,
+    twisted_l1,
+)
 from twistsurvey.errors import (
     CasselsViolationError,
     IntegralityError,
@@ -17,13 +24,9 @@ from twistsurvey.qseries import PowerSeries, build_F, theta_difference
 from twistsurvey.sieve import build_sieve, class_members, primes_upto
 from twistsurvey.waldspurger import (
     build_tamagawa,
-    count_cubic_roots,
     is_square,
     propagate_l,
     survey_class,
-    tamagawa_cp,
-    tamagawa_product,
-    two_division_cubic,
 )
 
 from oracles import scalar_transfer, tamagawa_by_root_count
@@ -52,13 +55,15 @@ def tamagawa_tables():
 
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_count_cubic_roots_brute(label):
+    # the 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6, tried at every x
     spec = SPECS[label]
-    c3, c2, c1, c0 = two_division_cubic(spec)
+    b2, b4, b6 = spec.b_invariants()
     for p in primes_upto(100).tolist():
         if p == 2 or spec.conductor % p == 0:
             continue
         want = sum(
-            1 for x in range(p) if (c3 * x ** 3 + c2 * x * x + c1 * x + c0) % p == 0
+            (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % p == 0
+            for x in range(p)
         )
         assert count_cubic_roots(spec, p) == want
 
@@ -135,8 +140,9 @@ def test_evaluate_twist_self_application(survey):
             sv = survey(label, base, 1000)
             i = member_index(sv, base.n0_effective)
             assert sv.a[i] == base.a_n0
-            assert sv.selmer[i] == base.selmer_n0
             assert sv.k[i] == base.k0
+            assert sv.selmer[i] == spec.family_torsion * base.k0
+            assert sv.n0_effective == base.n0_effective
             assert sv.l[i] == pytest.approx(base.l_n0, rel=1e-15)
 
 
@@ -155,9 +161,9 @@ def test_evaluate_twist_corrupt_anchor_coefficient(survey):
 
 
 def test_evaluate_twist_forged_selmer_fails_square_check(survey):
-    # selmer 6 at t = 2 gives k = 3 at the anchor
+    # k0 = 3 (selmer 6 at t = 2) is not a square at the anchor
     spec = SPECS["17a1"]
-    base = replace(catalog.baseline(spec, 3), selmer_n0=6)
+    base = replace(catalog.baseline(spec, 3), k0=3)
     with pytest.raises(CasselsViolationError, match=f"n = {base.n0_effective}"):
         survey("17a1", base, 1000)
 
@@ -189,8 +195,8 @@ def test_survey_class_overflow_guard(survey):
     # every member); each product that would leave int64 must raise
     base = catalog.baseline(SPECS["17a1"], 3)
     for fields in (
-        {"selmer_n0": 2 ** 61, "k0": 2 ** 60},
-        {"selmer_n0": 2 ** 53, "k0": 2 ** 52},
+        {"k0": 2 ** 60},
+        {"k0": 2 ** 52},
         {"a_n0": 2 ** 32},
     ):
         with pytest.raises(OverflowGuardError):
@@ -199,11 +205,14 @@ def test_survey_class_overflow_guard(survey):
 
 def test_survey_class_products_stay_int64(survey, coeff_series):
     # F is int32 and a Python int times an int32 array stays int32, so an
-    # anchor order of 2^31 shows whether the transfer products wrap
+    # anchor k0 * c_n0 of 2^31 shows whether the transfer products wrap
     assert coeff_series["17a1"].coeffs.dtype == np.int32
     base = catalog.baseline(SPECS["17a1"], 3)
-    big = survey("17a1", replace(base, selmer_n0=2 ** 31, k0=2 ** 30))
-    assert np.array_equal(big.k, survey("17a1", base).k * 2 ** 30)
+    assert base.c_n0 == 2
+    big = survey("17a1", replace(base, k0=2 ** 30))
+    small = survey("17a1", base)
+    assert np.array_equal(big.k, small.k * 2 ** 30)
+    assert np.array_equal(big.selmer, small.selmer * 2 ** 30)
 
 
 def test_propagate_l_guards():
@@ -244,7 +253,6 @@ def test_rebasing_is_involutive(survey):
         a_n0=int(sv.a[i]),
         c_n0=tamagawa_by_root_count(spec.weierstrass, n),
         k0=int(sv.k[i]),
-        selmer_n0=int(sv.selmer[i]),
         l_n0=float(sv.l[i]),
     )
     again = survey("14a1", base2, 4000)
@@ -284,7 +292,10 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
         assert base.c_n0 == tamagawa_by_root_count(
             spec.weierstrass, base.n0_effective
         )
-        anchor = (base.n0_effective, base.a_n0, base.selmer_n0, base.l_n0)
+        anchor = (
+            base.n0_effective, base.a_n0, spec.family_torsion * base.k0,
+            base.l_n0,
+        )
         coeffs = coeff_series[label].coeffs
         for i, n in enumerate(members.tolist()):
             a_n = int(coeffs[n])
