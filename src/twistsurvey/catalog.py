@@ -25,6 +25,7 @@ keep; it and verify's baseline_reproduction suite re-derive the anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 from .errors import DomainError, InvalidFormError, NotInCatalogError
 
@@ -252,7 +253,8 @@ _OVERRIDE_TYPES = {
 def parse_overrides(text):
     """Parse `curve.class.field = value` lines into an override mapping.
 
-    Any malformed or repeated line raises DomainError naming it.
+    Any malformed or repeated line, an a_n0 of 0, and any other value
+    that is not positive and finite raise DomainError naming the line.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -278,6 +280,9 @@ def parse_overrides(text):
             raise DomainError(f"{where}: bad class or value in {line!r}")
         if n0 not in _BASELINE_ROWS[label]:
             raise DomainError(f"{where}: unknown class {n0}")
+        # a_n0 may be negative; every other fact is positive and finite
+        if not (value != 0 if field_name == "a_n0" else 0 < value < inf):
+            raise DomainError(f"{where}: {field_name} out of range in {line!r}")
         key = (label, n0, field_name)
         if key in out:
             raise DomainError(f"{where}: repeated {label}.{n0}.{field_name}")

@@ -484,46 +484,38 @@ def run_theta_suite(labels, bound):
     return fails
 
 
-def _surveys(labels, bound, suite, fails, overrides=None):
-    """(spec, survey_curve to bound) per label; aborts go to fails."""
-    for label in labels:
-        spec = catalog.curve(label)
-        try:
-            yield spec, survey_curve(spec, bound, None, overrides)
-        except ABORT_ERRORS as exc:
-            fails.append(f"{suite} {label}: {exc}")
-
-
-def run_cassels_suite(labels, bound, overrides=None):
+def run_cassels_suite(labels, bound, overrides, surveys):
+    """Surveys each curve once, to bound under the overrides, into surveys.
+    survey_class's own checks are the suite's (integral and square k, the
+    int64 guard); an abort is the curve's one failure and leaves it out."""
     fails = []
-    for spec, surveys in _surveys(labels, bound, "cassels", fails, overrides):
-        for rep, surv in sorted(surveys.items()):
-            nz = surv.a != 0
-            if (surv.k[nz] == 0).any() or (surv.k[~nz] != 0).any():
-                fails.append(f"cassels {surv.curve}/{rep}: k = 0 bucket mismatch")
+    for label in labels:
+        try:
+            spec = catalog.curve(label)
+            surveys[label] = survey_curve(spec, bound, None, overrides)
+        except ABORT_ERRORS as exc:
+            fails.append(f"cassels {label}: {exc}")
     return fails
 
 
-# the suites' fixed settings: member ranges, series precisions, the
-# relative-defect threshold and the number of vanishing twists per curve
-_PAIR_BOUND, _PAIR_PRECISION = 20000, 1e-7
-_ZERO_BOUND, _ZERO_PRECISION, _ZERO_PICKS = 3000, 1e-8, 2
+# the suites' fixed settings: series precisions, the relative-defect
+# threshold and the number of vanishing twists per curve
+_PAIR_PRECISION, _ZERO_PRECISION, _ZERO_PICKS = 1e-7, 1e-8, 2
 _DEFECT_THRESHOLD = 1e-5
 
 
-def run_waldspurger_suite(labels, pairs):
-    """The L column of survey_curve, which the production transfer fills
-    from each class anchor, against the direct series twisted_l1 at the
-    first `pairs` later members with a_n != 0."""
+def run_waldspurger_suite(surveys, pairs):
+    """Each class's L column in surveys ({label: survey_curve result}), which
+    the production transfer fills from the class anchor, against the direct
+    series twisted_l1 at the first `pairs` later members with a_n != 0."""
     fails = []
-    for spec, surveys in _surveys(labels, _PAIR_BOUND, "waldspurger", fails):
+    for label, per_class in surveys.items():
+        spec = catalog.curve(label)
         chosen = {}
-        for rep, surv in surveys.items():
+        for rep, surv in per_class.items():
             later = (surv.a != 0) & (surv.members > surv.n0_effective)
             if not later.any():
-                fails.append(
-                    f"waldspurger {spec.label}/{rep}: not enough members"
-                )
+                fails.append(f"waldspurger {label}/{rep}: not enough members")
                 continue
             chosen[rep] = surv.members[later][:pairs], surv.l[later][:pairs]
         if not chosen:
@@ -545,20 +537,21 @@ def run_waldspurger_suite(labels, pairs):
                 rel = abs(direct - prop) / abs(direct)
                 if not rel < _DEFECT_THRESHOLD:
                     fails.append(
-                        f"waldspurger {spec.label}/{rep} n={n}: direct "
+                        f"waldspurger {label}/{rep} n={n}: direct "
                         f"{direct:.9f} vs propagated {prop:.9f} (rel {rel:.2e})"
                     )
     return fails
 
 
-def run_zero_suite(labels):
-    """L(1) consistent with 0 at the first twists in the survey's k = 0
-    rows, where a_n = 0."""
+def run_zero_suite(surveys):
+    """L(1) consistent with 0 at each curve's first twists in its
+    survey's k = 0 rows, where a_n = 0."""
     fails = []
-    for spec, surveys in _surveys(labels, _ZERO_BOUND, "zero", fails):
-        zeros = np.concatenate([s.members[s.k == 0] for s in surveys.values()])
+    for label, per_class in surveys.items():
+        spec = catalog.curve(label)
+        zeros = np.concatenate([s.members[s.k == 0] for s in per_class.values()])
         if not zeros.size:
-            fails.append(f"zero {spec.label}: no vanishing coefficient found")
+            fails.append(f"zero {label}: no vanishing coefficient found")
             continue
         picks = np.sort(zeros)[:_ZERO_PICKS].tolist()
         needed = max(terms_needed(spec, n, _ZERO_PRECISION) for n in picks)
@@ -567,7 +560,7 @@ def run_zero_suite(labels):
             data = twisted_l1(spec, n, precision=_ZERO_PRECISION, coeffs=coeffs)
             if not data.zero_consistent:
                 fails.append(
-                    f"zero {spec.label} n={n}: |L| = {abs(data.l1):.2e} above "
+                    f"zero {label} n={n}: |L| = {abs(data.l1):.2e} above "
                     f"threshold {data.zero_threshold:.2e}"
                 )
     return fails
@@ -607,13 +600,14 @@ _BIG_A = -128
 _BIG_L = 2.100720230610905
 
 
-def run_propagation_suite():
-    """The frozen 11a1 anchor a(8090677) = -128 and its propagated L-value."""
+def run_propagation_suite(overrides=None):
+    """The frozen 11a1 anchor a(8090677) = -128 and its L-value propagated
+    from its class anchor, overrides applied."""
     spec = catalog.curve("11a1")
     a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
     if a_big != _BIG_A:
         return [f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}"]
-    base = catalog.baseline(spec, _BIG_N % spec.table_modulus)
+    base = catalog.baseline(spec, _BIG_N % spec.table_modulus, overrides)
     prop = float(propagate_l(_BIG_N, a_big, base))
     if abs(prop - _BIG_L) > 1e-9 * _BIG_L:
         return [f"propagation 11a1 n={_BIG_N}: {prop!r} != {_BIG_L!r}"]
@@ -627,37 +621,31 @@ def cmd_verify(args):
     overrides = catalog.load_overrides(args.overrides)
     extended = args.depth == "extended"
     if extended:
-        theta_bound, survey_bound, pairs = 10000, 10**6, 20
-        baseline_reps = {
-            label: catalog.curve(label).class_reps for label in labels
-        }
+        theta_bound, survey_bound, pairs, anchors = 10000, 10**6, 20, None
     else:
-        theta_bound, survey_bound, pairs = 2000, 10**5, 3
-        cheap = {
-            "11a1": (1, 3),
-            "14a1": (1,),
-            "17a1": (3,),
-            "20a1": (1,),
-            "34a1": (1,),
-        }
-        baseline_reps = {label: cheap[label] for label in labels}
+        theta_bound, survey_bound, pairs, anchors = 2000, 10**5, 3, 2
+    baseline_reps = {
+        label: catalog.curve(label).class_reps[:anchors] for label in labels
+    }
     suites = []
 
-    def run(name, fn, *fargs, **fkw):
+    def run(name, fn, *fargs):
         t0 = time.time()
-        failures = fn(*fargs, **fkw)
+        failures = fn(*fargs)
         _status(f"verify {name}: {len(failures)} failures ({time.time()-t0:.1f}s)")
         suites.append(
             {"name": name, "passed": not failures, "failures": failures}
         )
 
+    # each curve is surveyed once, by cassels; the next two suites read it
+    surveys = {}
     run("theta_reference", run_theta_suite, labels, theta_bound)
-    run("cassels", run_cassels_suite, labels, survey_bound, overrides)
-    run("waldspurger_pairs", run_waldspurger_suite, labels, pairs)
-    run("zero_consistency", run_zero_suite, labels)
+    run("cassels", run_cassels_suite, labels, survey_bound, overrides, surveys)
+    run("waldspurger_pairs", run_waldspurger_suite, surveys, pairs)
+    run("zero_consistency", run_zero_suite, surveys)
     run("baseline_reproduction", run_baseline_suite, baseline_reps, overrides)
     if extended and "11a1" in labels:
-        run("propagation", run_propagation_suite)
+        run("propagation", run_propagation_suite, overrides)
     passed = all(s["passed"] for s in suites)
     report = {
         "depth": args.depth,

@@ -239,8 +239,9 @@ def test_criterion_5_cassels_squares(full_surveys):
     print(f"criterion 5: {checked} rank-zero orders to 10^6, all perfect squares")
 
 
-def test_criterion_6_transfer_identity():
-    failures = cli.run_waldspurger_suite(catalog.LABELS, 20)
+def test_criterion_6_transfer_identity(full_surveys):
+    surveys, _ = full_surveys
+    failures = cli.run_waldspurger_suite(surveys, 20)
     assert failures == []
     print("criterion 6: 20 anchored pairs per class, relative defect < 1e-5")
 

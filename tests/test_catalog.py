@@ -156,10 +156,18 @@ def test_parse_overrides_roundtrip():
         "14a1.29.k0 = x",  # bad int
         "14a1.29.k0 = 4\n14a1.29.k0 = 9",  # repeated field
         "14a1.29.k0 = 4\n# same field\n14a1.029.k0 = 4",  # repeated class
+        "17a1.3.a_n0 = 0",  # no transfer from a zero coefficient
+        "17a1.3.k0 = 0",  # would put rank-zero rows in the k = 0 bucket
+        "17a1.3.c_n0 = 0",
+        "17a1.3.n0_effective = -3",  # L = nan
+        "17a1.3.l_n0 = -1.0",  # negative L-values
+        "17a1.3.l_n0 = 0.0",
+        "17a1.3.l_n0 = nan",
+        "17a1.3.l_n0 = inf",
     ],
 )
 def test_parse_overrides_rejects(line):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^override line \d+: "):
         catalog.parse_overrides(line)
 
 

@@ -361,6 +361,17 @@ def test_repeated_key_exits_2_naming_the_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_of_range_override_exits_2_writing_nothing(tmp_path, capsys):
+    # a_n0 = 0 once surveyed L = inf on every row of the class
+    ov = tmp_path / "zero.ov"
+    ov.write_text("# anchors\n17a1.3.a_n0 = 0\n")
+    assert run(["survey", "--curve", "17a1", "--bound", "100000",
+                "--classes", "3", "--out", str(tmp_path / "out"),
+                "--overrides", str(ov)]) == 2
+    assert "override line 2: a_n0 out of range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_k0_override_scales_the_class(survey_dir, tmp_path):
     # the transfer carries k0: a fourfold k0 gives fourfold k and selmer
     # on every member and leaves a_n and L as they were
@@ -430,14 +441,18 @@ def test_waldspurger_pairs_checks_the_production_transfer(monkeypatch):
     # a transfer off by 1e-4 relative must show against the direct series;
     # the suite reads the L column that survey_class fills through
     # waldspurger.propagate_l, so the skew is put there
-    assert cli.run_waldspurger_suite(("17a1",), 3) == []
+    spec = catalog.curve("17a1")
+    assert cli.run_waldspurger_suite({"17a1": cli.survey_curve(spec, 20000)},
+                                     3) == []
     real = waldspurger.propagate_l
 
     def skewed(n, a_n, baseline):
         return real(n, a_n, baseline) * (1 + 1e-4)
 
     monkeypatch.setattr(waldspurger, "propagate_l", skewed)
-    failures = cli.run_waldspurger_suite(("17a1",), 3)
+    failures = cli.run_waldspurger_suite(
+        {"17a1": cli.survey_curve(spec, 20000)}, 3
+    )
     assert len(failures) == 3 * len(catalog.curve("17a1").class_reps)
     assert all(f.startswith("waldspurger 17a1/") for f in failures)
 
@@ -448,6 +463,15 @@ def test_propagation_suite_checks_the_worked_example(monkeypatch):
     assert cli.run_propagation_suite() == [
         "propagation 11a1: a(8090677) = -128 != -127"
     ]
+
+
+def test_propagation_suite_reads_the_overrides():
+    # 8090677 lies in 11a1's class 1, so its L-value moves with that anchor
+    overrides = catalog.parse_overrides("11a1.1.l_n0 = 1.5\n")
+    failures = cli.run_propagation_suite(overrides)
+    assert len(failures) == 1
+    assert failures[0].startswith("propagation 11a1 n=8090677: ")
+    assert failures[0].endswith(f" != {cli._BIG_L!r}")
 
 
 @pytest.mark.parametrize("label, runs", [("20a1", False), ("11a1", True)])
@@ -471,18 +495,101 @@ def test_extended_verify_runs_propagation_only_for_11a1(tmp_path, monkeypatch,
     ("run_waldspurger_suite", "waldspurger"), ("run_zero_suite", "zero"),
 ])
 def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
-    # a frozen anchor with k0 = 2 makes survey_curve raise
-    # CasselsViolationError; the suite records it instead of aborting verify
+    # a frozen anchor with k0 = 2 makes 17a1's survey raise
+    # CasselsViolationError; cassels records it once and leaves 17a1 out of
+    # the surveys, so the reading suite runs, adds nothing of 17a1, and
+    # still checks the curve whose survey went through
     row = catalog._BASELINE_ROWS["17a1"][3]
     monkeypatch.setitem(catalog._BASELINE_ROWS["17a1"], 3, row[:3] + (2, row[4]))
-    args = (("17a1",), 3) if prefix == "waldspurger" else (("17a1",),)
+    surveys = {}
+    aborts = cli.run_cassels_suite(("17a1", "11a1"), 20000, None, surveys)
+    assert len(aborts) == 1 and aborts[0].startswith("cassels 17a1: ")
+    assert list(surveys) == ["11a1"]
+    args = (surveys, 3) if prefix == "waldspurger" else (surveys,)
+    assert getattr(cli, suite)(*args) == []
+    # the surviving curve is still read: a skewed L column, or no k = 0
+    # row left, shows on it
+    for surv in surveys["11a1"].values():
+        if prefix == "waldspurger":
+            surv.l[:] *= 1 + 1e-4
+        else:
+            surv.k[surv.k == 0] = 1
     failures = getattr(cli, suite)(*args)
-    assert len(failures) == 1 and failures[0].startswith(f"{prefix} 17a1: ")
+    assert failures and all(f.startswith(f"{prefix} 11a1") for f in failures)
+
+
+def test_survey_abort_is_one_cassels_failure(tmp_path, monkeypatch):
+    # a frozen anchor with k0 = 2 makes survey_curve raise
+    # CasselsViolationError; cassels records it once instead of aborting
+    # verify, and the suites that read the survey check nothing of 17a1
+    row = catalog._BASELINE_ROWS["17a1"][3]
+    monkeypatch.setitem(catalog._BASELINE_ROWS["17a1"], 3, row[:3] + (2, row[4]))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", "17a1", "--depth", "quick",
+                "--out", str(out)]) == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    failures = suites["cassels"]["failures"]
+    assert len(failures) == 1 and failures[0].startswith("cassels 17a1: ")
+    assert suites["waldspurger_pairs"]["failures"] == []
+    assert suites["zero_consistency"]["failures"] == []
+    # the re-derived anchor still names the forged field
+    assert [f.split(" oracle")[0] for f in
+            suites["baseline_reproduction"]["failures"]] == [
+        "baseline 17a1/3: k0"
+    ]
+
+
+def test_verify_surveys_each_curve_once_under_the_overrides(tmp_path,
+                                                          monkeypatch):
+    calls = []
+    real = cli.survey_curve
+
+    def counted(spec, bound, reps=None, overrides=None):
+        calls.append((spec.label, bound, reps, overrides))
+        return real(spec, bound, reps, overrides)
+
+    monkeypatch.setattr(cli, "survey_curve", counted)
+    # the frozen value itself: every suite still passes
+    l_n0 = catalog.baseline(catalog.curve("17a1"), 3).l_n0
+    ov = tmp_path / "same.ov"
+    ov.write_text(f"17a1.3.l_n0 = {l_n0!r}\n")
+    assert run(["verify", "--curve", "17a1", "--depth", "quick",
+                "--overrides", str(ov),
+                "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [("17a1", 10 ** 5, None, {("17a1", 3, "l_n0"): l_n0})]
+
+
+def test_verify_quick_catches_forged_l_value_override(tmp_path):
+    # quick verify does not re-derive 34a1's class 53; a forged L-value
+    # override there shows through the transfer against the series
+    ov = tmp_path / "forged.ov"
+    ov.write_text("34a1.53.l_n0 = 2.75\n")
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", "34a1", "--depth", "quick",
+                "--overrides", str(ov), "--out", str(out)]) == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    failed = sorted(name for name, s in suites.items() if not s["passed"])
+    assert failed == ["waldspurger_pairs"]
+    assert all(
+        f.startswith("waldspurger 34a1/53 ")
+        for f in suites["waldspurger_pairs"]["failures"]
+    )
+
+
+def test_verify_quick_rederives_the_first_two_anchors(tmp_path):
+    ov = tmp_path / "forged.ov"
+    ov.write_text("34a1.13.l_n0 = 2.0\n")
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", "34a1", "--depth", "quick",
+                "--overrides", str(ov), "--out", str(out)]) == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    failures = suites["baseline_reproduction"]["failures"]
+    assert any(f.startswith("baseline 34a1/13: l_n0 ") for f in failures)
 
 
 def test_verify_quick_catches_forged_catalogue_l_value(tmp_path, monkeypatch):
-    # quick verify re-derives only class 1 of 34a1; a wrong frozen L-value
-    # on class 53 shows only through the transfer against the series
+    # quick verify re-derives only classes 1 and 13 of 34a1; a wrong frozen
+    # L-value on class 53 shows only through the transfer against the series
     row = catalog._BASELINE_ROWS["34a1"][53]
     monkeypatch.setitem(
         catalog._BASELINE_ROWS["34a1"], 53, row[:4] + (row[4] * 1.001,)
