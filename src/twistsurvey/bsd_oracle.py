@@ -19,7 +19,8 @@ n0_effective and a_n0 from it, counts the cubic's roots for c_n0 itself
 two paths is the strongest end-to-end check: verify's theta_reference
 suite compares the coefficients, baseline_reproduction the frozen
 anchors, and waldspurger_pairs the production transfer
-waldspurger.propagate_l with twisted_l1.
+waldspurger.propagate_l with twisted_l1, and the survey's k with the
+BSD assembly bsd_selmer of that direct L(1).
 """
 
 from __future__ import annotations
@@ -418,19 +419,39 @@ def reference_series(recipe, bound):
     return out
 
 
+def bsd_selmer(spec, n, l1):
+    """#S of the twist by -n from its L(1) by the rank-zero BSD formula,
+
+        #S = L(1) * t^3 / (period * c(n) * B)
+
+    with the period from AGM, c(n) from component counts and B the
+    catalogued parity constant bsd_local[n % 4].  #S must sit within 1e-6
+    relative of an integer and divide by t, or the class normalization is
+    wrong: NormalizationError.
+    """
+    t = spec.family_torsion
+    period = real_period(spec, n)
+    c = tamagawa_product(spec, n)
+    raw = l1 * t ** 3 / (period * c * spec.bsd_local[n % 4])
+    selmer = round(raw)
+    if selmer < 1 or abs(raw - selmer) > 1e-6 * selmer:
+        raise NormalizationError(
+            f"{spec.label} n = {n}: BSD value {raw!r} not near an integer"
+        )
+    if selmer % t:
+        raise NormalizationError(
+            f"{spec.label} n = {n}: selmer {selmer} not divisible by {t}"
+        )
+    return selmer
+
+
 def baseline_selmer(spec, n0, coeffs=None):
     """The class anchor re-derived from scratch, as a ClassBaseline.
 
     n0_effective is the least squarefree class member up to 2048 with a
     nonzero reference_series coefficient, and a_n0 that coefficient;
     c_n0 comes from component counts, l_n0 from the series, and #S from
-
-        #S = L(1) * t^3 / (period * c(n) * B)
-
-    with the period from AGM and B the catalogued parity constant.  #S
-    must sit within 1e-6 relative of an integer and divide by t, or the
-    class normalization is wrong; a non-square k0 = #S / t raises
-    CasselsViolationError.
+    bsd_selmer.  A non-square k0 = #S / t raises CasselsViolationError.
     """
     if n0 not in spec.class_reps:
         raise InvalidClassError(f"{spec.label} has no class {n0}")
@@ -447,20 +468,7 @@ def baseline_selmer(spec, n0, coeffs=None):
         raise NormalizationError(
             f"{spec.label} class {n0}: anchor L-value consistent with 0"
         )
-    period = real_period(spec, n_eff)
-    c = tamagawa_product(spec, n_eff)
-    t = spec.family_torsion
-    raw = ldata.l1 * t ** 3 / (period * c * spec.bsd_local[n_eff % 4])
-    selmer = round(raw)
-    if selmer < 1 or abs(raw - selmer) > 1e-6 * selmer:
-        raise NormalizationError(
-            f"{spec.label} class {n0}: BSD value {raw!r} not near an integer"
-        )
-    if selmer % t:
-        raise NormalizationError(
-            f"{spec.label} class {n0}: selmer {selmer} not divisible by {t}"
-        )
-    k0 = selmer // t
+    k0 = bsd_selmer(spec, n_eff, ldata.l1) // spec.family_torsion
     if math.isqrt(k0) ** 2 != k0:
         raise CasselsViolationError(
             f"{spec.label}: k = {k0} at n = {n_eff} is not a perfect square"
@@ -470,7 +478,7 @@ def baseline_selmer(spec, n0, coeffs=None):
         n0=n0,
         n0_effective=n_eff,
         a_n0=int(ref[n_eff]),
-        c_n0=c,
+        c_n0=tamagawa_product(spec, n_eff),
         k0=k0,
         l_n0=ldata.l1,
     )

@@ -20,6 +20,7 @@ import numpy as np
 from . import catalog, stats
 from .bsd_oracle import (
     baseline_selmer,
+    bsd_selmer,
     expand_b,
     reference_series,
     terms_needed,
@@ -38,8 +39,8 @@ from .errors import (
     OverflowGuardError,
     RangeError,
 )
-from .qseries import build_F, theta_difference
-from .sieve import build_sieve
+from .qseries import build_F, coefficient_rows, theta_difference
+from .sieve import build_sieve, squarefree_rows
 from .waldspurger import build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
@@ -182,15 +183,19 @@ def validate_config(cfg):
 
 
 def survey_curve(spec, bound, reps=None, overrides=None):
-    """Shared tables once, then one vectorized survey per class."""
-    squarefree = build_sieve(bound)
+    """The classes' residue rows once, then one vectorized survey per class."""
+    reps = reps or spec.class_reps
+    modulus = spec.table_modulus
     diff = theta_difference(spec.recipe, bound)
-    coeffs = build_F(spec.recipe, bound, diff)
-    tama = build_tamagawa(spec, diff)
+    a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, diff)
+    tama = build_tamagawa(spec, diff, reps)
+    flags = squarefree_rows(bound, modulus, reps)
     out = {}
-    for rep in reps or spec.class_reps:
+    for rep in reps:
         base = catalog.baseline(spec, rep, overrides=overrides)
-        out[rep] = survey_class(spec, base, coeffs, squarefree, tama, bound)
+        out[rep] = survey_class(
+            spec, base, a_rows[rep], flags[rep], tama[rep], bound
+        )
     return out
 
 
@@ -505,9 +510,11 @@ _DEFECT_THRESHOLD = 1e-5
 
 
 def run_waldspurger_suite(surveys, pairs):
-    """Each class's L column in surveys ({label: survey_curve result}), which
-    the production transfer fills from the class anchor, against the direct
-    series twisted_l1 at the first `pairs` later members with a_n != 0."""
+    """Each class's L and k columns in surveys ({label: survey_curve
+    result}), which the production transfer fills from the class anchor,
+    at the first `pairs` later members with a_n != 0: L against the direct
+    series twisted_l1, and k against #S / t assembled by BSD from that
+    direct L(1) (bsd_selmer), which reads c(n) from its own root counts."""
     fails = []
     for label, per_class in surveys.items():
         spec = catalog.curve(label)
@@ -517,29 +524,38 @@ def run_waldspurger_suite(surveys, pairs):
             if not later.any():
                 fails.append(f"waldspurger {label}/{rep}: not enough members")
                 continue
-            chosen[rep] = surv.members[later][:pairs], surv.l[later][:pairs]
+            chosen[rep] = tuple(
+                col[later][:pairs] for col in (surv.members, surv.l, surv.k)
+            )
         if not chosen:
             continue
         # conductor (and so the term count) depends on n mod 4, not just
         # on the size of n, so take the max over the actual picks
         needed = max(
             terms_needed(spec, n, _PAIR_PRECISION)
-            for ns, _ in chosen.values()
+            for ns, _, _ in chosen.values()
             for n in ns.tolist()
         )
         coeffs = expand_b(spec, needed)
         for rep in sorted(chosen):
-            ns, props = chosen[rep]
-            for n, prop in zip(ns.tolist(), props.tolist()):
+            for n, prop, k in zip(*(col.tolist() for col in chosen[rep])):
+                where = f"waldspurger {label}/{rep} n={n}"
                 direct = twisted_l1(
                     spec, n, precision=_PAIR_PRECISION, coeffs=coeffs
                 ).l1
                 rel = abs(direct - prop) / abs(direct)
                 if not rel < _DEFECT_THRESHOLD:
                     fails.append(
-                        f"waldspurger {label}/{rep} n={n}: direct "
-                        f"{direct:.9f} vs propagated {prop:.9f} (rel {rel:.2e})"
+                        f"{where}: direct {direct:.9f} vs propagated "
+                        f"{prop:.9f} (rel {rel:.2e})"
                     )
+                try:
+                    bsd_k = bsd_selmer(spec, n, direct) // spec.family_torsion
+                except NormalizationError as exc:
+                    fails.append(f"{where}: {exc}")
+                    continue
+                if k != bsd_k:
+                    fails.append(f"{where}: k {k} vs BSD {bsd_k}")
     return fails
 
 
@@ -604,10 +620,13 @@ def run_propagation_suite(overrides=None):
     """The frozen 11a1 anchor a(8090677) = -128 and its L-value propagated
     from its class anchor, overrides applied."""
     spec = catalog.curve("11a1")
-    a_big = build_F(spec.recipe, _BIG_N + 1).coeff(_BIG_N)
+    modulus = spec.table_modulus
+    rep = _BIG_N % modulus
+    row = coefficient_rows(spec.recipe, _BIG_N, modulus, (rep,))[rep]
+    a_big = int(row[(_BIG_N - rep) // modulus])
     if a_big != _BIG_A:
         return [f"propagation 11a1: a({_BIG_N}) = {a_big} != {_BIG_A}"]
-    base = catalog.baseline(spec, _BIG_N % spec.table_modulus, overrides)
+    base = catalog.baseline(spec, rep, overrides)
     prop = float(propagate_l(_BIG_N, a_big, base))
     if abs(prop - _BIG_L) > 1e-9 * _BIG_L:
         return [f"propagation 11a1 n={_BIG_N}: {prop!r} != {_BIG_L!r}"]

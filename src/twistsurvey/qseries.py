@@ -13,9 +13,12 @@ theta_difference checks is below 2^31.
 
 Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 (z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
-(2*zmax + 1); build_F checks that this bound is below 2^31 and then
-works, and returns F, exactly in int32, raising OverflowGuardError
-instead when it is not.
+(2*zmax + 1), and so is every partial sum of those terms.
+coefficient_rows checks that this bound is below 2^31 and then works,
+and returns F, exactly in int32, raising OverflowGuardError instead when
+it is not.  It is the one coefficient kernel: it gives F on chosen
+residue rows n = r (mod M), which is all a class survey reads, and
+build_F is its modulus-1 call.
 """
 
 from __future__ import annotations
@@ -90,16 +93,20 @@ def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
     return diff
 
 
-def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
-    """F = D * (1 + 2*sum_{z>=1} q^(t*z^2)) truncated at bound.
+def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
+    """{r: F_r} with F_r[j] = F[r + modulus*j] for every r + modulus*j <= bound,
+    each a read-only int32 row, for the residues 0 <= r < modulus asked for.
 
     D is the recipe's theta_difference; a caller that already holds it
-    passes it as diff.  For the catalogued recipes the binary difference
-    kills the constant term (the two forms lie in one genus), leaving a
-    cusp form.  Under the int32 bound of the module docstring, G = sum of
-    D at the shifts t*z^2 (z >= 1) is added one 64K-element output block
-    at a time, so the block stays in cache across the zmax shifts; then
-    2G + D is formed in place (|2G| <= 2*max|D|*zmax, still in int32).
+    passes it as diff.  Writing T_rho[i] = D[rho + modulus*i], the term
+    D[n - t*z^2] of F[n] at n = r + modulus*j is T_rho[j - q] with
+    rho = (r - t*z^2) mod modulus and q = (t*z^2 + rho - r) / modulus, so
+    each z >= 1 adds the contiguous row T_rho shifted by q.  Under the
+    int32 bound of the module docstring, checked once for all rows, G =
+    the sum of those shifted rows is added one 64K-element output block at
+    a time, so the block stays in cache across the zmax shifts; then
+    2G + T_r is formed in place (|2G| <= 2*max|D|*zmax, still in int32).
+    At modulus 1 the one row is F itself and T_0 is D, not a copy.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -116,15 +123,40 @@ def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
             f"max|D| * (2*zmax + 1) = {peak} * {2 * zmax + 1} reaches 2^31"
         )
     diff = diff.astype(np.int32, copy=False)
-    out = np.zeros(bound + 1, dtype=np.int32)
     shifts = [recipe.unary_t * z * z for z in range(1, zmax + 1)]
-    for lo in range(0, bound + 1, _BLOCK):
-        hi = min(lo + _BLOCK, bound + 1)
+    rows = {}
+    for r in residues:
+        if not 0 <= r < modulus:
+            raise ValueError(f"residue {r} is not in [0, {modulus})")
+        size = (bound - r) // modulus + 1
+        # (q, T_rho) per shift, q ascending with the shift; one copy per rho
+        tables, terms = {}, []
         for s in shifts:
-            if s >= hi:
+            rho = (r - s) % modulus
+            q = (s + rho - r) // modulus
+            if q >= size:
                 break
-            start = max(lo, s)
-            out[start:hi] += diff[start - s : hi - s]
-    out *= 2
-    out += diff
-    return PowerSeries(bound, out)
+            if rho not in tables:
+                tables[rho] = np.ascontiguousarray(diff[rho::modulus])
+            terms.append((q, tables[rho]))
+        out = np.zeros(size, dtype=np.int32)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            for q, row in terms:
+                if q >= hi:
+                    break
+                start = max(lo, q)
+                out[start:hi] += row[start - q : hi - q]
+        out *= 2
+        out += diff[r::modulus]
+        out.setflags(write=False)
+        rows[r] = out
+    return rows
+
+
+def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
+    """F = D * (1 + 2*sum_{z>=1} q^(t*z^2)) truncated at bound: the one
+    row of coefficient_rows at modulus 1.  For the catalogued recipes the
+    binary difference kills the constant term (the two forms lie in one
+    genus), leaving a cusp form."""
+    return PowerSeries(bound, coefficient_rows(recipe, bound, 1, (0,), diff)[0])

@@ -1,4 +1,5 @@
-"""Squarefree flags, class membership and trial-division factorization."""
+"""Squarefree flags, on the full range or on residue rows, class
+membership and trial-division factorization."""
 
 from __future__ import annotations
 
@@ -51,14 +52,41 @@ def build_sieve(bound: int) -> np.ndarray:
     return squarefree
 
 
-def class_members(
-    squarefree: np.ndarray, n0: int, modulus: int, limit: int
-) -> np.ndarray:
-    """Squarefree n <= limit with n congruent to n0 mod modulus, ascending."""
+def first_multiple(r, modulus, d):
+    """Least j >= 0 with d | r + modulus*j, for d coprime to modulus."""
+    return -r * pow(modulus, -1, d) % d
+
+
+def squarefree_rows(bound, modulus, residues):
+    """{r: flags} with flags[j] True iff n = r + modulus*j <= bound is
+    squarefree, each a read-only bool row, for units r mod modulus.
+
+    n is coprime to modulus, so only the squares p^2 of the primes
+    p <= sqrt(bound) not dividing modulus can divide it; each strikes
+    every p^2-th entry from first_multiple(r, modulus, p^2).
+    """
+    primes = [p for p in primes_upto(math.isqrt(bound)).tolist() if modulus % p]
+    rows = {}
+    for r in residues:
+        if not 1 <= r < modulus or math.gcd(r, modulus) != 1:
+            raise InvalidClassError(f"{r} is not a unit modulo {modulus}")
+        flags = np.ones((bound - r) // modulus + 1, dtype=bool)
+        for p in primes:
+            flags[first_multiple(r, modulus, p * p) :: p * p] = False
+        flags.setflags(write=False)
+        rows[r] = flags
+    return rows
+
+
+def class_members(flags, n0, modulus, limit):
+    """Squarefree n <= limit with n congruent to n0 mod modulus, ascending,
+    from class n0's row of squarefree_rows."""
     if not 1 <= n0 < modulus or math.gcd(n0, modulus) != 1:
         raise InvalidClassError(f"{n0} is not a unit modulo {modulus}")
-    bound = squarefree.size - 1
-    if limit > bound:
-        raise RangeError(f"limit {limit} beyond sieve bound {bound}")
-    candidates = np.arange(n0, limit + 1, modulus, dtype=np.int64)
-    return candidates[squarefree[candidates]]
+    size = (limit - n0) // modulus + 1
+    if size > flags.size:
+        raise RangeError(
+            f"limit {limit} beyond the row's last member "
+            f"{n0 + modulus * (flags.size - 1)}"
+        )
+    return n0 + modulus * np.flatnonzero(flags[:size])

@@ -16,16 +16,23 @@ enter the transfer.  L-values move by (a_n^2/a_n0^2) * sqrt(n0/n).
 Class members are odd, squarefree and coprime to the conductor, so the
 primes hitting c(n) never divide 2N, and so never divide the curve's
 discriminant; the count is well defined everywhere it is used.
+
+Every c_p is 1, 2 or 4, so c(n) = 2^e(n), with e(n) the sum of
+e_p = log2(c_p) over p | n.  A survey reads c(n), a_n and the squarefree
+flag only at class members, so each is held on the class's residue row
+n = n0 + M*j alone: build_tamagawa gives e as an int8 row, and
+survey_class forms c = 1 << e after it gathers the members.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CasselsViolationError, IntegralityError, OverflowGuardError
-from .sieve import class_members, primes_upto
+from .sieve import class_members, first_multiple, primes_upto
 
 # float64 holds every integer below 2^53 exactly and sqrt rounds
 # correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
@@ -63,40 +70,81 @@ def _euler_chi(d, ps):
     return np.where(result == 1, 1, -1).astype(np.int64)
 
 
-def build_tamagawa(spec, diff):
-    """Read-only int32 c(n) for all n <= bound, where bound = diff.size - 1.
+def tamagawa_exponents(spec, ps, diff):
+    """e_p with c_p = 2^e_p, as int8, at each prime of ps; 0 at p = 2 and
+    at the bad primes, which never divide a class member.
 
-    diff is the recipe's theta difference D = Theta(Q1) - Theta(Q2).
-    When the cubic is irreducible (11a1) the per-prime counts come from
-    the sign of D[p]: the principal form Q1 represents p <=> the cubic
-    splits (c_p = 4, D[p] > 0), Q2 represents p <=> no roots (c_p = 1,
-    D[p] < 0), and neither <=> one root (c_p = 2, D[p] = 0).  Q1 and Q2
-    are distinct classes of discriminant -44, so no prime is represented
-    by both and the sign loses nothing.
+    diff is the recipe's theta difference D = Theta(Q1) - Theta(Q2) to at
+    least max(ps).  When the cubic is irreducible (11a1) the counts come
+    from the sign of D[p]: the principal form Q1 represents p <=> the
+    cubic splits (c_p = 4, D[p] > 0), Q2 represents p <=> no roots
+    (c_p = 1, D[p] < 0), and neither <=> one root (c_p = 2, D[p] = 0).  Q1
+    and Q2 are distinct classes of discriminant -44, so no prime is
+    represented by both and the sign loses nothing.
 
     With a rational 2-torsion point the counts come from one vectorized
-    Euler criterion on the curve's discriminant Delta, and diff only fixes
-    the bound.  The cubic 4x^3+b2x^2+2b4x+b6 has discriminant 16 Delta; at
-    a good odd p it is separable and keeps its rational root, so it has 3
-    roots mod p when Delta is a square mod p and 1 root otherwise: c_p is
+    Euler criterion on the curve's discriminant Delta.  The cubic
+    4x^3+b2x^2+2b4x+b6 has discriminant 16 Delta; at a good odd p it is
+    separable and keeps its rational root, so it has 3 roots mod p when
+    Delta is a square mod p and 1 root otherwise: c_p is
     3 + kronecker(Delta, p).
     """
-    bound = diff.size - 1
-    ps = primes_upto(bound)
-    cp = np.ones(ps.size, dtype=np.int64)
-    odd = ps > 2
-    good = odd & (spec.conductor % ps != 0)
+    e = np.zeros(ps.size, dtype=np.int8)
+    good = (ps > 2) & (spec.conductor % ps != 0)
     if spec.family_torsion == 1:
         d = diff[ps[good]]
-        cp[good] = np.where(d > 0, 4, np.where(d < 0, 1, 2))
+        e[good] = np.where(d > 0, 2, np.where(d < 0, 0, 1))
     else:
-        cp[good] = 3 + _euler_chi(spec.discriminant(), ps[good])
-    cprod = np.ones(bound + 1, dtype=np.int32)
-    for p, c in zip(ps.tolist(), cp.tolist()):
-        if c != 1:
-            cprod[p::p] *= c
-    cprod.setflags(write=False)
-    return cprod
+        e[good] = np.where(_euler_chi(spec.discriminant(), ps[good]) == 1, 2, 1)
+    return e
+
+
+def build_tamagawa(spec, diff, residues):
+    """{r: e_r} with c(n) = 2^e_r[j] at n = r + M*j <= bound, M the table
+    modulus and bound = diff.size - 1, each a read-only int8 row, for
+    units r mod M.
+
+    e_r[j] is the sum of e_p (tamagawa_exponents) over the primes p | n,
+    each counted once.  A prime p <= sqrt(bound) adds e_p at every p-th
+    entry from first_multiple(r, M, p).  n has at most one prime factor
+    p > sqrt(bound), and then n = p*m with m <= sqrt(bound) coprime to M:
+    for each such m the large primes p <= bound/m with p*m = r (mod M)
+    add e_p at j = (p*m - r)/M, which no two of them share.  e_r[j] <=
+    2*omega(n), which stays far inside int8 for any bound held in memory.
+    """
+    bound = diff.size - 1
+    modulus = spec.table_modulus
+    root = math.isqrt(bound)
+    ps = primes_upto(bound)
+    e = tamagawa_exponents(spec, ps, diff)
+    keep = (e > 0) & (modulus % ps != 0)
+    ps, e = ps[keep], e[keep]
+    # every residue's row in one array: row slot[r] is flat[lo:hi]
+    sizes = [(bound - r) // modulus + 1 for r in residues]
+    offset = np.cumsum([0] + sizes)
+    rows = list(zip(residues, offset[:-1].tolist(), offset[1:].tolist()))
+    flat = np.zeros(offset[-1], dtype=np.int8)
+    slot = np.full(modulus, -1)
+    slot[list(residues)] = np.arange(len(rows))
+    small = ps <= root
+    for p, ep in zip(ps[small].tolist(), e[small].tolist()):
+        for r, lo, hi in rows:
+            flat[lo + first_multiple(r, modulus, p) : hi : p] += ep
+    big, ebig = ps[~small], e[~small]
+    for m in range(1, root + 1):
+        count = int(np.searchsorted(big, bound // m, side="right"))
+        if not count:
+            break
+        if math.gcd(m, modulus) != 1:
+            continue
+        n = big[:count] * m
+        res = n % modulus
+        row = slot[res]
+        hit = row >= 0
+        j = (n[hit] - res[hit]) // modulus
+        flat[offset[row[hit]] + j] += ebig[:count][hit]
+    flat.setflags(write=False)
+    return {r: flat[lo:hi] for r, lo, hi in rows}
 
 
 def propagate_l(n, a_n, baseline):
@@ -125,20 +173,25 @@ class ClassSurvey:
     l: np.ndarray  # nan where k = 0
 
 
-def survey_class(spec, baseline, coeff_series, squarefree, cprod, bound):
+def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     """The transfer law from the class anchor to every squarefree class
     member <= bound, in exact int64 arithmetic: k from k0, and then
     selmer = t * k.
 
+    a_row, squarefree and tamagawa are the class's rows of
+    qseries.coefficient_rows, sieve.squarefree_rows and build_tamagawa:
+    entry j stands for n = n0 + M*j, and c(n) = 1 << tamagawa[j].
     A non-integral k means the class normalization is wrong and raises
     IntegralityError; a non-square k raises CasselsViolationError.  An
     anchor k0 whose products leave int64 raises OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
-    members = class_members(squarefree, baseline.n0, spec.table_modulus, bound)
+    modulus = spec.table_modulus
+    members = class_members(squarefree, baseline.n0, modulus, bound)
+    j = (members - baseline.n0) // modulus
     # int64 before any product: a Python int times int32 stays int32
-    a = coeff_series.coeffs[members].astype(np.int64)
-    c = cprod[members].astype(np.int64)
+    a = a_row[j].astype(np.int64)
+    c = np.left_shift(1, tamagawa[j].astype(np.int64))
     amax = int(np.abs(a).max(initial=1))
     cmax = int(c.max(initial=1))
     if max(

@@ -177,6 +177,61 @@ def tamagawa_by_root_count(ainvs, n: int) -> int:
     return c
 
 
+def cubic_root_count(ainvs, p: int) -> int:
+    """#roots mod an odd prime p of the 2-division cubic 4x^3 + b2 x^2 +
+    2 b4 x + b6, for p where it is separable: the degree of
+    gcd(f, x^p - x) over F_p, with x^p reduced mod f by square and
+    multiply, so the cost is O(log p) and not O(p)."""
+    a1, a2, a3, a4, a6 = ainvs
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    inv4 = pow(4, -1, p)
+    # monic f = x^3 + c2 x^2 + c1 x + c0; residues are [r0, r1, r2]
+    c0, c1, c2 = b6 * inv4 % p, 2 * b4 * inv4 % p, b2 * inv4 % p
+
+    def mulmod(u, v):
+        w = [0] * 5
+        for i in range(3):
+            for j in range(3):
+                w[i + j] += u[i] * v[j]
+        for k in (4, 3):  # x^k = -x^(k-3) (c2 x^2 + c1 x + c0)
+            top, w[k] = w[k] % p, 0
+            w[k - 1] -= top * c2
+            w[k - 2] -= top * c1
+            w[k - 3] -= top * c0
+        return [x % p for x in w[:3]]
+
+    power, base, e = [1, 0, 0], [0, 1, 0], p
+    while e:
+        if e & 1:
+            power = mulmod(power, base)
+        base = mulmod(base, base)
+        e >>= 1
+    g = [power[0], (power[1] - 1) % p, power[2]]  # x^p - x mod f
+    f = [c0, c1, c2, 1]
+
+    def trim(u):
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+
+    g = trim(g)
+    while g:  # Euclid: f, g = g, f mod g
+        inv = pow(g[-1], -1, p)
+        f = list(f)
+        while len(f) >= len(g):
+            q = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for i, gi in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * gi) % p
+            trim(f)
+            if not f:
+                break
+        f, g = g, f
+    return len(f) - 1
+
+
 def ap_character_sum(ainvs, p: int) -> int:
     """p - #{affine points mod p} on y^2 + a1 x y + a3 y = x^3 + a2 x^2 +
     a4 x + a6, counted column by column.  For odd p, completing the square

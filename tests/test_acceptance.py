@@ -17,8 +17,8 @@ import pytest
 
 from twistsurvey import catalog, cli, stats
 from twistsurvey.bsd_oracle import real_period
-from twistsurvey.qseries import PowerSeries, build_F, theta_difference
-from twistsurvey.sieve import build_sieve
+from twistsurvey.qseries import build_F, coefficient_rows, theta_difference
+from twistsurvey.sieve import build_sieve, squarefree_rows
 from twistsurvey.waldspurger import build_tamagawa, propagate_l, survey_class
 
 from expected_alpha import EXPECTED_ALPHA
@@ -269,16 +269,16 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     # scale invariance of the transfer under F -> 3F
     spec = catalog.curve("11a1")
     small = 10 ** 5
-    series = build_F(spec.recipe, small)
-    squarefree = build_sieve(small)
-    tama = build_tamagawa(spec, theta_difference(spec.recipe, small))
+    diff = theta_difference(spec.recipe, small)
+    (a_row,) = coefficient_rows(spec.recipe, small, 44, (3,), diff).values()
+    (flags,) = squarefree_rows(small, 44, (3,)).values()
+    (tama,) = build_tamagawa(spec, diff, (3,)).values()
     base = catalog.baseline(spec, 3)
     from dataclasses import replace
 
-    one = survey_class(spec, base, series, squarefree, tama, small)
+    one = survey_class(spec, base, a_row, flags, tama, small)
     three = survey_class(
-        spec, replace(base, a_n0=3 * base.a_n0),
-        PowerSeries(series.bound, 3 * series.coeffs), squarefree, tama, small,
+        spec, replace(base, a_n0=3 * base.a_n0), 3 * a_row, flags, tama, small,
     )
     assert np.array_equal(one.k, three.k)
     assert np.array_equal(one.selmer, three.selmer)

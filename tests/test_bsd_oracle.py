@@ -28,7 +28,7 @@ from twistsurvey.errors import (
     NumericError,
 )
 from twistsurvey.qseries import build_F
-from twistsurvey.sieve import build_sieve, class_members, primes_upto
+from twistsurvey.sieve import build_sieve, primes_upto
 
 from oracles import (
     ap_character_sum,
@@ -295,8 +295,9 @@ def test_transfer_defect_small_pair():
     # L(-n0) between two direct series values, with no catalogue anchor
     spec = SPECS["11a1"]
     series = build_F(spec.recipe, 400)
-    members = class_members(build_sieve(400), 3, 44, 400)
-    live = [int(n) for n in members if series.coeffs[n] != 0][:2]
+    squarefree = build_sieve(400)
+    members = [n for n in range(3, 401, 44) if squarefree[n]]
+    live = [n for n in members if series.coeffs[n] != 0][:2]
     n0, n = live
     a_n0 = int(series.coeffs[n0])
     a_n = int(series.coeffs[n])

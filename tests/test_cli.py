@@ -457,6 +457,28 @@ def test_waldspurger_pairs_checks_the_production_transfer(monkeypatch):
     assert all(f.startswith("waldspurger 17a1/") for f in failures)
 
 
+def test_verify_quick_checks_k_by_bsd(tmp_path, monkeypatch):
+    # c_p = 4 read as 1 for p > 1000 multiplies k by 4 at the members it
+    # touches, so k stays an integral square and the L column is
+    # untouched; only the BSD assembly of the direct L(1) sees it
+    real = waldspurger.tamagawa_exponents
+
+    def forged(spec, ps, diff):
+        e = real(spec, ps, diff).copy()
+        e[(ps > 1000) & (e == 2)] = 0
+        return e
+
+    monkeypatch.setattr(waldspurger, "tamagawa_exponents", forged)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", "34a1", "--out", str(out)]) == 3
+    suites = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    assert suites["waldspurger_pairs"]["failures"] == [
+        "waldspurger 34a1/117 n=1069: k 36 vs BSD 9"
+    ]
+    assert all(s["passed"] for name, s in suites.items()
+               if name != "waldspurger_pairs")
+
+
 def test_propagation_suite_checks_the_worked_example(monkeypatch):
     assert cli.run_propagation_suite() == []
     monkeypatch.setattr(cli, "_BIG_A", -127)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twistsurvey import catalog, qseries
 from twistsurvey.catalog import BinaryQuadraticForm, ThetaRecipe
 from twistsurvey.errors import DimensionError, InvalidFormError, OverflowGuardError
-from twistsurvey.qseries import build_F, theta_difference
+from twistsurvey.qseries import build_F, coefficient_rows, theta_difference
 
 from oracles import naive_recipe_series, naive_theta, shifted_add_product
 
@@ -252,6 +252,58 @@ def test_build_F_catalogue_recipes_across_block_edges(label):
     got = build_F(recipe, bound)
     assert got.coeffs.dtype == np.int32 and not got.coeffs.flags.writeable
     assert np.array_equal(got.coeffs, want)
+
+
+@given(
+    values=st.lists(st.integers(-1000, 1000), min_size=2, max_size=300),
+    t=st.integers(1, 40),
+    modulus=st.integers(1, 60),
+    picks=st.lists(st.integers(0, 59), min_size=1, max_size=6, unique=True),
+    block=st.sampled_from([1, 2, 7, 65536]),
+)
+@settings(max_examples=120, deadline=None)
+def test_coefficient_rows_match_strided_product(values, t, modulus, picks, block):
+    bound = len(values) - 1
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
+    residues = [r % modulus for r in picks]
+    residues = sorted(set(residues), key=residues.index)
+    want = shifted_add_product(values, t, bound)
+    with mock.patch.object(qseries, "_BLOCK", block):
+        rows = coefficient_rows(
+            recipe, bound, modulus, residues, np.asarray(values, dtype=np.int32)
+        )
+    assert list(rows) == residues
+    for r, row in rows.items():
+        assert row.dtype == np.int32 and not row.flags.writeable
+        assert row.tolist() == want[r::modulus].tolist()
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_coefficient_rows_catalogue_recipes_every_row(label):
+    # all M residue rows at 2*10^5 against the naive thetas' plain product
+    bound = 200000
+    spec = catalog.curve(label)
+    recipe, modulus = spec.recipe, spec.table_modulus
+    diff = np.zeros(bound + 1, dtype=np.int64)
+    for sign, form in recipe.terms:
+        diff += sign * np.asarray(naive_theta(form.a, form.b, form.c, bound))
+    want = shifted_add_product(diff, recipe.unary_t, bound)
+    rows = coefficient_rows(recipe, bound, modulus, range(modulus))
+    for r in range(modulus):
+        assert np.array_equal(rows[r], want[r::modulus]), r
+
+
+def test_coefficient_rows_guard_and_residues():
+    # the int32 bound is the same for rows as for F, and a residue must
+    # lie in [0, modulus)
+    edge = (2**31 - 1) // 3
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), 1)
+    rows = coefficient_rows(recipe, 3, 2, (0, 1), np.array([edge, edge, -edge, 0]))
+    assert rows[0].tolist() == [edge, edge] and rows[1].tolist() == [3 * edge, -2 * edge]
+    with pytest.raises(OverflowGuardError):
+        coefficient_rows(recipe, 3, 2, (1,), np.array([edge + 1, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        coefficient_rows(recipe, 3, 2, (2,), np.array([1, 0, 0, 0]))
 
 
 def test_build_F_11a1_first_coefficients():

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistsurvey.errors import InvalidClassError, RangeError
-from twistsurvey.sieve import build_sieve, class_members, factorize, primes_upto
+from twistsurvey.sieve import (
+    build_sieve,
+    class_members,
+    factorize,
+    first_multiple,
+    primes_upto,
+    squarefree_rows,
+)
 
 from oracles import is_squarefree_trial
 
@@ -16,6 +23,12 @@ from oracles import is_squarefree_trial
 @pytest.fixture(scope="module")
 def squarefree_1e6():
     return build_sieve(1_000_000)
+
+
+@pytest.fixture(scope="module")
+def rows_1e6():
+    """Squarefree rows of the units 1, 3 and 23 mod 44 to 10^6."""
+    return squarefree_rows(1_000_000, 44, (1, 3, 23))
 
 
 def test_primes_upto_small():
@@ -72,14 +85,27 @@ def test_factorize_reconstructs_with_prime_keys(n):
     assert all(e == 1 for e in got.values()) == is_squarefree_trial(n)
 
 
-def test_class_members_examples(squarefree_1e6):
-    assert class_members(squarefree_1e6, 1, 44, 100).tolist() == [1, 89]
-    assert class_members(squarefree_1e6, 3, 44, 50).tolist() == [3, 47]
+def test_first_multiple():
+    for r, modulus, d in ((1, 44, 9), (3, 44, 25), (23, 136, 49), (5, 1, 7)):
+        j = first_multiple(r, modulus, d)
+        assert 0 <= j < d and (r + modulus * j) % d == 0
+        assert all((r + modulus * i) % d for i in range(j))
 
 
-def test_class_members_pinned_count_mod44(squarefree_1e6):
+def test_class_members_examples(rows_1e6):
+    assert class_members(rows_1e6[1], 1, 44, 100).tolist() == [1, 89]
+    assert class_members(rows_1e6[3], 3, 44, 50).tolist() == [3, 47]
+
+
+def test_squarefree_rows_match_full_sieve(squarefree_1e6, rows_1e6):
+    for r, row in rows_1e6.items():
+        assert row.dtype == bool and not row.flags.writeable
+        assert np.array_equal(row, squarefree_1e6[r::44])
+
+
+def test_class_members_pinned_count_mod44(rows_1e6):
     # independent per-member trial division, then compare the full count
-    members = class_members(squarefree_1e6, 1, 44, 1_000_000)
+    members = class_members(rows_1e6[1], 1, 44, 1_000_000)
     assert all(n % 44 == 1 for n in members.tolist())
     oracle = sum(
         1
@@ -89,8 +115,8 @@ def test_class_members_pinned_count_mod44(squarefree_1e6):
     assert len(members) == oracle
 
 
-def test_class_members_strictly_increasing_and_valid(squarefree_1e6):
-    members = class_members(squarefree_1e6, 23, 44, 200_000)
+def test_class_members_strictly_increasing_and_valid(rows_1e6):
+    members = class_members(rows_1e6[23], 23, 44, 200_000)
     arr = members.tolist()
     assert arr == sorted(set(arr))
     for n in arr[:50]:
@@ -99,21 +125,22 @@ def test_class_members_strictly_increasing_and_valid(squarefree_1e6):
         assert n % 2 == 1 and n % 11 != 0
 
 
-def test_class_members_rejects_non_unit(squarefree_1e6):
-    with pytest.raises(InvalidClassError):
-        class_members(squarefree_1e6, 11, 44, 100)
-    with pytest.raises(InvalidClassError):
-        class_members(squarefree_1e6, 4, 44, 100)
-    with pytest.raises(InvalidClassError):
-        class_members(squarefree_1e6, 45, 44, 100)
+def test_class_members_rejects_non_unit(rows_1e6):
+    for n0 in (11, 4, 45):
+        with pytest.raises(InvalidClassError):
+            class_members(rows_1e6[1], n0, 44, 100)
+        with pytest.raises(InvalidClassError):
+            squarefree_rows(100, 44, (n0,))
 
 
-def test_class_members_limit_beyond_bound(squarefree_1e6):
+def test_class_members_limit_beyond_bound(rows_1e6):
     with pytest.raises(RangeError):
-        class_members(squarefree_1e6, 1, 44, 2_000_000)
-    # the sieve ends at its last index: 1_000_001 = 13 mod 44 is past it
+        class_members(rows_1e6[1], 1, 44, 2_000_000)
+    # the row ends at its last member: 1_000_001 = 13 mod 44 is past it
+    (row,) = squarefree_rows(1_000_000, 44, (13,)).values()
+    assert class_members(row, 13, 44, 1_000_000)[-1] <= 1_000_000
     with pytest.raises(RangeError):
-        class_members(squarefree_1e6, 13, 44, 1_000_001)
+        class_members(row, 13, 44, 1_000_001)
 
 
 def test_density_tends_to_6_over_pi_squared(squarefree_1e6):

@@ -12,8 +12,8 @@ from twistsurvey.errors import (
     InsufficientDataError,
     RangeError,
 )
-from twistsurvey.qseries import build_F, theta_difference
-from twistsurvey.sieve import build_sieve
+from twistsurvey.qseries import coefficient_rows, theta_difference
+from twistsurvey.sieve import squarefree_rows
 from twistsurvey.stats import default_checkpoints, fit, ratios, sigma, tally
 from twistsurvey.waldspurger import build_tamagawa, survey_class
 
@@ -24,11 +24,12 @@ from oracles import series_fit
 def mini_survey():
     spec = catalog.curve("11a1")
     bound = 100000
-    series = build_F(spec.recipe, bound)
-    squarefree = build_sieve(bound)
-    tables = build_tamagawa(spec, theta_difference(spec.recipe, bound))
+    diff = theta_difference(spec.recipe, bound)
+    (a_row,) = coefficient_rows(spec.recipe, bound, 44, (3,), diff).values()
+    (flags,) = squarefree_rows(bound, 44, (3,)).values()
+    (exps,) = build_tamagawa(spec, diff, (3,)).values()
     base = catalog.baseline(spec, 3)
-    return survey_class(spec, base, series, squarefree, tables, bound)
+    return survey_class(spec, base, a_row, flags, exps, bound)
 
 
 def test_default_checkpoints():

@@ -20,16 +20,23 @@ from twistsurvey.errors import (
     IntegralityError,
     OverflowGuardError,
 )
-from twistsurvey.qseries import PowerSeries, build_F, theta_difference
-from twistsurvey.sieve import build_sieve, class_members, primes_upto
+from twistsurvey.qseries import build_F, coefficient_rows, theta_difference
+from twistsurvey.sieve import (
+    build_sieve,
+    class_members,
+    factorize,
+    primes_upto,
+    squarefree_rows,
+)
 from twistsurvey.waldspurger import (
     build_tamagawa,
     is_square,
     propagate_l,
     survey_class,
+    tamagawa_exponents,
 )
 
-from oracles import scalar_transfer, tamagawa_by_root_count
+from oracles import cubic_root_count, scalar_transfer, tamagawa_by_root_count
 
 BOUND = 30000
 SPECS = {label: catalog.curve(label) for label in catalog.LABELS}
@@ -46,10 +53,32 @@ def coeff_series():
 
 
 @pytest.fixture(scope="module")
-def tamagawa_tables():
+def class_rows():
+    """{label: (a rows, squarefree rows, exponent rows)} of every class to
+    BOUND, as survey_curve builds them."""
+    out = {}
+    for label, spec in SPECS.items():
+        reps, modulus = spec.class_reps, spec.table_modulus
+        diff = theta_difference(spec.recipe, BOUND)
+        out[label] = (
+            coefficient_rows(spec.recipe, BOUND, modulus, reps, diff),
+            squarefree_rows(BOUND, modulus, reps),
+            build_tamagawa(spec, diff, reps),
+        )
+    return out
+
+
+def unit_tamagawa(spec, bound):
+    """{n: c(n)} at every squarefree n <= bound coprime to the table
+    modulus, from the exponent and flag rows of every unit residue."""
+    modulus = spec.table_modulus
+    reps = [r for r in range(1, modulus) if math.gcd(r, modulus) == 1]
+    exps = build_tamagawa(spec, theta_difference(spec.recipe, bound), reps)
+    flags = squarefree_rows(bound, modulus, reps)
     return {
-        label: build_tamagawa(spec, theta_difference(spec.recipe, BOUND))
-        for label, spec in SPECS.items()
+        int(n): 1 << int(exps[r][(n - r) // modulus])
+        for r in reps
+        for n in class_members(flags[r], r, modulus, bound)
     }
 
 
@@ -87,11 +116,46 @@ def test_tamagawa_cp_range(label):
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_build_tamagawa_matches_scalar(label, squarefree):
     spec = SPECS[label]
-    tables = build_tamagawa(spec, theta_difference(spec.recipe, 3000))
-    for n in range(1, 3001, 2):
-        if not squarefree[n] or math.gcd(n, spec.conductor) != 1:
-            continue
-        assert int(tables[n]) == tamagawa_product(spec, n), n
+    tables = unit_tamagawa(spec, 3000)
+    members = [
+        n for n in range(1, 3001, 2)
+        if squarefree[n] and math.gcd(n, spec.conductor) == 1
+    ]
+    assert sorted(tables) == members
+    for n in members:
+        assert tables[n] == tamagawa_product(spec, n), n
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_class_rows_match_factorize_and_root_count(label):
+    # every class member <= 2*10^5: the flag row against factorize, and
+    # 2^e against the product over its primes of 1 + the cubic's roots,
+    # counted by gcd(f, x^p - x) (tamagawa_cp's count takes O(p) time)
+    spec = SPECS[label]
+    bound = 200000
+    reps, modulus = spec.class_reps, spec.table_modulus
+    exps = build_tamagawa(spec, theta_difference(spec.recipe, bound), reps)
+    flags = squarefree_rows(bound, modulus, reps)
+    cp = {}
+    checked = 0
+    for r in reps:
+        assert flags[r].size == exps[r].size == (bound - r) // modulus + 1
+        for j, n in enumerate(range(r, bound + 1, modulus)):
+            factors = factorize(n)
+            squarefree_n = all(e == 1 for e in factors.values())
+            assert bool(flags[r][j]) == squarefree_n, n
+            if not squarefree_n:
+                continue
+            for p in factors:
+                if p not in cp:
+                    cp[p] = 1 + cubic_root_count(spec.weierstrass, p)
+            want = math.prod(cp[p] for p in factors)
+            assert 1 << int(exps[r][j]) == want, n
+            checked += 1
+    assert checked > 10000
+    # the gcd count is the oracle's root count wherever that is cheap
+    for p in [p for p in cp if p < 2000]:
+        assert cp[p] == tamagawa_cp(spec, p), p
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
@@ -102,25 +166,25 @@ def test_tamagawa_rule_matches_root_count(label):
     spec = SPECS[label]
     bound = 20000
     diff = theta_difference(spec.recipe, bound)
-    tables = build_tamagawa(spec, diff)
-    good = [
-        p for p in primes_upto(bound).tolist() if p > 2 and spec.conductor % p
-    ]
+    ps = primes_upto(bound)
+    exps = tamagawa_exponents(spec, ps, diff)
+    good = {p for p in ps.tolist() if p > 2 and spec.conductor % p}
     assert len(good) > 2000
-    for p in good:
-        assert int(tables[p]) == tamagawa_cp(spec, p), p
+    for p, e in zip(ps.tolist(), exps.tolist()):
+        assert 1 << e == (tamagawa_cp(spec, p) if p in good else 1), p
     if spec.family_torsion == 1:
         assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
 
 
 @pytest.fixture(scope="module")
-def survey(coeff_series, squarefree, tamagawa_tables):
-    """survey_class over one class at a bound <= BOUND, shared tables."""
+def survey(class_rows):
+    """survey_class over one class at a bound <= BOUND, shared rows."""
 
     def run(label, base, bound=BOUND):
+        a_rows, flags, exps = class_rows[label]
+        n0 = base.n0
         return survey_class(
-            SPECS[label], base, coeff_series[label], squarefree,
-            tamagawa_tables[label], bound,
+            SPECS[label], base, a_rows[n0], flags[n0], exps[n0], bound
         )
 
     return run
@@ -203,10 +267,10 @@ def test_survey_class_overflow_guard(survey):
             survey("17a1", replace(base, **fields), 1000)
 
 
-def test_survey_class_products_stay_int64(survey, coeff_series):
+def test_survey_class_products_stay_int64(survey, class_rows):
     # F is int32 and a Python int times an int32 array stays int32, so an
     # anchor k0 * c_n0 of 2^31 shows whether the transfer products wrap
-    assert coeff_series["17a1"].coeffs.dtype == np.int32
+    assert class_rows["17a1"][0][3].dtype == np.int32
     base = catalog.baseline(SPECS["17a1"], 3)
     assert base.c_n0 == 2
     big = survey("17a1", replace(base, k0=2 ** 30))
@@ -228,8 +292,9 @@ def test_propagate_l_matches_direct_series(coeff_series):
     spec = SPECS["11a1"]
     base = catalog.baseline(spec, 1)
     series = coeff_series["11a1"]
-    members = class_members(build_sieve(600), 1, 44, 600)
-    live = [int(n) for n in members if series.coeffs[n] != 0][1:3]
+    squarefree = build_sieve(600)
+    members = [n for n in range(1, 601, 44) if squarefree[n]]
+    live = [n for n in members if series.coeffs[n] != 0][1:3]
     needed = max(terms_needed(spec, n, 1e-8) for n in live)
     coeffs = expand_b(spec, needed)
     for n in live:
@@ -263,16 +328,14 @@ def test_rebasing_is_involutive(survey):
     assert np.allclose(again.l[keep], sv.l[keep], rtol=1e-12, atol=0)
 
 
-def test_survey_scale_invariance(coeff_series, squarefree, tamagawa_tables):
+def test_survey_scale_invariance(class_rows):
     # F -> 3F with the anchor coefficient rescaled the same way
     spec = SPECS["17a1"]
     base = catalog.baseline(spec, 3)
-    series = coeff_series["17a1"]
-    scaled = PowerSeries(series.bound, 3 * series.coeffs)
+    a_rows, flags, exps = class_rows["17a1"]
     base3 = replace(base, a_n0=3 * base.a_n0)
-    tables = tamagawa_tables["17a1"]
-    one = survey_class(spec, base, series, squarefree, tables, BOUND)
-    three = survey_class(spec, base3, scaled, squarefree, tables, BOUND)
+    one = survey_class(spec, base, a_rows[3], flags[3], exps[3], BOUND)
+    three = survey_class(spec, base3, 3 * a_rows[3], flags[3], exps[3], BOUND)
     assert np.array_equal(one.k, three.k)
     assert np.array_equal(one.selmer, three.selmer)
     keep = one.k > 0
@@ -286,7 +349,9 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
         spec = SPECS[label]
         base = catalog.baseline(spec, n0)
         got = survey(label, base, 20000)
-        members = class_members(squarefree, n0, spec.table_modulus, 20000)
+        members = [
+            n for n in range(n0, 20001, spec.table_modulus) if squarefree[n]
+        ]
         assert np.array_equal(got.members, members)
         # the catalogued anchor component product agrees with the root count
         assert base.c_n0 == tamagawa_by_root_count(
@@ -297,7 +362,7 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
             base.l_n0,
         )
         coeffs = coeff_series[label].coeffs
-        for i, n in enumerate(members.tolist()):
+        for i, n in enumerate(members):
             a_n = int(coeffs[n])
             assert got.a[i] == a_n
             k, selmer, l_value = scalar_transfer(
@@ -312,17 +377,13 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
         assert (got.k > 1).any() and (got.k == 0).any()
 
 
-def test_all_classes_survey_clean(coeff_series, squarefree, tamagawa_tables):
+def test_all_classes_survey_clean(survey):
     # every class at a small bound: correct partition into buckets and
     # square k everywhere (survey_class raises otherwise)
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
-            base = catalog.baseline(spec, n0)
-            sv = survey_class(
-                spec, base, coeff_series[label], squarefree,
-                tamagawa_tables[label], BOUND,
-            )
+            sv = survey(label, catalog.baseline(spec, n0))
             assert sv.members.size > 0
             nz = sv.a != 0
             assert np.array_equal(sv.k == 0, ~nz)
