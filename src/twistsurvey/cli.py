@@ -47,8 +47,11 @@ SCHEMA_VERSION = 1
 CSV_HEADER = "n,a_n,k,selmer,L"
 # standard checkpoint grid rendered in summary tables
 TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000)
-# rows formatted per string handed to the file: bounds the text in memory
+# rows encoded per block handed to the file: bounds the bytes in memory
 _ROWS_PER_WRITE = 65536
+# 10^j for j <= 15: exact in int64, and in float64 since 10^15 < 2^53
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+_POW10F = _POW10.astype(np.float64)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,11 +203,11 @@ def survey_curve(spec, bound, reps=None, overrides=None):
 
 
 def _write_file(path, chunks):
-    """Write the strings of chunks to path.tmp and rename it onto path, so
+    """Write the bytes of chunks to path.tmp and rename it onto path, so
     path never holds part of a file; the temp file goes if anything raises."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
@@ -217,7 +220,7 @@ def _write_json(path, doc):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if path:
-        _write_file(path, [text])
+        _write_file(path, [text.encode()])
     else:
         sys.stdout.write(text)
 
@@ -228,16 +231,111 @@ def _header(**meta):
     return "".join(f"# {key} {val}\n" for key, val in items)
 
 
-def _table(head, row, *columns):
-    """head, then row(*values) over the columns, _ROWS_PER_WRITE rows a string."""
-    yield head
+def _csv_chunks(head, *columns):
+    """head, then the rows of the columns, _ROWS_PER_WRITE rows a chunk,
+    all as bytes."""
+    yield head.encode()
     for lo in range(0, columns[0].size, _ROWS_PER_WRITE):
-        part = [col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns]
-        yield "".join(map(row, *part))
+        yield _encode_rows([col[lo : lo + _ROWS_PER_WRITE] for col in columns])
 
 
-def _class_row(n, a, k, selmer, l):
-    return f"{n},0,0,0,\n" if a == 0 else f"{n},{a},{k},{selmer},{l:.12g}\n"
+def _encode_rows(columns):
+    """The CSV text of one block of rows, as bytes: the columns' values
+    joined by ',' and each row ended by a newline.  An integer column is
+    written as str(int(v)) and a float column as '{:.12g}'.format(v), except
+    that nan is an empty field.
+
+    Each value is written into its column's slot of a (rows, width) uint8
+    buffer, with 0 bytes as padding, and the row is the buffer's nonzero
+    bytes.  Since the padding drops out, each slot is a fixed set of
+    character columns and a character that is absent is simply 0.
+    """
+    rows = columns[0].size
+    comma = np.full(rows, ord(","), dtype=np.uint8)
+    chars = []
+    for col in columns:
+        chars += _float_chars(col) if col.dtype.kind == "f" else _int_chars(col)
+        chars.append(comma)
+    chars[-1] = np.full(rows, ord("\n"), dtype=np.uint8)
+    buf = np.stack(chars, axis=1)
+    return buf[buf != 0].tobytes()
+
+
+def _int_chars(v):
+    """str(int(x)) for each x of the integer array v, as uint8 character
+    columns from left to right: '-' where x < 0, then the digits of |x|,
+    each taken by one division of the whole column by 10, with the
+    leading zeros left 0."""
+    neg = v < 0
+    u = v.astype(np.uint64)
+    # |x| modulo 2^64, which is exact for every int64 x, -2^63 included
+    u = np.where(neg, np.uint64(0) - u, u)
+    cols = []
+    for i in range(len(str(int(u.max(initial=0))))):
+        q = u // 10
+        digit = (u - q * 10).astype(np.uint8) + ord("0")
+        cols.append(digit if i == 0 else digit * (u > 0))
+        u = q
+    if neg.any():
+        cols.append(neg.astype(np.uint8) * ord("-"))
+    return cols[::-1]
+
+
+def _float_chars(x):
+    """'{:.12g}'.format(v) for each v of the float64 array x, and '' for
+    nan, as uint8 character columns (see _int_chars).
+
+    Fast path, for finite v > 0 with e = floor(log10 v) in [-4, 10]: the
+    power P = 10^(11-e) is exact, and prod = fl(v*P) lies within ulp(prod)/2
+    of the exact v*P.  When prod is more than 2 ulp(prod) from every
+    half-integer, v*P lies strictly on the same side of each, so
+    m = rint(prod) is v*P rounded to the nearest integer, with no tie.
+    When moreover 10^11 < m < 10^12, then 10^11 < v*P < 10^12 - 1/2, so e
+    is v's true decimal exponent, whatever e log10 gave, and m is v's
+    correctly rounded 12-digit significand, whose exponent stays e: the
+    digits '{:.12g}' prints, as CPython's formatting rounds correctly
+    (D. M. Gay, "Correctly rounded binary-decimal and decimal-binary
+    conversions", 1990).  '{:.12g}' writes such a v in fixed notation
+    (-4 <= e < 12): the integer part m // 10^(11-e), then '.' and the
+    11 - e fraction digits of m % 10^(11-e) with trailing zeros removed,
+    and no '.' when none remain.  Every other value (a near-tie, m = 10^11,
+    another exponent, v <= 0, inf) is formatted by '{:.12g}' itself.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    fast = (e >= -4) & (e <= 10)
+    e = np.where(fast, e, 0).astype(np.int64)
+    prod = np.where(fast, x, 1.0) * _POW10F[11 - e]
+    m = np.rint(prod)
+    gap = np.abs(prod - np.floor(prod) - 0.5)
+    fast &= (gap > 2 * np.spacing(prod)) & (m > 1e11) & (m < 1e12)
+    m = np.where(fast, m, 0).astype(np.int64)
+    whole, frac = np.divmod(m, _POW10[11 - e])
+    # the 11 - e fraction digits moved to the left of a 15-digit field, so
+    # every fraction is taken 15 digits by the scalar 10
+    frac *= _POW10[4 + e]
+    cols = []
+    stripped = np.ones(x.size, dtype=bool)
+    for _ in range(15):
+        q = frac // 10
+        digit = (frac - q * 10).astype(np.uint8)
+        stripped &= digit == 0
+        cols.append((digit + ord("0")) * ~stripped)
+        frac = q
+    cols.append(~stripped * np.uint8(ord(".")))
+    cols = _int_chars(whole) + cols[::-1]
+    for col in cols:
+        col[~fast] = 0
+    slow = ~fast & ~np.isnan(x)
+    if slow.any():
+        text = np.array(
+            ["{:.12g}".format(v) for v in x[slow].tolist()], dtype=bytes
+        )
+        width = text.dtype.itemsize
+        cols += [np.zeros(x.size, np.uint8) for _ in range(width - len(cols))]
+        for col, char in zip(cols, text.view(np.uint8).reshape(-1, width).T):
+            col[slow] = char
+    return cols
 
 
 def _fit_dicts(fits):
@@ -302,7 +400,7 @@ def cmd_expand(args):
     coeffs = build_F(spec.recipe, args.bound)
     ns = np.flatnonzero(build_sieve(args.bound))
     head = _header() + "n,a_n\n"
-    _write_file(out, _table(head, "{},{}\n".format, ns, coeffs.coeffs[ns]))
+    _write_file(out, _csv_chunks(head, ns, coeffs.coeffs[ns]))
     _status(f"wrote {out} ({ns.size} rows)")
     return EXIT_OK
 
@@ -325,8 +423,10 @@ def cmd_survey(args):
     for rep, surv in surveys.items():
         path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
         head = _header(curve=surv.curve, n0=surv.n0, bound=surv.bound)
-        _write_file(path, _table(
-            f"{head}{CSV_HEADER}\n", _class_row,
+        # where a_n = 0, survey_class leaves k and selmer 0 and L nan, so
+        # the row reads n,0,0,0, with an empty L
+        _write_file(path, _csv_chunks(
+            f"{head}{CSV_HEADER}\n",
             surv.members, surv.a, surv.k, surv.selmer, surv.l,
         ))
     spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
@@ -428,7 +528,7 @@ def cmd_plot_data(args):
             for xm, q in zip(x.tolist(), stats.ratios(x, row[0]).tolist())
             if xm >= stats.MODEL_FLOOR
         ]
-    _write_file(out, lines)
+    _write_file(out, ["".join(lines).encode()])
     _status(f"wrote {out}")
     return EXIT_OK
 

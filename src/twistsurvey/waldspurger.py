@@ -57,8 +57,23 @@ def is_square(k):
 
 
 def _euler_chi(d, ps):
-    """kronecker(d, p) for an array of odd primes not dividing d."""
-    p = ps.astype(np.int64)
+    """kronecker(d, p) for an array of odd primes not dividing d.
+
+    For odd n > 0 the Jacobi symbol (d/n) depends only on n mod 4|d|: write
+    d = s * 2^a * d' with s = +-1 and d' > 0 odd; then (-1/n) depends on n
+    mod 4, (2/n) on n mod 8 (and 8 | 4|d| when a > 0), and by quadratic
+    reciprocity (d'/n) = (n/d') (-1)^((d'-1)/2 (n-1)/2) on n mod 4d'.  At
+    a prime p not dividing d, (d/p) is kronecker(d, p), which Euler's
+    criterion gives as d^((p-1)/2) mod p.  So the criterion runs on one
+    prime of each residue class mod 4|d| that ps meets, and every prime
+    reads its class's value.
+    """
+    period = 4 * abs(d)
+    res = ps % period
+    rep = np.zeros(period, dtype=np.int64)
+    rep[res] = ps  # any prime of the class will do
+    met = np.flatnonzero(rep)
+    p = rep[met]
     base = np.remainder(d, p)
     exp = (p - 1) // 2
     result = np.ones_like(p)
@@ -67,7 +82,9 @@ def _euler_chi(d, ps):
         result[odd] = result[odd] * base[odd] % p[odd]
         base = base * base % p
         exp >>= 1
-    return np.where(result == 1, 1, -1).astype(np.int64)
+    chi = np.zeros(period, dtype=np.int64)
+    chi[met] = np.where(result == 1, 1, -1)
+    return chi[res]
 
 
 def tamagawa_exponents(spec, ps, diff):

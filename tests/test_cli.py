@@ -3,8 +3,10 @@ from __future__ import annotations
 import ast
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -900,23 +902,103 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     tmp = tmp_path / "17a1_class3.csv.tmp"
     path.write_text("old\n")
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
-    rows = []
-    real_row = cli._class_row
+    blocks = []
+    real_encode = cli._encode_rows
 
-    def row(*values):
-        rows.append(values)
-        if len(rows) == 6:  # the second chunk
+    def encode(columns):
+        blocks.append(columns[0].size)
+        if len(blocks) == 2:  # the second chunk
             assert tmp.exists()
             raise RuntimeError("row failed")
-        return real_row(*values)
+        return real_encode(columns)
 
-    monkeypatch.setattr(cli, "_class_row", row)
+    monkeypatch.setattr(cli, "_encode_rows", encode)
     with pytest.raises(RuntimeError, match="row failed"):
         run(["survey", "--curve", "17a1", "--bound", "30000", "--step", "10000",
              "--classes", "3", "--out", str(tmp_path)])
-    assert len(rows) == 6
+    assert blocks == [4, 4]
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def _rows_by_loop(columns):
+    """The row encoder's reference, one value at a time: str(int(v)) and
+    '{:.12g}', with nan an empty field."""
+    def field(v):
+        if isinstance(v, float):
+            return "" if math.isnan(v) else f"{v:.12g}"
+        return str(int(v))
+
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join(",".join(map(field, row)) + "\n" for row in rows).encode()
+
+
+def _ulps(x, steps):
+    """x moved by steps floats towards +inf (steps > 0) or -inf."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_steps = st.integers(-3, 3)
+# 10^j itself, a few floats either side; fixed notation runs from 1e-4 to
+# below 1e12, so j covers both ends and beyond
+_decades = st.builds(
+    lambda j, k: _ulps(float(Fraction(10) ** j), k), st.integers(-6, 13), _steps
+)
+# 12-digit decimal ties (m + 1/2) * 10^-s and their neighbours, at
+# exponents 11 - s from -6 to 13; m = 10^12 - 1 rounds up to the next decade
+_ties = st.builds(
+    lambda m, s, k: _ulps(float(Fraction(2 * m + 1, 2) / Fraction(10) ** s), k),
+    st.integers(10**11, 10**12 - 1) | st.just(10**12 - 1),
+    st.integers(-2, 17),
+    _steps,
+)
+_float_values = st.one_of(
+    _decades,
+    _ties,
+    st.floats(min_value=0.0, max_value=1e-4),
+    st.floats(min_value=1e11),
+    st.floats(allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+)
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1]),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_encode_rows_integers_match_str(values):
+    col = np.array(values, dtype=np.int64)
+    assert cli._encode_rows([col]) == _rows_by_loop([col])
+    small = np.array([v % 2**32 - 2**31 for v in values], dtype=np.int32)
+    assert cli._encode_rows([small, col]) == _rows_by_loop([small, col])
+
+
+@given(st.lists(_float_values, min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_encode_rows_floats_match_format(values):
+    col = np.array(values, dtype=np.float64)
+    ns = np.arange(col.size, dtype=np.int64)
+    assert cli._encode_rows([ns, col]) == _rows_by_loop([ns, col])
+
+
+@given(st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 10**4),
+                          st.floats(1e-3, 1e3)), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_encode_rows_zero_coefficient_rows(rows):
+    """Survey rows as survey_class leaves them: where a_n = 0, k and
+    selmer are 0 and L is nan, and the row reads n,0,0,0, ."""
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    k = np.where(a == 0, 0, np.array([r[1] for r in rows], dtype=np.int64))
+    l = np.where(a == 0, np.nan, np.array([r[2] for r in rows]))
+    ns = 3 + 8 * np.arange(a.size, dtype=np.int64)
+    got = cli._encode_rows([ns, a, k, 2 * k, l]).decode().splitlines()
+    for n, a_n, k_n, l_n, line in zip(ns, a, k, l, got):
+        if a_n == 0:
+            assert line == f"{n},0,0,0,"
+        else:
+            assert line == f"{n},{a_n},{k_n},{2 * k_n},{l_n:.12g}"
+    assert len(got) == a.size
 
 
 PACKAGE_DIR = Path(cli.__file__).parent
