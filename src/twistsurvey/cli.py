@@ -39,8 +39,8 @@ from .errors import (
     OverflowGuardError,
     RangeError,
 )
-from .qseries import build_F, coefficient_rows, theta_difference
-from .sieve import build_sieve, squarefree_rows
+from .qseries import coefficient_rows, theta_difference
+from .sieve import squarefree_rows
 from .waldspurger import build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
@@ -151,26 +151,17 @@ def load_config(path):
 
 
 def make_config(args):
-    """SurveyConfig from defaults <- config file <- explicit flags."""
+    """SurveyConfig from defaults <- config file <- explicit flags, and
+    the catalogue entry of its curve."""
     vals = {}
     if getattr(args, "config", None):
         vals.update(load_config(args.config))
-    flag_map = (
-        ("curve", "curve"),
-        ("bound", "bound"),
-        ("classes", "classes"),
-        ("checkpoint_step", "step"),
-        ("output_dir", "out"),
-        ("threads", "threads"),
-        ("overrides", "overrides"),
-    )
-    for key, attr in flag_map:
-        val = getattr(args, attr, None)
+    for key, parse in _CONFIG_PARSERS.items():
+        val = getattr(args, key, None)
         if val is not None:
-            vals[key] = _CONFIG_PARSERS[key](val)
+            vals[key] = parse(val)
     cfg = SurveyConfig(**vals)
-    validate_config(cfg)
-    return cfg
+    return cfg, validate_config(cfg)
 
 
 def validate_config(cfg):
@@ -397,19 +388,19 @@ def cmd_expand(args):
     if args.threads is not None:
         _parse_threads(args.threads)
     out = args.out or f"{spec.label}_an.csv"
-    coeffs = build_F(spec.recipe, args.bound)
-    ns = np.flatnonzero(build_sieve(args.bound))
+    coeffs = coefficient_rows(spec.recipe, args.bound, 1, (0,))[0]
+    # n = 0 is False in the row, so its indices are the squarefree n
+    ns = np.flatnonzero(squarefree_rows(args.bound, 1, (0,))[0])
     head = _header() + "n,a_n\n"
-    _write_file(out, _csv_chunks(head, ns, coeffs.coeffs[ns]))
+    _write_file(out, _csv_chunks(head, ns, coeffs[ns]))
     _status(f"wrote {out} ({ns.size} rows)")
     return EXIT_OK
 
 
 def cmd_survey(args):
-    cfg = make_config(args)
+    cfg, spec = make_config(args)
     # the grid is checked before any directory is made or class surveyed
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
-    spec = catalog.curve(cfg.curve)
     overrides = catalog.load_overrides(cfg.overrides)
     reps = cfg.classes or spec.class_reps
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -534,9 +525,8 @@ def cmd_plot_data(args):
 
 
 def cmd_tables(args):
-    cfg = make_config(args)
+    cfg, spec = make_config(args)
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
-    spec = catalog.curve(cfg.curve)
     reps = cfg.classes or spec.class_reps
     overrides = catalog.load_overrides(cfg.overrides)
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
@@ -581,7 +571,7 @@ def run_theta_suite(labels, bound):
     fails = []
     for label in labels:
         spec = catalog.curve(label)
-        fast = build_F(spec.recipe, bound).coeffs
+        fast = coefficient_rows(spec.recipe, bound, 1, (0,))[0]
         ref = reference_series(spec.recipe, bound)
         if not np.array_equal(fast, ref):
             first = int(np.nonzero(fast != ref)[0][0])
@@ -794,8 +784,8 @@ def build_parser():
     ps.add_argument("--curve")
     ps.add_argument("--bound", type=int)
     ps.add_argument("--classes")
-    ps.add_argument("--step", type=int)
-    ps.add_argument("--out")
+    ps.add_argument("--step", type=int, dest="checkpoint_step")
+    ps.add_argument("--out", dest="output_dir")
     ps.add_argument("--threads")
     ps.add_argument("--overrides")
     ps.add_argument("--config")
@@ -831,7 +821,7 @@ def build_parser():
     pt.add_argument("--curve")
     pt.add_argument("--bound", type=int)
     pt.add_argument("--classes")
-    pt.add_argument("--step", type=int)
+    pt.add_argument("--step", type=int, dest="checkpoint_step")
     pt.add_argument("--threads")
     pt.add_argument("--config")
     pt.set_defaults(func=cmd_tables)

@@ -17,14 +17,15 @@ Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 coefficient_rows checks that this bound is below 2^31 and then works,
 and returns F, exactly in int32, raising OverflowGuardError instead when
 it is not.  It is the one coefficient kernel: it gives F on chosen
-residue rows n = r (mod M), which is all a class survey reads, and
-build_F is its modulus-1 call.
+residue rows n = r (mod M), which is all a class survey reads, and at
+modulus 1 the one row is F.  For the catalogued recipes the binary
+difference kills the constant term (the two forms lie in one genus),
+leaving a cusp form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +33,8 @@ from .catalog import ThetaRecipe
 from .errors import DimensionError, OverflowGuardError
 
 _INT32_LIMIT = 2**31
-# Output elements per block in build_F: 256 KB of int32, about one L2.
+# Output elements per block of a row: 256 KB of int32, about one L2.
 _BLOCK = 65536
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Dense integer q-expansion truncated at q^bound (read-only int32 or
-    int64 coefficients)."""
-
-    bound: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
-        if self.coeffs.shape != (self.bound + 1,):
-            raise DimensionError(
-                f"need {self.bound + 1} coefficients, got {self.coeffs.shape}"
-            )
-        if self.coeffs.dtype not in (np.int32, np.int64):
-            raise TypeError("coefficients must be int32 or int64")
-        self.coeffs.setflags(write=False)
-
-    def coeff(self, m: int) -> int:
-        return int(self.coeffs[m])
 
 
 def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
@@ -152,11 +130,3 @@ def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
         out.setflags(write=False)
         rows[r] = out
     return rows
-
-
-def build_F(recipe: ThetaRecipe, bound: int, diff=None) -> PowerSeries:
-    """F = D * (1 + 2*sum_{z>=1} q^(t*z^2)) truncated at bound: the one
-    row of coefficient_rows at modulus 1.  For the catalogued recipes the
-    binary difference kills the constant term (the two forms lie in one
-    genus), leaving a cusp form."""
-    return PowerSeries(bound, coefficient_rows(recipe, bound, 1, (0,), diff)[0])

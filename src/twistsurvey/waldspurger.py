@@ -31,8 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CasselsViolationError, IntegralityError, OverflowGuardError
-from .sieve import class_members, first_multiple, primes_upto
+from .errors import (
+    CasselsViolationError,
+    DimensionError,
+    IntegralityError,
+    OverflowGuardError,
+)
+from .sieve import factorize, first_multiple, primes_upto
 
 # float64 holds every integer below 2^53 exactly and sqrt rounds
 # correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
@@ -59,31 +64,27 @@ def is_square(k):
 def _euler_chi(d, ps):
     """kronecker(d, p) for an array of odd primes not dividing d.
 
-    For odd n > 0 the Jacobi symbol (d/n) depends only on n mod 4|d|: write
-    d = s * 2^a * d' with s = +-1 and d' > 0 odd; then (-1/n) depends on n
-    mod 4, (2/n) on n mod 8 (and 8 | 4|d| when a > 0), and by quadratic
-    reciprocity (d'/n) = (n/d') (-1)^((d'-1)/2 (n-1)/2) on n mod 4d'.  At
-    a prime p not dividing d, (d/p) is kronecker(d, p), which Euler's
-    criterion gives as d^((p-1)/2) mod p.  So the criterion runs on one
-    prime of each residue class mod 4|d| that ps meets, and every prime
-    reads its class's value.
+    Write d = core * m^2 with core squarefree; at p not dividing d,
+    (d/p) = (core/p).  For odd n > 0 the Jacobi symbol (core/n) depends
+    only on n mod 4|core|: write core = s * 2^a * c' with s = +-1 and
+    c' > 0 odd; then (-1/n) depends on n mod 4, (2/n) on n mod 8 (and
+    8 | 4|core| when a > 0), and by quadratic reciprocity (c'/n) =
+    (n/c') (-1)^((c'-1)/2 (n-1)/2) on n mod 4c'.  At a prime p not
+    dividing core, (core/p) is core^((p-1)/2) mod p by Euler's criterion.
+    So the criterion runs on one prime of each residue class mod 4|core|
+    that ps meets, and every prime reads its class's value.
     """
-    period = 4 * abs(d)
+    core = math.prod(p for p, e in factorize(d).items() if e % 2)
+    core = core if d > 0 else -core
+    period = 4 * abs(core)
     res = ps % period
     rep = np.zeros(period, dtype=np.int64)
     rep[res] = ps  # any prime of the class will do
     met = np.flatnonzero(rep)
-    p = rep[met]
-    base = np.remainder(d, p)
-    exp = (p - 1) // 2
-    result = np.ones_like(p)
-    while exp.max() > 0:
-        odd = (exp & 1) == 1
-        result[odd] = result[odd] * base[odd] % p[odd]
-        base = base * base % p
-        exp >>= 1
     chi = np.zeros(period, dtype=np.int64)
-    chi[met] = np.where(result == 1, 1, -1)
+    chi[met] = [
+        1 if pow(core, (p - 1) // 2, p) == 1 else -1 for p in rep[met].tolist()
+    ]
     return chi[res]
 
 
@@ -99,8 +100,8 @@ def tamagawa_exponents(spec, ps, diff):
     and Q2 are distinct classes of discriminant -44, so no prime is
     represented by both and the sign loses nothing.
 
-    With a rational 2-torsion point the counts come from one vectorized
-    Euler criterion on the curve's discriminant Delta.  The cubic
+    With a rational 2-torsion point the counts come from Euler's
+    criterion on the curve's discriminant Delta (_euler_chi).  The cubic
     4x^3+b2x^2+2b4x+b6 has discriminant 16 Delta; at a good odd p it is
     separable and keeps its rational root, so it has 3 roots mod p when
     Delta is a square mod p and 1 root otherwise: c_p is
@@ -196,16 +197,23 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     selmer = t * k.
 
     a_row, squarefree and tamagawa are the class's rows of
-    qseries.coefficient_rows, sieve.squarefree_rows and build_tamagawa:
-    entry j stands for n = n0 + M*j, and c(n) = 1 << tamagawa[j].
+    qseries.coefficient_rows, sieve.squarefree_rows and build_tamagawa,
+    each to bound: entry j stands for n = n0 + M*j <= bound, and c(n) =
+    1 << tamagawa[j]; a row of another length raises DimensionError.
     A non-integral k means the class normalization is wrong and raises
     IntegralityError; a non-square k raises CasselsViolationError.  An
     anchor k0 whose products leave int64 raises OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
-    modulus = spec.table_modulus
-    members = class_members(squarefree, baseline.n0, modulus, bound)
-    j = (members - baseline.n0) // modulus
+    size = (bound - baseline.n0) // spec.table_modulus + 1
+    if not a_row.size == squarefree.size == tamagawa.size == size:
+        raise DimensionError(
+            f"{spec.label} class {baseline.n0}: rows of length "
+            f"{a_row.size}, {squarefree.size}, {tamagawa.size} do not end "
+            f"at bound {bound}"
+        )
+    j = np.flatnonzero(squarefree)
+    members = baseline.n0 + spec.table_modulus * j
     # int64 before any product: a Python int times int32 stays int32
     a = a_row[j].astype(np.int64)
     c = np.left_shift(1, tamagawa[j].astype(np.int64))

@@ -17,8 +17,8 @@ import pytest
 
 from twistsurvey import catalog, cli, stats
 from twistsurvey.bsd_oracle import real_period
-from twistsurvey.qseries import build_F, coefficient_rows, theta_difference
-from twistsurvey.sieve import build_sieve, squarefree_rows
+from twistsurvey.qseries import coefficient_rows, theta_difference
+from twistsurvey.sieve import squarefree_rows
 from twistsurvey.waldspurger import build_tamagawa, propagate_l, survey_class
 
 from expected_alpha import EXPECTED_ALPHA
@@ -116,8 +116,7 @@ def test_criterion_2_worked_l_value():
     spec = catalog.curve("11a1")
     n = 8090677
     t0 = time.monotonic()
-    series = build_F(spec.recipe, n)
-    a_n = int(series.coeffs[n])
+    a_n = int(coefficient_rows(spec.recipe, n, 1, (0,))[0][n])
     base = catalog.baseline(spec, n % 44)
     l_value = propagate_l(n, a_n, base)
     elapsed = time.monotonic() - t0
@@ -255,7 +254,7 @@ def test_criterion_7_theta_oracle():
 def test_criterion_8_property_suites(full_surveys, tmp_path):
     surveys, _ = full_surveys
 
-    density = int(build_sieve(BOUND)[1:].sum()) / BOUND
+    density = int(squarefree_rows(BOUND, 1, (0,))[0][1:].sum()) / BOUND
     target = 6 / math.pi ** 2
     assert abs(density - target) / target < 0.001
 

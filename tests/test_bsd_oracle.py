@@ -16,6 +16,7 @@ from twistsurvey.bsd_oracle import (
     expand_b,
     real_period,
     real_period_model,
+    reference_series,
     terms_needed,
     twist_character,
     twist_disc,
@@ -27,8 +28,7 @@ from twistsurvey.errors import (
     NormalizationError,
     NumericError,
 )
-from twistsurvey.qseries import build_F
-from twistsurvey.sieve import build_sieve, primes_upto
+from twistsurvey.sieve import primes_upto
 
 from oracles import (
     ap_character_sum,
@@ -294,13 +294,12 @@ def test_transfer_defect_small_pair():
     # the Waldspurger pair identity a_n0^2 sqrt(n) L(-n) = a_n^2 sqrt(n0)
     # L(-n0) between two direct series values, with no catalogue anchor
     spec = SPECS["11a1"]
-    series = build_F(spec.recipe, 400)
-    squarefree = build_sieve(400)
-    members = [n for n in range(3, 401, 44) if squarefree[n]]
-    live = [n for n in members if series.coeffs[n] != 0][:2]
+    series = reference_series(spec.recipe, 400)
+    members = [n for n in range(3, 401, 44) if is_squarefree_trial(n)]
+    live = [n for n in members if series[n] != 0][:2]
     n0, n = live
-    a_n0 = int(series.coeffs[n0])
-    a_n = int(series.coeffs[n])
+    a_n0 = int(series[n0])
+    a_n = int(series[n])
     needed = max(terms_needed(spec, m, 1e-7) for m in (n, n0))
     coeffs = expand_b(spec, needed)
     l_n, l_n0 = (

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from twistsurvey import catalog, cli, stats, waldspurger
 from twistsurvey.errors import DomainError
-from twistsurvey.qseries import build_F
-from twistsurvey.sieve import build_sieve
+
+from oracles import is_squarefree_trial, naive_recipe_series
 
 
 def run(argv):
@@ -179,6 +179,18 @@ def test_plot_data_empty_combination(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[-1] == "x ratio sigma"
+
+
+def test_plot_data_bound_below_class_rep(tmp_path):
+    # class 37 of 11a1 has no member <= 20: its rows are empty, and the
+    # run writes the header with no checkpoint rows
+    out = tmp_path / "low.dat"
+    code = run([
+        "plot-data", "--curve", "11a1", "--n0", "37", "--k", "1",
+        "--bound", "20", "--step", "10", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text().splitlines()[-1] == "x ratio sigma"
 
 
 def test_tables_smoke(capsys):
@@ -878,13 +890,16 @@ def test_row_files_identical_across_chunk_sizes(tmp_path, monkeypatch):
     bound = 30000
     spec = catalog.curve("17a1")
     surv = cli.survey_curve(spec, bound, (3,))[3]
-    coeffs = build_F(spec.recipe, bound).coeffs
-    squarefree = build_sieve(bound)
+    coeffs = naive_recipe_series(
+        [(sign, (f.a, f.b, f.c)) for sign, f in spec.recipe.terms],
+        spec.recipe.unary_t, bound,
+    )
+    squarefree = [n for n in range(1, bound + 1) if is_squarefree_trial(n)]
     want_an = "# schema_version 1\nn,a_n\n" + "".join(
-        f"{n},{int(coeffs[n])}\n" for n in range(1, bound + 1) if squarefree[n]
+        f"{n},{coeffs[n]}\n" for n in squarefree
     )
     # neither file is a whole number of 3-row chunks
-    assert surv.members.size % 3 and squarefree[1:].sum() % 3
+    assert surv.members.size % 3 and len(squarefree) % 3
     for rows in (1, 3, 65536):
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
         out = tmp_path / str(rows)

@@ -98,7 +98,7 @@ def loaded_by_bsd_oracle(module):
 
 def test_qseries_guard_catches_each_import_form():
     forms = [
-        "from .qseries import build_F",
+        "from .qseries import coefficient_rows",
         "from . import qseries",
         "from twistsurvey import catalog, qseries",
         "import twistsurvey.qseries as q",
@@ -138,7 +138,7 @@ def test_baseline_selmer_needs_no_qseries(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bsd_oracle reached qseries")
 
-    monkeypatch.setattr(qseries, "build_F", refuse)
+    monkeypatch.setattr(qseries, "coefficient_rows", refuse)
     monkeypatch.setattr(qseries, "theta_difference", refuse)
     spec = catalog.curve("11a1")
     want = catalog.baseline(spec, 3)

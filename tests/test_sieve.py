@@ -7,22 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey.errors import InvalidClassError, RangeError
-from twistsurvey.sieve import (
-    build_sieve,
-    class_members,
-    factorize,
-    first_multiple,
-    primes_upto,
-    squarefree_rows,
-)
+from twistsurvey.errors import InvalidClassError
+from twistsurvey.sieve import factorize, first_multiple, primes_upto, squarefree_rows
 
 from oracles import is_squarefree_trial
 
 
 @pytest.fixture(scope="module")
 def squarefree_1e6():
-    return build_sieve(1_000_000)
+    """The modulus-1 row to 10^6: flags[n] for every n <= 10^6."""
+    return squarefree_rows(1_000_000, 1, (0,))[0]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +31,7 @@ def test_primes_upto_small():
 
 
 def test_small_values():
-    t = build_sieve(20)
+    t = squarefree_rows(20, 1, (0,))[0]
     assert t.dtype == bool and t.shape == (21,) and not t.flags.writeable
     assert not t[0] and bool(t[1])
     assert not t[12]
@@ -46,12 +40,12 @@ def test_small_values():
 
 
 def test_squarefree_count_to_1e4():
-    t = build_sieve(10_000)
+    t = squarefree_rows(10_000, 1, (0,))[0]
     assert int(t[1:].sum()) == 6083
     assert 6083 == sum(is_squarefree_trial(n) for n in range(1, 10_001))
 
 
-SQUAREFREE_1E5 = build_sieve(100_000)
+SQUAREFREE_1E5 = squarefree_rows(100_000, 1, (0,))[0]
 
 
 @given(n=st.integers(1, 100_000))
@@ -92,32 +86,60 @@ def test_first_multiple():
         assert all((r + modulus * i) % d for i in range(j))
 
 
+def members(rows, r, limit):
+    """Squarefree n = r (mod 44) up to limit, from r's row."""
+    return r + 44 * np.flatnonzero(rows[r][: (limit - r) // 44 + 1])
+
+
 def test_class_members_examples(rows_1e6):
-    assert class_members(rows_1e6[1], 1, 44, 100).tolist() == [1, 89]
-    assert class_members(rows_1e6[3], 3, 44, 50).tolist() == [3, 47]
+    assert members(rows_1e6, 1, 100).tolist() == [1, 89]
+    assert members(rows_1e6, 3, 50).tolist() == [3, 47]
 
 
 def test_squarefree_rows_match_full_sieve(squarefree_1e6, rows_1e6):
+    # the mod-44 rows are strided slices of the modulus-1 row, which trial
+    # division checks at a spread sample of n
+    assert not squarefree_1e6[0]
+    for n in range(1, 1_000_001, 997):
+        assert bool(squarefree_1e6[n]) == is_squarefree_trial(n), n
     for r, row in rows_1e6.items():
         assert row.dtype == bool and not row.flags.writeable
         assert np.array_equal(row, squarefree_1e6[r::44])
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 10_000])
+def test_modulus_one_row_is_trial_division(bound):
+    row = squarefree_rows(bound, 1, (0,))[0]
+    assert row.dtype == bool and not row.flags.writeable
+    assert row.size == bound + 1 and not row[0]
+    assert row[1:].tolist() == [
+        is_squarefree_trial(n) for n in range(1, bound + 1)
+    ]
+
+
+def test_rows_above_the_bound_are_empty():
+    # classes 23 and 37 of 11a1 lie above a bound of 20: their rows hold
+    # no n, and the one of 1 holds only n = 1 (so the n = 0 rule must not
+    # touch entry 0 of a row that has none)
+    rows = squarefree_rows(20, 44, (1, 23, 37))
+    assert rows[23].size == 0 and rows[37].size == 0
+    assert rows[1].tolist() == [True]
+
+
 def test_class_members_pinned_count_mod44(rows_1e6):
     # independent per-member trial division, then compare the full count
-    members = class_members(rows_1e6[1], 1, 44, 1_000_000)
-    assert all(n % 44 == 1 for n in members.tolist())
+    got = members(rows_1e6, 1, 1_000_000)
+    assert all(n % 44 == 1 for n in got.tolist())
     oracle = sum(
         1
         for n in range(1, 1_000_001, 44)
         if is_squarefree_trial(n)
     )
-    assert len(members) == oracle
+    assert len(got) == oracle
 
 
 def test_class_members_strictly_increasing_and_valid(rows_1e6):
-    members = class_members(rows_1e6[23], 23, 44, 200_000)
-    arr = members.tolist()
+    arr = members(rows_1e6, 23, 200_000).tolist()
     assert arr == sorted(set(arr))
     for n in arr[:50]:
         assert n % 44 == 23
@@ -125,22 +147,11 @@ def test_class_members_strictly_increasing_and_valid(rows_1e6):
         assert n % 2 == 1 and n % 11 != 0
 
 
-def test_class_members_rejects_non_unit(rows_1e6):
-    for n0 in (11, 4, 45):
+def test_class_members_rejects_non_unit():
+    # 0 is a unit only modulo 1, and 1 is no residue modulo 1
+    for modulus, n0 in ((44, 11), (44, 4), (44, 45), (44, 0), (1, 1)):
         with pytest.raises(InvalidClassError):
-            class_members(rows_1e6[1], n0, 44, 100)
-        with pytest.raises(InvalidClassError):
-            squarefree_rows(100, 44, (n0,))
-
-
-def test_class_members_limit_beyond_bound(rows_1e6):
-    with pytest.raises(RangeError):
-        class_members(rows_1e6[1], 1, 44, 2_000_000)
-    # the row ends at its last member: 1_000_001 = 13 mod 44 is past it
-    (row,) = squarefree_rows(1_000_000, 44, (13,)).values()
-    assert class_members(row, 13, 44, 1_000_000)[-1] <= 1_000_000
-    with pytest.raises(RangeError):
-        class_members(row, 13, 44, 1_000_001)
+            squarefree_rows(100, modulus, (n0,))
 
 
 def test_density_tends_to_6_over_pi_squared(squarefree_1e6):

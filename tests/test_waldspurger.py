@@ -17,17 +17,12 @@ from twistsurvey.bsd_oracle import (
 )
 from twistsurvey.errors import (
     CasselsViolationError,
+    DimensionError,
     IntegralityError,
     OverflowGuardError,
 )
-from twistsurvey.qseries import build_F, coefficient_rows, theta_difference
-from twistsurvey.sieve import (
-    build_sieve,
-    class_members,
-    factorize,
-    primes_upto,
-    squarefree_rows,
-)
+from twistsurvey.qseries import coefficient_rows, theta_difference
+from twistsurvey.sieve import factorize, primes_upto, squarefree_rows
 from twistsurvey.waldspurger import (
     build_tamagawa,
     is_square,
@@ -44,12 +39,16 @@ SPECS = {label: catalog.curve(label) for label in catalog.LABELS}
 
 @pytest.fixture(scope="module")
 def squarefree():
-    return build_sieve(BOUND)
+    return squarefree_rows(BOUND, 1, (0,))[0]
 
 
 @pytest.fixture(scope="module")
 def coeff_series():
-    return {label: build_F(spec.recipe, BOUND) for label, spec in SPECS.items()}
+    """F to BOUND per curve: the modulus-1 row."""
+    return {
+        label: coefficient_rows(spec.recipe, BOUND, 1, (0,))[0]
+        for label, spec in SPECS.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +77,7 @@ def unit_tamagawa(spec, bound):
     return {
         int(n): 1 << int(exps[r][(n - r) // modulus])
         for r in reps
-        for n in class_members(flags[r], r, modulus, bound)
+        for n in r + modulus * np.flatnonzero(flags[r])
     }
 
 
@@ -178,14 +177,14 @@ def test_tamagawa_rule_matches_root_count(label):
 
 @pytest.fixture(scope="module")
 def survey(class_rows):
-    """survey_class over one class at a bound <= BOUND, shared rows."""
+    """survey_class over one class at a bound <= BOUND, on the shared
+    rows cut at the bound."""
 
     def run(label, base, bound=BOUND):
-        a_rows, flags, exps = class_rows[label]
         n0 = base.n0
-        return survey_class(
-            SPECS[label], base, a_rows[n0], flags[n0], exps[n0], bound
-        )
+        size = (bound - n0) // SPECS[label].table_modulus + 1
+        rows = (table[n0][:size] for table in class_rows[label])
+        return survey_class(SPECS[label], base, *rows, bound)
 
     return run
 
@@ -267,6 +266,21 @@ def test_survey_class_overflow_guard(survey):
             survey("17a1", replace(base, **fields), 1000)
 
 
+def test_survey_class_rows_must_end_at_bound(survey, class_rows):
+    # the members come from the whole row, so a row that runs past the
+    # bound or stops short of it would mislabel the survey
+    spec = SPECS["11a1"]
+    base = catalog.baseline(spec, 23)
+    rows = [table[23] for table in class_rows["11a1"]]
+    size = (1000 - 23) // 44 + 1
+    for cut in (size - 1, size + 1):
+        with pytest.raises(DimensionError):
+            survey_class(spec, base, *(row[:cut] for row in rows), 1000)
+    # a bound below the class representative leaves empty rows, and no
+    # members
+    assert survey("11a1", base, 20).members.size == 0
+
+
 def test_survey_class_products_stay_int64(survey, class_rows):
     # F is int32 and a Python int times an int32 array stays int32, so an
     # anchor k0 * c_n0 of 2^31 shows whether the transfer products wrap
@@ -292,13 +306,13 @@ def test_propagate_l_matches_direct_series(coeff_series):
     spec = SPECS["11a1"]
     base = catalog.baseline(spec, 1)
     series = coeff_series["11a1"]
-    squarefree = build_sieve(600)
+    squarefree = squarefree_rows(600, 1, (0,))[0]
     members = [n for n in range(1, 601, 44) if squarefree[n]]
-    live = [n for n in members if series.coeffs[n] != 0][1:3]
+    live = [n for n in members if series[n] != 0][1:3]
     needed = max(terms_needed(spec, n, 1e-8) for n in live)
     coeffs = expand_b(spec, needed)
     for n in live:
-        got = propagate_l(n, int(series.coeffs[n]), base)
+        got = propagate_l(n, int(series[n]), base)
         want = twisted_l1(spec, n, precision=1e-8, coeffs=coeffs).l1
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -361,7 +375,7 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
             base.n0_effective, base.a_n0, spec.family_torsion * base.k0,
             base.l_n0,
         )
-        coeffs = coeff_series[label].coeffs
+        coeffs = coeff_series[label]
         for i, n in enumerate(members):
             a_n = int(coeffs[n])
             assert got.a[i] == a_n
