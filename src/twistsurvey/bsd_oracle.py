@@ -9,7 +9,9 @@ Theory, GTM 138, 1993, Section 7.4), in O(p^(1/4)) group operations,
 and by the O(p) character sum at the smaller good primes; p = 2
 and the bad primes take the affine point count.  A Shanks-Mestre value
 is accepted only when exactly one group order in the Hasse interval
-fits the point, so each value is exact by itself.
+fits the point, so each value is exact by itself.  weight_two_table is
+the one place a table of b[m] is sized and built; twisted_l1 and
+baseline_selmer read the table their caller passes.
 
 Imports nothing from qseries, directly or through catalog, and nothing
 from waldspurger: reference_series reads only the recipe's form
@@ -314,15 +316,22 @@ def terms_needed(spec, n, precision=1e-9):
     return t
 
 
-def twisted_l1(spec, n, precision=1e-9, coeffs=None):
+def weight_two_table(spec, ns, precision=1e-9):
+    """expand_b to the most terms twisted_l1 needs at any n of ns; the
+    count depends on n mod 4 as well as on the size of n.  b[m] does not
+    depend on the table's length, so one table serves every n."""
+    return expand_b(spec, max(terms_needed(spec, n, precision) for n in ns))
+
+
+def twisted_l1(spec, n, coeffs, precision=1e-9):
     """L(1) of the twist by -n, by the exponentially weighted series
 
         L(1) = 2 sum_m (chi_D(m) b_m / m) exp(-2 pi m / sqrt(N_twist))
 
-    (even functional equation on the retained classes), summed to
-    terms_needed(spec, n, precision) terms; coeffs shorter than that raise
-    ConvergenceError.  Refuses n from deleted classes, where the sign is
-    -1 and the sum above is wrong.
+    (even functional equation on the retained classes), summed from the
+    table coeffs (weight_two_table) to terms_needed(spec, n, precision)
+    terms; a shorter table raises ConvergenceError.  Refuses n from
+    deleted classes, where the sign is -1 and the sum above is wrong.
     A value below zero_threshold is flagged zero_consistent; the oracle
     never asserts vanishing on its own.
     """
@@ -338,8 +347,6 @@ def twisted_l1(spec, n, precision=1e-9, coeffs=None):
     sqn = math.sqrt(ntw)
     terms = terms_needed(spec, n, precision)
     tail = _tail_bound(terms, sqn)
-    if coeffs is None:
-        coeffs = expand_b(spec, terms)
     if coeffs.bound < terms:
         raise ConvergenceError(
             f"need coefficients to {terms}, have {coeffs.bound}"
@@ -445,13 +452,15 @@ def bsd_selmer(spec, n, l1):
     return selmer
 
 
-def baseline_selmer(spec, n0, coeffs=None):
+def baseline_selmer(spec, n0, coeffs):
     """The class anchor re-derived from scratch, as a ClassBaseline.
 
     n0_effective is the least squarefree class member up to 2048 with a
     nonzero reference_series coefficient, and a_n0 that coefficient;
-    c_n0 comes from component counts, l_n0 from the series, and #S from
-    bsd_selmer.  A non-square k0 = #S / t raises CasselsViolationError.
+    c_n0 comes from component counts, l_n0 from twisted_l1 on the table
+    coeffs, and #S from bsd_selmer.  A table too short for the derived
+    n0_effective raises ConvergenceError; a non-square k0 = #S / t raises
+    CasselsViolationError.
     """
     if n0 not in spec.class_reps:
         raise InvalidClassError(f"{spec.label} has no class {n0}")
@@ -463,7 +472,7 @@ def baseline_selmer(spec, n0, coeffs=None):
             break
     else:
         raise NormalizationError(f"{spec.label} class {n0}: no nonzero member")
-    ldata = twisted_l1(spec, n_eff, coeffs=coeffs)
+    ldata = twisted_l1(spec, n_eff, coeffs)
     if ldata.zero_consistent:
         raise NormalizationError(
             f"{spec.label} class {n0}: anchor L-value consistent with 0"

@@ -21,10 +21,9 @@ from . import catalog, stats
 from .bsd_oracle import (
     baseline_selmer,
     bsd_selmer,
-    expand_b,
     reference_series,
-    terms_needed,
     twisted_l1,
+    weight_two_table,
 )
 from .errors import (
     CasselsViolationError,
@@ -145,26 +144,20 @@ def parse_config(text):
     return out
 
 
-def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
 def make_config(args):
-    """SurveyConfig from defaults <- config file <- explicit flags, and
-    the catalogue entry of its curve."""
+    """(cfg, spec, checkpoints, overrides) of a configured run: the
+    SurveyConfig from defaults <- config file <- explicit flags, the
+    catalogue entry of its curve, its checkpoint grid and its overrides,
+    checked in that order before any directory is made or class surveyed."""
     vals = {}
     if getattr(args, "config", None):
-        vals.update(load_config(args.config))
+        with open(args.config) as fh:
+            vals.update(parse_config(fh.read()))
     for key, parse in _CONFIG_PARSERS.items():
         val = getattr(args, key, None)
         if val is not None:
             vals[key] = parse(val)
     cfg = SurveyConfig(**vals)
-    return cfg, validate_config(cfg)
-
-
-def validate_config(cfg):
     if not cfg.curve:
         raise DomainError("no curve given")
     spec = catalog.curve(cfg.curve)
@@ -173,16 +166,19 @@ def validate_config(cfg):
         raise InvalidClassError(
             f"classes {sorted(extra)} not in {spec.label} catalog"
         )
-    return spec
+    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
+    return cfg, spec, checkpoints, catalog.load_overrides(cfg.overrides)
 
 
 def survey_curve(spec, bound, reps=None, overrides=None):
-    """The classes' residue rows once, then one vectorized survey per class."""
+    """The classes' residue rows once, then one vectorized survey per class;
+    D is released once the rows are built, as none of them is a view of it."""
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
     diff = theta_difference(spec.recipe, bound)
     a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, diff)
     tama = build_tamagawa(spec, diff, reps)
+    del diff
     flags = squarefree_rows(bound, modulus, reps)
     out = {}
     for rep in reps:
@@ -398,10 +394,7 @@ def cmd_expand(args):
 
 
 def cmd_survey(args):
-    cfg, spec = make_config(args)
-    # the grid is checked before any directory is made or class surveyed
-    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
-    overrides = catalog.load_overrides(cfg.overrides)
+    cfg, spec, checkpoints, overrides = make_config(args)
     reps = cfg.classes or spec.class_reps
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.time()
@@ -525,10 +518,8 @@ def cmd_plot_data(args):
 
 
 def cmd_tables(args):
-    cfg, spec = make_config(args)
-    checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
+    cfg, spec, checkpoints, overrides = make_config(args)
     reps = cfg.classes or spec.class_reps
-    overrides = catalog.load_overrides(cfg.overrides)
     surveys = survey_curve(spec, cfg.bound, reps, overrides)
     kcols = tuple(j * j for j in range(20))
     entries = {rep: _summarize_class(surveys[rep], checkpoints) for rep in reps}
@@ -619,20 +610,14 @@ def run_waldspurger_suite(surveys, pairs):
             )
         if not chosen:
             continue
-        # conductor (and so the term count) depends on n mod 4, not just
-        # on the size of n, so take the max over the actual picks
-        needed = max(
-            terms_needed(spec, n, _PAIR_PRECISION)
-            for ns, _, _ in chosen.values()
-            for n in ns.tolist()
+        coeffs = weight_two_table(
+            spec, [n for ns, _, _ in chosen.values() for n in ns.tolist()],
+            _PAIR_PRECISION,
         )
-        coeffs = expand_b(spec, needed)
         for rep in sorted(chosen):
             for n, prop, k in zip(*(col.tolist() for col in chosen[rep])):
                 where = f"waldspurger {label}/{rep} n={n}"
-                direct = twisted_l1(
-                    spec, n, precision=_PAIR_PRECISION, coeffs=coeffs
-                ).l1
+                direct = twisted_l1(spec, n, coeffs, _PAIR_PRECISION).l1
                 rel = abs(direct - prop) / abs(direct)
                 if not rel < _DEFECT_THRESHOLD:
                     fails.append(
@@ -660,10 +645,9 @@ def run_zero_suite(surveys):
             fails.append(f"zero {label}: no vanishing coefficient found")
             continue
         picks = np.sort(zeros)[:_ZERO_PICKS].tolist()
-        needed = max(terms_needed(spec, n, _ZERO_PRECISION) for n in picks)
-        coeffs = expand_b(spec, needed)
+        coeffs = weight_two_table(spec, picks, _ZERO_PRECISION)
         for n in picks:
-            data = twisted_l1(spec, n, precision=_ZERO_PRECISION, coeffs=coeffs)
+            data = twisted_l1(spec, n, coeffs, _ZERO_PRECISION)
             if not data.zero_consistent:
                 fails.append(
                     f"zero {label} n={n}: |L| = {abs(data.l1):.2e} above "
@@ -674,14 +658,20 @@ def run_zero_suite(surveys):
 
 def run_baseline_suite(reps_by_label, overrides=None):
     """Every field of each frozen anchor against a fresh derivation:
-    l_n0 to 1e-9 relative, the rest exactly."""
+    l_n0 to 1e-9 relative, the rest exactly.  One table per curve, sized
+    from the frozen anchors' n0_effective without the overrides; one too
+    short for the oracle's own anchor is that anchor's failure."""
     fails = []
     for label in sorted(reps_by_label):
         spec = catalog.curve(label)
-        for rep in reps_by_label[label]:
+        reps = reps_by_label[label]
+        coeffs = weight_two_table(
+            spec, [catalog.baseline(spec, rep).n0_effective for rep in reps]
+        )
+        for rep in reps:
             want = catalog.baseline(spec, rep, overrides=overrides)
             try:
-                got = baseline_selmer(spec, rep)
+                got = baseline_selmer(spec, rep, coeffs)
             except (NormalizationError, ConvergenceError, NumericError) as exc:
                 fails.append(f"baseline {label}/{rep}: {exc}")
                 continue

@@ -21,6 +21,7 @@ from twistsurvey.bsd_oracle import (
     twist_character,
     twist_disc,
     twisted_l1,
+    weight_two_table,
 )
 from twistsurvey.errors import (
     ConvergenceError,
@@ -208,18 +209,28 @@ def test_terms_needed_depends_on_parity_not_size():
     assert terms_needed(spec, 5) > terms_needed(spec, 7)
 
 
+def anchor_table(spec, *reps):
+    """The table sized for the frozen anchors of the classes reps."""
+    return weight_two_table(
+        spec, [catalog.baseline(spec, n0).n0_effective for n0 in reps]
+    )
+
+
 def test_twisted_l1_rejects_bad_twist_factors():
     spec = SPECS["11a1"]
+    coeffs = anchor_table(spec, 3)
     with pytest.raises(InvalidClassError):
-        twisted_l1(spec, 2)  # even
+        twisted_l1(spec, 2, coeffs)  # even
     with pytest.raises(InvalidClassError):
-        twisted_l1(spec, 33)  # shares 11 with the conductor
+        twisted_l1(spec, 33, coeffs)  # shares 11 with the conductor
     with pytest.raises(InvalidClassError):
-        twisted_l1(spec, 9)  # not squarefree
+        twisted_l1(spec, 9, coeffs)  # not squarefree
     with pytest.raises(InvalidClassError):
-        twisted_l1(spec, 7)  # deleted class mod 44
+        twisted_l1(spec, 7, coeffs)  # deleted class mod 44
+    spec = SPECS["17a1"]
     with pytest.raises(InvalidClassError):
-        twisted_l1(SPECS["17a1"], 1)  # 1 mod 68 is deleted for 17a1
+        # 1 mod 68 is deleted for 17a1
+        twisted_l1(spec, 1, anchor_table(spec, 3))
 
 
 def test_twisted_l1_truncation_guards():
@@ -230,11 +241,13 @@ def test_twisted_l1_truncation_guards():
 
 
 def test_twisted_l1_matches_frozen_baselines():
-    data = twisted_l1(SPECS["11a1"], 1)
+    spec = SPECS["11a1"]
+    coeffs = weight_two_table(spec, [1, 3])
+    data = twisted_l1(spec, 1, coeffs)
     assert data.disc == -4 and data.conductor_twist == 176
     assert data.l1 == pytest.approx(1.4588166169384955, rel=1e-9)
     assert not data.zero_consistent
-    data3 = twisted_l1(SPECS["11a1"], 3)
+    data3 = twisted_l1(spec, 3, coeffs)
     assert data3.disc == -3 and data3.conductor_twist == 99
     assert data3.l1 == pytest.approx(1.684496332975479, rel=1e-9)
     assert data3.tail < 1e-9
@@ -243,7 +256,8 @@ def test_twisted_l1_matches_frozen_baselines():
 def test_twisted_l1_zero_consistent_flag():
     # a_47 = 0 for the conductor-11 family, so L(1) of the -47 twist
     # vanishes; the flag must catch it without asserting exact zero
-    data = twisted_l1(SPECS["11a1"], 47)
+    spec = SPECS["11a1"]
+    data = twisted_l1(spec, 47, weight_two_table(spec, [47]))
     assert data.zero_consistent
     assert abs(data.l1) < 1e-9
 
@@ -274,20 +288,21 @@ def test_real_period_matches_quadrature(label, d):
 
 def test_baseline_selmer_rejects_unknown_class():
     with pytest.raises(InvalidClassError):
-        baseline_selmer(SPECS["11a1"], 7)
+        baseline_selmer(SPECS["11a1"], 7, anchor_table(SPECS["11a1"], 3))
 
 
 def test_baseline_selmer_flags_corrupt_local_factor():
     spec = replace(SPECS["11a1"], bsd_local={1: 0.7, 3: 1.4})
     with pytest.raises(NormalizationError):
-        baseline_selmer(spec, 3)
+        baseline_selmer(spec, 3, anchor_table(spec, 3))
 
 
 def test_baseline_selmer_examples():
     # the anchor Selmer order #S = t * k0
     for label, n0, selmer in (("11a1", 3, 1), ("17a1", 3, 2), ("14a1", 29, 8)):
         spec = SPECS[label]
-        assert spec.family_torsion * baseline_selmer(spec, n0).k0 == selmer
+        got = baseline_selmer(spec, n0, anchor_table(spec, n0))
+        assert spec.family_torsion * got.k0 == selmer
 
 
 def test_transfer_defect_small_pair():
@@ -300,11 +315,8 @@ def test_transfer_defect_small_pair():
     n0, n = live
     a_n0 = int(series[n0])
     a_n = int(series[n])
-    needed = max(terms_needed(spec, m, 1e-7) for m in (n, n0))
-    coeffs = expand_b(spec, needed)
-    l_n, l_n0 = (
-        twisted_l1(spec, m, precision=1e-7, coeffs=coeffs).l1 for m in (n, n0)
-    )
+    coeffs = weight_two_table(spec, (n, n0), 1e-7)
+    l_n, l_n0 = (twisted_l1(spec, m, coeffs, 1e-7).l1 for m in (n, n0))
 
     def defect(n, n0, a_n, a_n0, l_n, l_n0):
         lhs = a_n0 * a_n0 * math.sqrt(n) * l_n

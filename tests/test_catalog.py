@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from twistsurvey import bsd_oracle, catalog
-from twistsurvey.bsd_oracle import expand_b, terms_needed
+from twistsurvey.bsd_oracle import weight_two_table
 from twistsurvey.errors import NotInCatalogError
 
 from oracles import prime_support, rational_cubic_roots
@@ -176,13 +176,12 @@ def test_all_frozen_baselines_reproduced_from_scratch():
     # series L-value, AGM period and component counts
     for label in catalog.LABELS:
         spec = catalog.curve(label)
-        needed = max(
-            terms_needed(spec, catalog.baseline(spec, n0).n0_effective)
-            for n0 in spec.class_reps
+        coeffs = weight_two_table(
+            spec,
+            [catalog.baseline(spec, n0).n0_effective for n0 in spec.class_reps],
         )
-        coeffs = expand_b(spec, needed)
         for n0 in spec.class_reps:
             want = catalog.baseline(spec, n0)
-            got = bsd_oracle.baseline_selmer(spec, n0, coeffs=coeffs)
+            got = bsd_oracle.baseline_selmer(spec, n0, coeffs)
             assert got.l_n0 == pytest.approx(want.l_n0, rel=1e-9), (label, n0)
             assert replace(got, l_n0=want.l_n0) == want, f"{got} != {want}"

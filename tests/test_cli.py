@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey import catalog, cli, stats, waldspurger
+from twistsurvey import bsd_oracle, catalog, cli, stats, waldspurger
 from twistsurvey.errors import DomainError
 
 from oracles import is_squarefree_trial, naive_recipe_series
@@ -643,6 +643,38 @@ def test_verify_quick_catches_forged_catalogue_l_value(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("argv, labels", [
+    (["--depth", "quick"], catalog.LABELS),
+    (["--curve", "20a1", "--depth", "extended"], ("20a1",)),
+], ids=["quick", "extended-20a1"])
+def test_verify_builds_one_table_per_curve_and_suite(tmp_path, monkeypatch,
+                                                     argv, labels):
+    # waldspurger_pairs, zero_consistency and baseline_reproduction each
+    # build one weight-two table per curve, whatever the number of anchors;
+    # each expand_b call, however imported, makes one WeightTwoCoefficients
+    built = []
+    real = bsd_oracle.WeightTwoCoefficients
+
+    def counted(bound, b):
+        built.append(bound)
+        return real(bound, b)
+
+    monkeypatch.setattr(bsd_oracle, "WeightTwoCoefficients", counted)
+    assert run(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(built) == 3 * len(labels)
+
+
+def test_baseline_table_too_short_for_the_oracle_anchor_fails(monkeypatch):
+    # the table is sized from the frozen n0_effective; a frozen 23 where
+    # the oracle derives 79 leaves it short, which fails, never passes
+    row = catalog._BASELINE_ROWS["14a1"][23]
+    assert row[0] == 79
+    monkeypatch.setitem(catalog._BASELINE_ROWS["14a1"], 23, (23,) + row[1:])
+    assert cli.run_baseline_suite({"14a1": (23,)}) == [
+        "baseline 14a1/23: need coefficients to 1509, have 484"
+    ]
+
+
 # one forged value per anchor field, on classes that quick verify
 # re-derives; c_n0 = 4 keeps every transferred k a square, and the
 # n0_effective and l_n0 forgeries only rescale the class's L column
@@ -1019,10 +1051,9 @@ def test_encode_rows_zero_coefficient_rows(rows):
 PACKAGE_DIR = Path(cli.__file__).parent
 
 
-def write_opens(source):
-    """(enclosing function, line) of every call that can open a file for
-    writing: open / io.open / os.open with any mode that is not a literal
-    read-only one, and Path.write_text / write_bytes."""
+def calls(source):
+    """(enclosing function, name called, call node) of every call in
+    source; the name is the bare name or the last attribute."""
     found = []
 
     def visit(node, func):
@@ -1030,24 +1061,33 @@ def write_opens(source):
             if isinstance(child, ast.Call):
                 f = child.func
                 called = getattr(f, "id", None) or getattr(f, "attr", None)
-                if called in ("write_text", "write_bytes"):
-                    found.append((func, child.lineno))
-                elif called == "open":
-                    mode = child.args[1] if len(child.args) > 1 else next(
-                        (kw.value for kw in child.keywords if kw.arg == "mode"),
-                        None,
-                    )
-                    read_only = mode is None or (
-                        isinstance(mode, ast.Constant)
-                        and isinstance(mode.value, str)
-                        and set(mode.value) <= set("rbt")
-                    )
-                    if not read_only:
-                        found.append((func, child.lineno))
+                found.append((func, called, child))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
     visit(ast.parse(source), None)
+    return found
+
+
+def write_opens(source):
+    """(enclosing function, line) of every call that can open a file for
+    writing: open / io.open / os.open with any mode that is not a literal
+    read-only one, and Path.write_text / write_bytes."""
+    found = []
+    for func, called, call in calls(source):
+        if called in ("write_text", "write_bytes"):
+            found.append((func, call.lineno))
+        elif called == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (kw.value for kw in call.keywords if kw.arg == "mode"), None
+            )
+            read_only = mode is None or (
+                isinstance(mode, ast.Constant)
+                and isinstance(mode.value, str)
+                and set(mode.value) <= set("rbt")
+            )
+            if not read_only:
+                found.append((func, call.lineno))
     return found
 
 
@@ -1058,6 +1098,22 @@ def test_only_write_file_opens_for_writing():
         for func, _ in write_opens(path.read_text())
     ]
     assert found == [("cli.py", "_write_file")]
+
+
+def test_only_weight_two_table_builds_a_table():
+    # one sizing rule: every weight-two table in the package is built by
+    # bsd_oracle.weight_two_table, bare or attribute calls alike
+    found = [
+        (path.name, func)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for func, called, _ in calls(path.read_text())
+        if called == "expand_b"
+    ]
+    assert found == [("bsd_oracle.py", "weight_two_table")]
+    probe = "def f():\n    expand_b(s, 9)\n    bsd_oracle.expand_b(s, 9)\n"
+    assert [(func, called) for func, called, _ in calls(probe)] == [
+        ("f", "expand_b"), ("f", "expand_b")
+    ]
 
 
 def test_write_open_guard_catches_each_form():

@@ -9,11 +9,10 @@ import pytest
 from twistsurvey import catalog
 from twistsurvey.bsd_oracle import (
     count_cubic_roots,
-    expand_b,
     tamagawa_cp,
     tamagawa_product,
-    terms_needed,
     twisted_l1,
+    weight_two_table,
 )
 from twistsurvey.errors import (
     CasselsViolationError,
@@ -309,11 +308,10 @@ def test_propagate_l_matches_direct_series(coeff_series):
     squarefree = squarefree_rows(600, 1, (0,))[0]
     members = [n for n in range(1, 601, 44) if squarefree[n]]
     live = [n for n in members if series[n] != 0][1:3]
-    needed = max(terms_needed(spec, n, 1e-8) for n in live)
-    coeffs = expand_b(spec, needed)
+    coeffs = weight_two_table(spec, live, 1e-8)
     for n in live:
         got = propagate_l(n, int(series[n]), base)
-        want = twisted_l1(spec, n, precision=1e-8, coeffs=coeffs).l1
+        want = twisted_l1(spec, n, coeffs, 1e-8).l1
         assert got == pytest.approx(want, rel=1e-6)
 
 
