@@ -423,12 +423,13 @@ def _read_class_csv(path):
     """Metadata and the n, k columns of a class CSV, as cmd_survey
     writes it: '# key value' lines (integer n0 and bound) with
     '# schema_version 1' before the header, then rows of 5 fields with
-    integer n and k and strictly ascending n.  Any other line raises
-    DomainError naming it."""
+    integer n and k and strictly ascending n, none above a '# bound' read
+    before the header.  Any other line raises DomainError naming it."""
     meta = {}
     ns = []
     ks = []
     header = False
+    limit = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -455,6 +456,7 @@ def _read_class_csv(path):
                         f"{SCHEMA_VERSION}' before it"
                     )
                 header = True
+                limit = int(meta["bound"]) if "bound" in meta else None
                 continue
             fields = line.split(",")
             if len(fields) != 5:
@@ -465,6 +467,8 @@ def _read_class_csv(path):
                 raise DomainError(f"{where}: n and k must be integers")
             if ns and n <= ns[-1]:
                 raise DomainError(f"{where}: n = {n} after n = {ns[-1]}")
+            if limit is not None and n > limit:
+                raise DomainError(f"{where}: n = {n} above bound {limit}")
             ns.append(n)
             ks.append(k)
     return meta, np.asarray(ns, dtype=np.int64), np.asarray(ks, dtype=np.int64)

@@ -20,8 +20,9 @@ discriminant; the count is well defined everywhere it is used.
 Every c_p is 1, 2 or 4, so c(n) = 2^e(n), with e(n) the sum of
 e_p = log2(c_p) over p | n.  A survey reads c(n), a_n and the squarefree
 flag only at class members, so each is held on the class's residue row
-n = n0 + M*j alone: build_tamagawa gives e as an int8 row, and
-survey_class forms c = 1 << e after it gathers the members.
+n = n0 + M*j alone: build_tamagawa gives e as an int8 row, found by
+dividing the row's n by the primes up to sqrt(bound), and survey_class
+forms c = 1 << e after it gathers the members.
 """
 
 from __future__ import annotations
@@ -123,46 +124,34 @@ def build_tamagawa(spec, diff, residues):
     units r mod M.
 
     e_r[j] is the sum of e_p (tamagawa_exponents) over the primes p | n,
-    each counted once.  A prime p <= sqrt(bound) adds e_p at every p-th
-    entry from first_multiple(r, M, p).  n has at most one prime factor
-    p > sqrt(bound), and then n = p*m with m <= sqrt(bound) coprime to M:
-    for each such m the large primes p <= bound/m with p*m = r (mod M)
-    add e_p at j = (p*m - r)/M, which no two of them share.  e_r[j] <=
-    2*omega(n), which stays far inside int8 for any bound held in memory.
+    each counted once.  Each prime p <= sqrt(bound) not dividing M adds
+    e_p at every p-th entry from first_multiple(r, M, p), and each power
+    p^k <= bound takes a factor p out of every p^k-th entry of rest =
+    r + M*j.  n <= bound has at most one prime factor above sqrt(bound),
+    so rest ends as 1 or that prime, which adds its own e_p: the row is
+    exact at every entry, squarefree or not.  e_r[j] <= 2*omega(n), which
+    stays far inside int8 for any bound held in memory.
     """
     bound = diff.size - 1
     modulus = spec.table_modulus
-    root = math.isqrt(bound)
-    ps = primes_upto(bound)
-    e = tamagawa_exponents(spec, ps, diff)
-    keep = (e > 0) & (modulus % ps != 0)
-    ps, e = ps[keep], e[keep]
-    # every residue's row in one array: row slot[r] is flat[lo:hi]
-    sizes = [(bound - r) // modulus + 1 for r in residues]
-    offset = np.cumsum([0] + sizes)
-    rows = list(zip(residues, offset[:-1].tolist(), offset[1:].tolist()))
-    flat = np.zeros(offset[-1], dtype=np.int8)
-    slot = np.full(modulus, -1)
-    slot[list(residues)] = np.arange(len(rows))
-    small = ps <= root
-    for p, ep in zip(ps[small].tolist(), e[small].tolist()):
-        for r, lo, hi in rows:
-            flat[lo + first_multiple(r, modulus, p) : hi : p] += ep
-    big, ebig = ps[~small], e[~small]
-    for m in range(1, root + 1):
-        count = int(np.searchsorted(big, bound // m, side="right"))
-        if not count:
-            break
-        if math.gcd(m, modulus) != 1:
-            continue
-        n = big[:count] * m
-        res = n % modulus
-        row = slot[res]
-        hit = row >= 0
-        j = (n[hit] - res[hit]) // modulus
-        flat[offset[row[hit]] + j] += ebig[:count][hit]
-    flat.setflags(write=False)
-    return {r: flat[lo:hi] for r, lo, hi in rows}
+    ps = primes_upto(math.isqrt(bound))
+    ps = ps[modulus % ps != 0]
+    small = list(zip(ps.tolist(), tamagawa_exponents(spec, ps, diff).tolist()))
+    rows = {}
+    for r in residues:
+        rest = r + modulus * np.arange((bound - r) // modulus + 1)
+        row = np.zeros(rest.size, dtype=np.int8)
+        for p, ep in small:
+            row[first_multiple(r, modulus, p) :: p] += ep
+            q = p
+            while q <= bound:
+                rest[first_multiple(r, modulus, q) :: q] //= p
+                q *= p
+        big = rest > 1
+        row[big] += tamagawa_exponents(spec, rest[big], diff)
+        row.setflags(write=False)
+        rows[r] = row
+    return rows
 
 
 def propagate_l(n, a_n, baseline):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey import bsd_oracle, catalog, cli, stats, waldspurger
+from twistsurvey import bsd_oracle, catalog, cli, sieve, stats, waldspurger
 from twistsurvey.errors import DomainError
 
 from oracles import is_squarefree_trial, naive_recipe_series
@@ -595,6 +595,24 @@ def test_verify_surveys_each_curve_once_under_the_overrides(tmp_path,
     assert calls == [("17a1", 10 ** 5, None, {("17a1", 3, "l_n0"): l_n0})]
 
 
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_survey_sieves_primes_no_further_than_the_root_of_its_bound(
+        monkeypatch, label):
+    # the Tamagawa rows once sieved every prime to the bound itself; the
+    # class rows need only the primes up to its square root
+    asked = []
+    real = sieve.primes_upto
+
+    def recorded(bound):
+        asked.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(sieve, "primes_upto", recorded)
+    monkeypatch.setattr(waldspurger, "primes_upto", recorded)
+    cli.survey_curve(catalog.curve(label), 10 ** 5)
+    assert asked and max(asked) <= math.isqrt(10 ** 5), asked
+
+
 def test_verify_quick_catches_forged_l_value_override(tmp_path):
     # quick verify does not re-derive 34a1's class 53; a forged L-value
     # override there shows through the transfer against the series
@@ -809,6 +827,14 @@ def _bad_csv(lines, case):
         b = lines.index("# bound 150000")
         lines[b] = "# bound 1e5"
         return lines, b
+    if case == "row_above_bound":
+        # the survey reached 150000; rows past a smaller '# bound' were
+        # once left out of the counts without a word
+        b = lines.index("# bound 150000")
+        lines[b] = "# bound 100000"
+        above = next(i for i in range(h + 1, len(lines))
+                     if int(lines[i].split(",")[0]) > 100000)
+        return lines, above
     if case == "no_schema_version":
         del lines[0]
         return lines, h - 1
@@ -827,6 +853,7 @@ def _bad_csv(lines, case):
     "descending_n",
     "schema_version_2",
     "non_integer_bound",
+    "row_above_bound",
     "no_schema_version",
     "no_header",
 ])
