@@ -423,13 +423,12 @@ def _read_class_csv(path):
     """Metadata and the n, k columns of a class CSV, as cmd_survey
     writes it: '# key value' lines (integer n0 and bound) with
     '# schema_version 1' before the header, then rows of 5 fields with
-    integer n and k and strictly ascending n, none above a '# bound' read
-    before the header.  Any other line raises DomainError naming it."""
+    integer n and k and strictly ascending n, none above the '# bound'.
+    Any other line ('#' after the header too) raises DomainError naming it."""
     meta = {}
     ns = []
     ks = []
     header = False
-    limit = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -437,6 +436,8 @@ def _read_class_csv(path):
             if not line:
                 continue
             if line.startswith("#"):
+                if header:
+                    raise DomainError(f"{where}: '#' line after the header")
                 parts = line[1:].split()
                 if len(parts) >= 2:
                     meta[parts[0]] = parts[1]

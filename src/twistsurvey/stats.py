@@ -108,8 +108,9 @@ def fit(x, s):
     # C order keeps numpy's pairwise row sums, as on a single row
     q = np.ascontiguousarray(s[:, keep], dtype=float) / xk
     alpha = np.average(q * lg / ll, axis=1, weights=xk)
-    model = alpha[:, None, None] * ll ** (1.0 + _EPSILONS[:, None]) / lg
-    rms = np.sqrt(np.mean((q[:, None, :] - model) ** 2, axis=2))
-    best = np.argmin(rms, axis=1)
-    residual = rms[np.arange(rms.shape[0]), best]
-    return alpha, _EPSILONS[best], residual, alpha == 0.0
+    # one eps at a time; alpha * ll^(1+eps) before / lg, or the bits change
+    rms = np.empty((q.shape[0], _EPSILONS.size))
+    for i, e in enumerate(_EPSILONS):
+        model = alpha[:, None] * ll ** (1.0 + e) / lg
+        rms[:, i] = np.sqrt(np.mean((q - model) ** 2, axis=1))
+    return alpha, _EPSILONS[rms.argmin(axis=1)], rms.min(axis=1), alpha == 0.0

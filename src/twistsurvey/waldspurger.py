@@ -22,7 +22,9 @@ e_p = log2(c_p) over p | n.  A survey reads c(n), a_n and the squarefree
 flag only at class members, so each is held on the class's residue row
 n = n0 + M*j alone: build_tamagawa gives e as an int8 row, found by
 dividing the row's n by the primes up to sqrt(bound), and survey_class
-forms c = 1 << e after it gathers the members.
+forms c = 1 << e after it gathers the members.  A ClassSurvey holds n
+(< 2^31) and a_n as int32, k as int64 and L as float64, not selmer = t*k;
+numpy 2 keeps int32 * int in int32, so an int32 k would wrap in t * k.
 """
 
 from __future__ import annotations
@@ -173,11 +175,15 @@ class ClassSurvey:
     n0: int
     n0_effective: int  # the anchor the class was transferred from
     bound: int
-    members: np.ndarray  # ascending squarefree class members
-    a: np.ndarray
-    k: np.ndarray  # 0 on the positive-rank bucket
-    selmer: np.ndarray  # 0 placeholder where k = 0
-    l: np.ndarray  # nan where k = 0
+    members: np.ndarray  # ascending squarefree class members, int32
+    a: np.ndarray  # int32, the a row's own dtype
+    k: np.ndarray  # int64 (module docstring), 0 on the positive-rank bucket
+    torsion: int  # the family's t
+    l: np.ndarray  # float64, nan where k = 0
+
+    @property
+    def selmer(self):  # t * k, with a 0 placeholder where k = 0
+        return self.torsion * self.k
 
 
 def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
@@ -190,10 +196,12 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     each to bound: entry j stands for n = n0 + M*j <= bound, and c(n) =
     1 << tamagawa[j]; a row of another length raises DimensionError.
     A non-integral k means the class normalization is wrong and raises
-    IntegralityError; a non-square k raises CasselsViolationError.  An
-    anchor k0 whose products leave int64 raises OverflowGuardError.
+    IntegralityError; a non-square k, CasselsViolationError; a bound >= 2^31
+    or an anchor k0 whose products leave int64, OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
+    if bound >= 2 ** 31:
+        raise OverflowGuardError(f"bound {bound} leaves the int32 members")
     size = (bound - baseline.n0) // spec.table_modulus + 1
     if not a_row.size == squarefree.size == tamagawa.size == size:
         raise DimensionError(
@@ -202,7 +210,7 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
             f"at bound {bound}"
         )
     j = np.flatnonzero(squarefree)
-    members = baseline.n0 + spec.table_modulus * j
+    members = (baseline.n0 + spec.table_modulus * j).astype(np.int32)
     # int64 before any product: a Python int times int32 stays int32
     a = a_row[j].astype(np.int64)
     c = np.left_shift(1, tamagawa[j].astype(np.int64))
@@ -236,6 +244,6 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     l = np.full(members.size, np.nan)
     l[nz] = propagate_l(members[nz], a[nz], baseline)
     return ClassSurvey(
-        spec.label, baseline.n0, baseline.n0_effective, bound, members, a, k,
-        spec.family_torsion * k, l,
+        spec.label, baseline.n0, baseline.n0_effective, bound, members,
+        a_row[j], k, spec.family_torsion, l,
     )

@@ -151,6 +151,37 @@ def series_fit(x, s, grid_step=0.001, band=0.02, floor=16):
     return alpha, best[1], best[2], alpha == 0.0
 
 
+def broadcast_fit(x, s, grid_step=0.001, band=0.02, floor=16):
+    """(alpha, epsilon, residual, degenerate) arrays of every row of the
+    cumulative count matrix s, with the whole eps grid in one (rows, grid,
+    checkpoints) broadcast of the model alpha (log log x)^(1+eps) / log x.
+
+    alpha is the x-weighted mean of q log x / log log x over the
+    checkpoints with x >= floor.  The grid -band..band is ordered by |eps|
+    and then sign, so the first least RMS misfit settles ties.
+    """
+    import numpy as np
+
+    steps = int(round(band / grid_step))
+    grid = np.array(sorted(
+        (round(i * grid_step, 9) for i in range(-steps, steps + 1)),
+        key=lambda eps: (abs(eps), eps),
+    ))
+    x = np.asarray(x)
+    s = np.asarray(s)
+    keep = x >= floor
+    xk = x[keep].astype(float)
+    lg = np.log(xk)
+    ll = np.log(lg)
+    q = np.ascontiguousarray(s[:, keep], dtype=float) / xk
+    alpha = np.average(q * lg / ll, axis=1, weights=xk)
+    model = alpha[:, None, None] * ll ** (1.0 + grid[:, None]) / lg
+    rms = np.sqrt(np.mean((q[:, None, :] - model) ** 2, axis=2))
+    best = np.argmin(rms, axis=1)
+    residual = rms[np.arange(rms.shape[0]), best]
+    return alpha, grid[best], residual, alpha == 0.0
+
+
 def tamagawa_by_root_count(ainvs, n: int) -> int:
     """c(n) = prod over primes p | n of 1 + #roots mod p of the 2-division
     cubic 4x^3 + b2 x^2 + 2 b4 x + b6, with b2, b4, b6 taken from the

@@ -835,6 +835,11 @@ def _bad_csv(lines, case):
         above = next(i for i in range(h + 1, len(lines))
                      if int(lines[i].split(",")[0]) > 100000)
         return lines, above
+    if case == "metadata_after_header":
+        # a trailing '# bound' once replaced the one read before the
+        # header, and fit then dropped every row above it and exited 0
+        lines.append("# bound 100000")
+        return lines, len(lines) - 1
     if case == "no_schema_version":
         del lines[0]
         return lines, h - 1
@@ -854,6 +859,7 @@ def _bad_csv(lines, case):
     "schema_version_2",
     "non_integer_bound",
     "row_above_bound",
+    "metadata_after_header",
     "no_schema_version",
     "no_header",
 ])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistsurvey import catalog, cli, stats
 from twistsurvey.errors import (
@@ -17,7 +20,7 @@ from twistsurvey.sieve import squarefree_rows
 from twistsurvey.stats import default_checkpoints, fit, ratios, sigma, tally
 from twistsurvey.waldspurger import build_tamagawa, survey_class
 
-from oracles import series_fit
+from oracles import broadcast_fit, series_fit
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +212,54 @@ def test_fit_synthetic_rows_match_series_oracle():
     assert got["edge_tie"][0][1] == 0.018
     # ties between +eps and -eps go to the negative one
     assert stats._EPSILONS[:5].tolist() == [0.0, -0.001, 0.001, -0.002, 0.002]
+
+
+def _cumulative_counts(rng, rows, cols, top):
+    """(x, s): a random cumulative count matrix with s <= x, as tally
+    builds it, the last of rows + 1 rows standing for the other members."""
+    bins = rng.integers(0, top, size=(rows + 1, cols))
+    s = np.cumsum(bins, axis=1)
+    return s.sum(axis=0), s[:rows]
+
+
+def test_fit_holds_no_epsilon_grid():
+    # a (rows, 41, checkpoints) float64 broadcast of the eps grid held
+    # 41 * 8 bytes a cell, twice over; one eps at a time holds a few
+    # (rows, checkpoints) arrays
+    rows, cols = 150, 200
+    x, s = _cumulative_counts(np.random.default_rng(11), rows, cols, 1000)
+    tracemalloc.start()
+    try:
+        fit(x, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * cols * 8, peak
+
+
+@st.composite
+def count_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(2, 30))
+    top = draw(st.sampled_from([2, 50, 10 ** 5]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    x, s = _cumulative_counts(np.random.default_rng(seed), rows, cols, top)
+    # a row of zeros is the degenerate case
+    if draw(st.booleans()):
+        s[0] = 0
+    return x, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_matrices())
+def test_fit_matches_broadcast_oracle(counts):
+    # fit loops over eps; the whole-grid broadcast it replaced gives the
+    # same four arrays to the last bit
+    x, s = counts
+    if (x >= stats.MODEL_FLOOR).sum() < 2:
+        with pytest.raises(InsufficientDataError):
+            fit(x, s)
+        return
+    for got, want in zip(fit(x, s), broadcast_fit(x, s)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (got, want)

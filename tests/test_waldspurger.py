@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from twistsurvey.errors import (
 from twistsurvey.qseries import coefficient_rows, theta_difference
 from twistsurvey.sieve import factorize, primes_upto, squarefree_rows
 from twistsurvey.waldspurger import (
+    ClassSurvey,
     build_tamagawa,
     is_square,
     propagate_l,
@@ -290,6 +291,27 @@ def test_survey_class_products_stay_int64(survey, class_rows):
     small = survey("17a1", base)
     assert np.array_equal(big.k, small.k * 2 ** 30)
     assert np.array_equal(big.selmer, small.selmer * 2 ** 30)
+
+
+def test_class_survey_columns(survey):
+    # 24 bytes a member: int32 members and a, int64 k (an int32 k would
+    # wrap in t * k under numpy 2), float64 l; selmer is derived from k
+    assert "selmer" not in {f.name for f in fields(ClassSurvey)}
+    for label in catalog.LABELS:
+        spec = SPECS[label]
+        for n0 in spec.class_reps:
+            sv = survey(label, catalog.baseline(spec, n0))
+            assert [sv.members.dtype, sv.a.dtype, sv.k.dtype, sv.l.dtype] == [
+                np.int32, np.int32, np.int64, np.float64
+            ]
+            assert sv.selmer.dtype == np.int64
+            assert np.array_equal(sv.selmer, spec.family_torsion * sv.k)
+    # a member at or past 2^31 would wrap, so the bound is refused before
+    # the rows are even measured against it
+    spec = SPECS["11a1"]
+    rows = (np.ones(1, np.int32), np.ones(1, bool), np.zeros(1, np.int8))
+    with pytest.raises(OverflowGuardError, match="2147483648"):
+        survey_class(spec, catalog.baseline(spec, 3), *rows, 2 ** 31)
 
 
 def test_propagate_l_guards():
