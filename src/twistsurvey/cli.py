@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 bad configuration, 3 verification failure,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -39,8 +40,8 @@ from .errors import (
     RangeError,
 )
 from .qseries import coefficient_rows, theta_difference
-from .sieve import squarefree_rows
-from .waldspurger import build_tamagawa, propagate_l, survey_class
+from .sieve import factorize, squarefree_rows
+from .waldspurger import MEMBER_LIMIT, build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "n,a_n,k,selmer,L"
@@ -172,7 +173,10 @@ def make_config(args):
 
 def survey_curve(spec, bound, reps=None, overrides=None):
     """The classes' residue rows once, then one vectorized survey per class;
-    D is released once the rows are built, as none of them is a view of it."""
+    D is released once the rows are built, as none of them is a view of it.
+    A bound that survey_class would refuse is refused before D is built."""
+    if bound >= MEMBER_LIMIT:
+        raise DomainError(f"bound {bound} is not below 2^31")
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
     diff = theta_difference(spec.recipe, bound)
@@ -378,18 +382,43 @@ def _summarize(spec, surveys, checkpoints, bound, step):
 
 
 def cmd_expand(args):
+    """n, a_n for every squarefree n <= bound.
+
+    F is read from its rows n = r (mod M), M the table modulus, for the r
+    whose gcd(r, M) is squarefree: if p^2 divides gcd(r, M), it divides
+    every n of row r, so that row holds no squarefree n.  Each row is
+    scattered into one int32 array as it is released; the other rows'
+    entries stay 0 and are never read.  The file is written
+    _ROWS_PER_WRITE values of n at a time, each block taking its
+    squarefree n from the modulus-1 flags.
+    """
     spec = catalog.curve(args.curve)
-    if args.bound < 1:
+    bound = args.bound
+    if bound < 1:
         raise DomainError("bound must be positive")
     if args.threads is not None:
         _parse_threads(args.threads)
     out = args.out or f"{spec.label}_an.csv"
-    coeffs = coefficient_rows(spec.recipe, args.bound, 1, (0,))[0]
+    modulus = spec.table_modulus
+    keep = [
+        r for r in range(min(modulus, bound + 1))
+        if max(factorize(math.gcd(r, modulus)).values(), default=1) == 1
+    ]
+    rows = coefficient_rows(spec.recipe, bound, modulus, keep)
+    coeffs = np.zeros(bound + 1, dtype=np.int32)
+    for r in keep:
+        coeffs[r::modulus] = rows.pop(r)
     # n = 0 is False in the row, so its indices are the squarefree n
-    ns = np.flatnonzero(squarefree_rows(args.bound, 1, (0,))[0])
-    head = _header() + "n,a_n\n"
-    _write_file(out, _csv_chunks(head, ns, coeffs[ns]))
-    _status(f"wrote {out} ({ns.size} rows)")
+    flags = squarefree_rows(bound, 1, (0,))[0]
+
+    def chunks():
+        yield (_header() + "n,a_n\n").encode()
+        for lo in range(0, bound + 1, _ROWS_PER_WRITE):
+            ns = lo + np.flatnonzero(flags[lo : lo + _ROWS_PER_WRITE])
+            yield _encode_rows([ns, coeffs[ns]])
+
+    _write_file(out, chunks())
+    _status(f"wrote {out} ({np.count_nonzero(flags)} rows)")
     return EXIT_OK
 
 

@@ -6,10 +6,10 @@ The coefficient series for a curve family is assembled as
 
 where Theta(Q) counts lattice representations by a positive definite
 binary quadratic form.  theta_difference builds D as one int32 array:
-each form's lattice points are enumerated row by row and scattered into
-it with the form's sign, so no per-form count table is held.  D is
-exact, since |D[m]| is at most the number of points enumerated, which
-theta_difference checks is below 2^31.
+each form's lattice points are enumerated row by row, one point of each
+pair +-(x, y), and scattered into it with twice the form's sign, so no
+per-form count table is held.  D is exact, since |D[m]| is at most the
+number of lattice points, which theta_difference checks is below 2^31.
 
 Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 (z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
@@ -17,10 +17,12 @@ Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 coefficient_rows checks that this bound is below 2^31 and then works,
 and returns F, exactly in int32, raising OverflowGuardError instead when
 it is not.  It is the one coefficient kernel: it gives F on chosen
-residue rows n = r (mod M), which is all a class survey reads, and at
-modulus 1 the one row is F.  For the catalogued recipes the binary
-difference kills the constant term (the two forms lie in one genus),
-leaving a cusp form.
+residue rows n = r (mod M), which is all a class survey and expand
+read, and at modulus 1 the one row is F.  Most residue rows of D are
+identically zero (32 of the 44 rows mod 44 for 11a1, where D vanishes
+at every m = 0 or 2 mod 4), and the kernel neither copies nor adds
+them.  For the catalogued recipes the binary difference kills the
+constant term (the two forms lie in one genus), leaving a cusp form.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ _BLOCK = 65536
 def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
     """D = sum_i sign_i * Theta(Q_i) as int32 coefficients 0..bound.
 
-    Rows of constant y are enumerated with the x-range solved exactly from
+    Q(-x, -y) = Q(x, y), so the points off the origin come in pairs, and
+    each pair is enumerated once, as its point with y > 0 or with y = 0
+    and x > 0, with weight 2*sign; the origin adds sign once.  Rows of
+    constant y >= 0 are enumerated with the x-range solved exactly from
     the quadratic, so every generated value is <= bound, and each row is
     scattered into D with the unbuffered np.add.at, which counts a value
     repeated within the row once per point.  |D[m]| is bounded by the
-    number of enumerated lattice points; a row that would take that count
-    to 2^31 raises OverflowGuardError before it is scattered.  An int32
-    sign keeps np.add.at on its fast same-type loop.
+    number of lattice points, each pair counted twice and the origin
+    once; a row that would take that count to 2^31 raises
+    OverflowGuardError before it is scattered (the origin is counted with
+    the row y = 0).  An int32 weight keeps np.add.at on its fast
+    same-type loop.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -57,17 +64,17 @@ def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
         absd = -form.discriminant()
         # 4a*Q = (2ax + by)^2 + |D|y^2, so |D|y^2 <= 4a*bound on the ellipse.
         ymax = math.isqrt(4 * a * bound // absd)
-        for y in range(-ymax, ymax + 1):
+        points += 1  # the origin
+        for y in range(ymax + 1):
             r = math.isqrt(4 * a * bound - absd * y * y)
-            lo = -((b * y + r) // (2 * a))
+            lo = -((b * y + r) // (2 * a)) if y else 1
             hi = (r - b * y) // (2 * a)
-            if lo > hi:
-                continue
-            points += hi - lo + 1
+            points += 2 * max(hi - lo + 1, 0)
             if points >= _INT32_LIMIT:
                 raise OverflowGuardError(f"{points} lattice points reach 2^31")
             x = np.arange(lo, hi + 1, dtype=np.int64)
-            np.add.at(diff, (a * x + b * y) * x + c * y * y, np.int32(sign))
+            np.add.at(diff, (a * x + b * y) * x + c * y * y, np.int32(2 * sign))
+        diff[0] += sign
     return diff
 
 
@@ -79,12 +86,14 @@ def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
     passes it as diff.  Writing T_rho[i] = D[rho + modulus*i], the term
     D[n - t*z^2] of F[n] at n = r + modulus*j is T_rho[j - q] with
     rho = (r - t*z^2) mod modulus and q = (t*z^2 + rho - r) / modulus, so
-    each z >= 1 adds the contiguous row T_rho shifted by q.  Under the
-    int32 bound of the module docstring, checked once for all rows, G =
-    the sum of those shifted rows is added one 64K-element output block at
-    a time, so the block stays in cache across the zmax shifts; then
-    2G + T_r is formed in place (|2G| <= 2*max|D|*zmax, still in int32).
-    At modulus 1 the one row is F itself and T_0 is D, not a copy.
+    each z >= 1 adds the contiguous row T_rho shifted by q.  A T_rho that
+    is identically zero adds nothing, so it is neither copied nor added;
+    each other T_rho is copied once per residue.  Under the int32 bound of
+    the module docstring, checked once for all rows, G = the sum of the
+    shifted nonzero rows is added one 64K-element output block at a time,
+    so the block stays in cache across the zmax shifts; then 2G + T_r is
+    formed in place (|2G| <= 2*max|D|*zmax, still in int32).  At modulus 1
+    the one row is F itself and T_0 is D, not a copy.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -107,7 +116,8 @@ def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
         if not 0 <= r < modulus:
             raise ValueError(f"residue {r} is not in [0, {modulus})")
         size = (bound - r) // modulus + 1
-        # (q, T_rho) per shift, q ascending with the shift; one copy per rho
+        # (q, T_rho) per shift with T_rho nonzero, q ascending with the
+        # shift; one copy per rho, None for a zero row
         tables, terms = {}, []
         for s in shifts:
             rho = (r - s) % modulus
@@ -115,8 +125,10 @@ def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
             if q >= size:
                 break
             if rho not in tables:
-                tables[rho] = np.ascontiguousarray(diff[rho::modulus])
-            terms.append((q, tables[rho]))
+                view = diff[rho::modulus]
+                tables[rho] = np.ascontiguousarray(view) if view.any() else None
+            if tables[rho] is not None:
+                terms.append((q, tables[rho]))
         out = np.zeros(size, dtype=np.int32)
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)

@@ -46,6 +46,8 @@ from .sieve import factorize, first_multiple, primes_upto
 # correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
 # the guard keeps one bit of margin
 SQUARE_EXACT_BOUND = 2 ** 52
+# class members are held as int32, so every surveyed bound lies below this
+MEMBER_LIMIT = 2 ** 31
 
 
 def is_square(k):
@@ -200,7 +202,7 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     or an anchor k0 whose products leave int64, OverflowGuardError.
     Members with a_n = 0 land in the k = 0 bucket with no L-value.
     """
-    if bound >= 2 ** 31:
+    if bound >= MEMBER_LIMIT:
         raise OverflowGuardError(f"bound {bound} leaves the int32 members")
     size = (bound - baseline.n0) // spec.table_modulus + 1
     if not a_row.size == squarefree.size == tamagawa.size == size:
@@ -211,9 +213,11 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
         )
     j = np.flatnonzero(squarefree)
     members = (baseline.n0 + spec.table_modulus * j).astype(np.int32)
-    # int64 before any product: a Python int times int32 stays int32
-    a = a_row[j].astype(np.int64)
+    a_members = a_row[j]
     c = np.left_shift(1, tamagawa[j].astype(np.int64))
+    del j
+    # int64 before any product: a Python int times int32 stays int32
+    a = a_members.astype(np.int64)
     amax = int(np.abs(a).max(initial=1))
     cmax = int(c.max(initial=1))
     if max(
@@ -233,7 +237,9 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
         raise IntegralityError(
             f"{spec.label} class {baseline.n0}: non-integral k at n = {n}"
         )
-    k = np.where(nz, num // den, 0)
+    # num = 0 wherever a = 0, and den > 0, so k = 0 there
+    k = num // den
+    del a, num, den, bad, c
     nonsq = nz & ~is_square(k)
     if nonsq.any():
         i = int(np.flatnonzero(nonsq)[0])
@@ -242,8 +248,8 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
             f"a perfect square"
         )
     l = np.full(members.size, np.nan)
-    l[nz] = propagate_l(members[nz], a[nz], baseline)
+    l[nz] = propagate_l(members[nz], a_members[nz], baseline)
     return ClassSurvey(
         spec.label, baseline.n0, baseline.n0_effective, bound, members,
-        a_row[j], k, spec.family_torsion, l,
+        a_members, k, spec.family_torsion, l,
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,43 @@ def test_expand_deterministic_across_thread_flags(tmp_path):
     run(["expand", "--curve", "17a1", "--bound", "50000", "--out", str(four),
          "--threads", "4"])
     assert one.read_bytes() == four.read_bytes()
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_expand_matches_naive_series_around_the_modulus(tmp_path, label):
+    # expand reads F from the table-modulus rows, so the bounds that end
+    # inside the first row of each residue are checked too
+    spec = catalog.curve(label)
+    modulus = spec.table_modulus
+    coeffs = naive_recipe_series(
+        [(sign, (f.a, f.b, f.c)) for sign, f in spec.recipe.terms],
+        spec.recipe.unary_t, 3000,
+    )
+    for bound in (1, 2, modulus - 1, modulus, modulus + 1, 3000):
+        out = tmp_path / f"{bound}.csv"
+        assert run(["expand", "--curve", label, "--bound", str(bound),
+                    "--out", str(out)]) == 0
+        want = "# schema_version 1\nn,a_n\n" + "".join(
+            f"{n},{coeffs[n]}\n" for n in range(1, bound + 1)
+            if is_squarefree_trial(n)
+        )
+        assert out.read_text() == want, bound
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_expand_peak_memory_per_coefficient(tmp_path, label):
+    # D and the kept rows of F, then F as one int32 array beside the bool
+    # flags; the file is encoded block by block, so no full-length column
+    # of n or a_n is ever gathered
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        assert run(["expand", "--curve", label, "--bound", str(bound),
+                    "--out", str(tmp_path / "an.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * (bound + 1), peak / (bound + 1)
 
 
 @pytest.fixture(scope="module")
@@ -921,6 +959,28 @@ def test_bound_too_big_for_memory_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert err[len("error: "):].strip(), "no reason given"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["survey", "--curve", "11a1"], ["tables", "--curve", "11a1"],
+     ["plot-data", "--curve", "11a1", "--n0", "3", "--k", "1"]],
+)
+def test_bound_past_the_int32_members_exits_2_before_theta(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # a class member is held as int32, so a bound >= 2^31 is refused
+    # before D (8.6 GB of int32 at that bound) is built
+    def no_theta(*args, **kwargs):
+        raise AssertionError("theta_difference called")
+
+    monkeypatch.setattr(cli, "theta_difference", no_theta)
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--bound", str(2**31)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bound {2**31} is not below 2^31\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -278,6 +279,57 @@ def test_coefficient_rows_match_strided_product(values, t, modulus, picks, block
     for r, row in rows.items():
         assert row.dtype == np.int32 and not row.flags.writeable
         assert row.tolist() == want[r::modulus].tolist()
+
+
+@given(
+    size=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 40),
+    modulus=st.integers(1, 60),
+    zeroed=st.lists(st.integers(0, 3), min_size=60, max_size=60),
+    pick=st.integers(0, 59),
+    block=st.sampled_from([1, 7, 65536]),
+)
+@settings(max_examples=120, deadline=None)
+def test_coefficient_rows_skip_zero_residue_rows(
+    size, seed, t, modulus, zeroed, pick, block
+):
+    # a random D with a random set of its residue rows D[rho::M] zeroed,
+    # always including the rows that one residue's first and last shift
+    # terms read; every other row loses only its first zeroed[rho] < 3
+    # entries, and so still has to be added
+    diff = np.random.default_rng(seed).integers(-1000, 1001, size, np.int32)
+    bound = size - 1
+    zmax = math.isqrt(bound // t)
+    r = pick % modulus
+    dead = {rho for rho in range(modulus) if zeroed[rho] == 3}
+    dead |= {(r - t) % modulus, (r - t * zmax * zmax) % modulus}
+    for rho in range(modulus):
+        diff[rho::modulus][: None if rho in dead else zeroed[rho]] = 0
+    want = shifted_add_product(diff, t, bound)
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
+    with mock.patch.object(qseries, "_BLOCK", block):
+        rows = coefficient_rows(recipe, bound, modulus, range(modulus), diff)
+    for rho, row in rows.items():
+        assert row.tolist() == want[rho::modulus].tolist(), rho
+
+
+@pytest.mark.parametrize("r", catalog.curve("11a1").class_reps)
+def test_coefficient_rows_peak_skips_zero_rows(r):
+    # 11a1's residue r reads T_r and T_(r-11) (11z^2 = 0 or 11 mod 44), and
+    # D vanishes at every m = 0 or 2 (mod 4), so T_(r-11) is zero: given
+    # D, the row allocates its output and one copy of T_r
+    bound = 10**6
+    recipe = catalog.curve("11a1").recipe
+    diff = theta_difference(recipe, bound)
+    row_bytes = 4 * ((bound - r) // 44 + 1)
+    tracemalloc.start()
+    try:
+        coefficient_rows(recipe, bound, 44, (r,), diff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * row_bytes, peak / row_bytes
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -312,6 +313,26 @@ def test_class_survey_columns(survey):
     rows = (np.ones(1, np.int32), np.ones(1, bool), np.zeros(1, np.int8))
     with pytest.raises(OverflowGuardError, match="2147483648"):
         survey_class(spec, catalog.baseline(spec, 3), *rows, 2 ** 31)
+
+
+def test_survey_class_peak_memory_per_member():
+    # 24 bytes a member are kept; the transfer's int64 temporaries (num,
+    # den, c, the int64 a) are freed before the square test and the
+    # L-values, so they are never all live at once
+    bound, rep = 10**6, 3
+    spec = SPECS["11a1"]
+    diff = theta_difference(spec.recipe, bound)
+    a_row = coefficient_rows(spec.recipe, bound, spec.table_modulus, (rep,), diff)
+    tama = build_tamagawa(spec, diff, (rep,))[rep]
+    flags = squarefree_rows(bound, spec.table_modulus, (rep,))[rep]
+    base = catalog.baseline(spec, rep)
+    tracemalloc.start()
+    try:
+        sv = survey_class(spec, base, a_row[rep], flags, tama, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 85 * sv.members.size, peak / sv.members.size
 
 
 def test_propagate_l_guards():
