@@ -40,13 +40,14 @@ from .errors import (
     RangeError,
 )
 from .qseries import coefficient_rows, theta_difference
-from .sieve import factorize, squarefree_rows
+from .sieve import squarefree_rows
 from .waldspurger import MEMBER_LIMIT, build_tamagawa, propagate_l, survey_class
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "n,a_n,k,selmer,L"
 # standard checkpoint grid rendered in summary tables
-TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000)
+TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000,
+                25000000, 50000000, 75000000, 100000000)
 # rows encoded per block handed to the file: bounds the bytes in memory
 _ROWS_PER_WRITE = 65536
 # 10^j for j <= 15: exact in int64, and in float64 since 10^15 < 2^53
@@ -172,16 +173,18 @@ def make_config(args):
 
 
 def survey_curve(spec, bound, reps=None, overrides=None):
-    """The classes' residue rows once, then one vectorized survey per class;
-    D is released once the rows are built, as none of them is a view of it.
-    A bound that survey_class would refuse is refused before D is built."""
+    """{rep: ClassSurvey} in the order of reps (default: every class).  The
+    Tamagawa rows, then the rows of F, are built from D, which then goes, as
+    no row is a view of it; so the Tamagawa transients never stand beside
+    the rows of F.  A bound that survey_class would refuse is refused
+    before D is built."""
     if bound >= MEMBER_LIMIT:
         raise DomainError(f"bound {bound} is not below 2^31")
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
     diff = theta_difference(spec.recipe, bound)
-    a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, diff)
     tama = build_tamagawa(spec, diff, reps)
+    a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, diff)
     del diff
     flags = squarefree_rows(bound, modulus, reps)
     out = {}
@@ -348,7 +351,7 @@ def _k_row(ks, s, k):
 
 
 def _summarize_class(surv, checkpoints):
-    """Fits on checkpoints and TABLE_BOUNDS rows for every k of a class."""
+    """Member count, anchor, and the fits and TABLE_BOUNDS rows of each k."""
     ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
     bounds = [b for b in TABLE_BOUNDS if b <= surv.bound]
     _, tx, ts = stats.tally(surv.members, surv.k, bounds, surv.bound)
@@ -364,20 +367,19 @@ def _summarize_class(surv, checkpoints):
              if live and xm >= stats.MODEL_FLOOR else 0.0]
             for m, xm, q in zip(bounds, tx, qs)
         ]
-    return {"members": int(surv.members.size), "fits": fits, "table_rows": rows}
+    return {"members": int(surv.members.size), "fits": fits, "table_rows": rows,
+            "n0_effective": surv.n0_effective}
 
 
 def _summarize(spec, surveys, checkpoints, bound, step):
-    classes = {}
-    for rep in sorted(surveys):
-        entry = _summarize_class(surveys[rep], checkpoints)
-        entry["n0_effective"] = surveys[rep].n0_effective
-        classes[str(rep)] = entry
     return {
         "curve": spec.label,
         "bound": bound,
         "checkpoint_step": step,
-        "classes": classes,
+        "classes": {
+            str(rep): _summarize_class(surv, checkpoints)
+            for rep, surv in surveys.items()
+        },
     }
 
 
@@ -385,12 +387,12 @@ def cmd_expand(args):
     """n, a_n for every squarefree n <= bound.
 
     F is read from its rows n = r (mod M), M the table modulus, for the r
-    whose gcd(r, M) is squarefree: if p^2 divides gcd(r, M), it divides
-    every n of row r, so that row holds no squarefree n.  Each row is
-    scattered into one int32 array as it is released; the other rows'
-    entries stay 0 and are never read.  The file is written
-    _ROWS_PER_WRITE values of n at a time, each block taking its
-    squarefree n from the modulus-1 flags.
+    whose gcd(r, M) the modulus-1 squarefree flags to M mark: if p^2
+    divides gcd(r, M), it divides every n of row r, so that row holds no
+    squarefree n.  Each row is scattered into one int32 array as it is
+    released; the other rows' entries stay 0 and are never read.  The
+    file is written _ROWS_PER_WRITE values of n at a time, each block
+    taking its squarefree n from the modulus-1 flags to bound.
     """
     spec = catalog.curve(args.curve)
     bound = args.bound
@@ -400,9 +402,9 @@ def cmd_expand(args):
         _parse_threads(args.threads)
     out = args.out or f"{spec.label}_an.csv"
     modulus = spec.table_modulus
+    free = squarefree_rows(modulus, 1, (0,))[0]
     keep = [
-        r for r in range(min(modulus, bound + 1))
-        if max(factorize(math.gcd(r, modulus)).values(), default=1) == 1
+        r for r in range(min(modulus, bound + 1)) if free[math.gcd(r, modulus)]
     ]
     rows = coefficient_rows(spec.recipe, bound, modulus, keep)
     coeffs = np.zeros(bound + 1, dtype=np.int32)
@@ -424,11 +426,10 @@ def cmd_expand(args):
 
 def cmd_survey(args):
     cfg, spec, checkpoints, overrides = make_config(args)
-    reps = cfg.classes or spec.class_reps
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.time()
-    surveys = survey_curve(spec, cfg.bound, reps, overrides)
-    _status(f"{spec.label}: surveyed {len(reps)} classes in {time.time()-t0:.1f}s")
+    surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
+    _status(f"{spec.label}: surveyed {len(surveys)} classes in {time.time()-t0:.1f}s")
     # summarized first: a survey that cannot be fitted writes no file
     summary = _summarize(
         spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
@@ -444,15 +445,15 @@ def cmd_survey(args):
         ))
     spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
     _write_json(spath, summary)
-    _status(f"wrote {len(reps)} class files and {spath}")
+    _status(f"wrote {len(surveys)} class files and {spath}")
     return EXIT_OK
 
 
 def _read_class_csv(path):
     """Metadata and the n, k columns of a class CSV, as cmd_survey
-    writes it: '# key value' lines (integer n0 and bound) with
-    '# schema_version 1' before the header, then rows of 5 fields with
-    integer n and k and strictly ascending n, none above the '# bound'.
+    writes it: '# key value' lines (integer n0 and bound), each key once,
+    with '# schema_version 1' before the header, then rows of 5 fields with
+    integer n >= 1 and k and strictly ascending n, none above the '# bound'.
     Any other line ('#' after the header too) raises DomainError naming it."""
     meta = {}
     ns = []
@@ -469,6 +470,8 @@ def _read_class_csv(path):
                     raise DomainError(f"{where}: '#' line after the header")
                 parts = line[1:].split()
                 if len(parts) >= 2:
+                    if parts[0] in meta:
+                        raise DomainError(f"{where}: repeated key {parts[0]!r}")
                     meta[parts[0]] = parts[1]
                     if parts[0] in ("n0", "bound") and not parts[1].isdigit():
                         raise DomainError(
@@ -495,6 +498,8 @@ def _read_class_csv(path):
                 n, k = int(fields[0]), int(fields[2])
             except ValueError:
                 raise DomainError(f"{where}: n and k must be integers")
+            if n < 1:
+                raise DomainError(f"{where}: n = {n} is not positive")
             if ns and n <= ns[-1]:
                 raise DomainError(f"{where}: n = {n} after n = {ns[-1]}")
             if limit is not None and n > limit:
@@ -553,15 +558,14 @@ def cmd_plot_data(args):
 
 def cmd_tables(args):
     cfg, spec, checkpoints, overrides = make_config(args)
-    reps = cfg.classes or spec.class_reps
-    surveys = survey_curve(spec, cfg.bound, reps, overrides)
+    surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
     kcols = tuple(j * j for j in range(20))
-    entries = {rep: _summarize_class(surveys[rep], checkpoints) for rep in reps}
+    entries = {r: _summarize_class(s, checkpoints) for r, s in surveys.items()}
     width = 9
     print(f"fitted alpha by class and k ({spec.label}, M = {cfg.bound})")
     header = "class".rjust(6) + "".join(str(k).rjust(width) for k in kcols)
     print(header)
-    for rep in reps:
+    for rep in entries:
         fits = entries[rep]["fits"]
         cells = []
         for k in kcols:
@@ -570,7 +574,7 @@ def cmd_tables(args):
                 f"{fr['alpha']:.6f}".rjust(width) if fr is not None else "-".rjust(width)
             )
         print(str(rep).rjust(6) + "".join(cells))
-    for rep in reps:
+    for rep in entries:
         fits = entries[rep]["fits"]
         for k in sorted(fits, key=int):
             fr = fits[k]
@@ -723,6 +727,9 @@ def run_baseline_suite(reps_by_label, overrides=None):
     return fails
 
 
+# verify --depth: theta bound, survey bound, pairs, anchors (None: all)
+_DEPTHS = {"quick": (2000, 10**5, 3, 2), "extended": (10000, 10**6, 20, None)}
+
 # frozen regression anchor for the propagation path: a large class-1 twist
 # of 11a1 whose direct series evaluation is far out of reach
 _BIG_N = 8090677
@@ -752,11 +759,7 @@ def cmd_verify(args):
     for label in labels:
         catalog.curve(label)
     overrides = catalog.load_overrides(args.overrides)
-    extended = args.depth == "extended"
-    if extended:
-        theta_bound, survey_bound, pairs, anchors = 10000, 10**6, 20, None
-    else:
-        theta_bound, survey_bound, pairs, anchors = 2000, 10**5, 3, 2
+    theta_bound, survey_bound, pairs, anchors = _DEPTHS[args.depth]
     baseline_reps = {
         label: catalog.curve(label).class_reps[:anchors] for label in labels
     }
@@ -777,7 +780,7 @@ def cmd_verify(args):
     run("waldspurger_pairs", run_waldspurger_suite, surveys, pairs)
     run("zero_consistency", run_zero_suite, surveys)
     run("baseline_reproduction", run_baseline_suite, baseline_reps, overrides)
-    if extended and "11a1" in labels:
+    if args.depth == "extended" and "11a1" in labels:
         run("propagation", run_propagation_suite, overrides)
     passed = all(s["passed"] for s in suites)
     report = {
@@ -804,15 +807,19 @@ def build_parser():
     pe.add_argument("--threads")
     pe.set_defaults(func=cmd_expand)
 
-    ps = sub.add_parser("survey", help="full per-class survey with fits")
-    ps.add_argument("--curve")
-    ps.add_argument("--bound", type=int)
-    ps.add_argument("--classes")
-    ps.add_argument("--step", type=int, dest="checkpoint_step")
+    # the flags survey and tables share, each a SurveyConfig key
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--curve")
+    shared.add_argument("--bound", type=int)
+    shared.add_argument("--classes")
+    shared.add_argument("--step", type=int, dest="checkpoint_step")
+    shared.add_argument("--threads")
+    shared.add_argument("--config")
+
+    ps = sub.add_parser("survey", parents=[shared],
+                        help="full per-class survey with fits")
     ps.add_argument("--out", dest="output_dir")
-    ps.add_argument("--threads")
     ps.add_argument("--overrides")
-    ps.add_argument("--config")
     ps.set_defaults(func=cmd_survey)
 
     pf = sub.add_parser("fit", help="fit sigma to a survey CSV")
@@ -825,7 +832,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="run the verification suites")
     pv.add_argument("--curve")
-    pv.add_argument("--depth", choices=("quick", "extended"), default="quick")
+    pv.add_argument("--depth", choices=tuple(_DEPTHS), default="quick")
     pv.add_argument("--overrides")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
@@ -841,13 +848,8 @@ def build_parser():
     pp.add_argument("--out")
     pp.set_defaults(func=cmd_plot_data)
 
-    pt = sub.add_parser("tables", help="render fitted-alpha and ratio tables")
-    pt.add_argument("--curve")
-    pt.add_argument("--bound", type=int)
-    pt.add_argument("--classes")
-    pt.add_argument("--step", type=int, dest="checkpoint_step")
-    pt.add_argument("--threads")
-    pt.add_argument("--config")
+    pt = sub.add_parser("tables", parents=[shared],
+                        help="render fitted-alpha and ratio tables")
     pt.set_defaults(func=cmd_tables)
     return ap
 

@@ -78,6 +78,38 @@ def test_expand_peak_memory_per_coefficient(tmp_path, label):
     assert peak <= 9 * (bound + 1), peak / (bound + 1)
 
 
+def test_survey_curve_peak_memory_per_coefficient():
+    # D with the int8 Tamagawa rows and their transients, then D with the
+    # int32 class rows; the transients once stood beside both (5.54 bytes
+    # per n)
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        cli.survey_curve(catalog.curve("11a1"), bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * (bound + 1), peak / (bound + 1)
+
+
+@pytest.mark.parametrize("bound, rows", [(10**8, 10), (10**7, 6)])
+def test_summary_table_rows_reach_1e8(bound, rows):
+    members = np.arange(1, bound, 997, dtype=np.int32)
+    surv = waldspurger.ClassSurvey(
+        "11a1", 1, 1, bound, members, np.ones_like(members),
+        np.arange(members.size, dtype=np.int64) % 2, 1,
+        np.ones(members.size),
+    )
+    checkpoints = stats.default_checkpoints(bound, bound // 20)
+    entry = cli._summarize_class(surv, checkpoints)
+    want = [10**5, 10**6, 25 * 10**5, 5 * 10**6, 75 * 10**5, 10**7,
+            25 * 10**6, 5 * 10**7, 75 * 10**6, 10**8][:rows]
+    for k in ("0", "1"):
+        assert [row[0] for row in entry["table_rows"][k]] == want
+    # the anchor each class summary carries
+    assert entry["n0_effective"] == 1
+
+
 @pytest.fixture(scope="module")
 def survey_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("survey")
@@ -878,6 +910,18 @@ def _bad_csv(lines, case):
         # header, and fit then dropped every row above it and exited 0
         lines.append("# bound 100000")
         return lines, len(lines) - 1
+    if case == "repeated_key":
+        # the last '# bound' once won, so fit counted over a range the
+        # survey never reached
+        b = lines.index("# bound 150000")
+        lines.insert(b + 1, "# bound 300000")
+        return lines, b + 1
+    if case in ("zero_n", "negative_n"):
+        # the first row's n, below every later n; once counted as a member
+        fields = lines[h + 1].split(",")
+        fields[0] = "0" if case == "zero_n" else "-65"
+        lines[h + 1] = ",".join(fields)
+        return lines, h + 1
     if case == "no_schema_version":
         del lines[0]
         return lines, h - 1
@@ -898,6 +942,9 @@ def _bad_csv(lines, case):
     "non_integer_bound",
     "row_above_bound",
     "metadata_after_header",
+    "repeated_key",
+    "zero_n",
+    "negative_n",
     "no_schema_version",
     "no_header",
 ])
