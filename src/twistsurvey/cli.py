@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 bad configuration, 3 verification failure,
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from .bsd_oracle import (
     baseline_selmer,
     bsd_selmer,
     reference_series,
+    terms_needed,
     twisted_l1,
     weight_two_table,
 )
@@ -50,6 +52,8 @@ TABLE_BOUNDS = (100000, 1000000, 2500000, 5000000, 7500000, 10000000,
                 25000000, 50000000, 75000000, 100000000)
 # rows encoded per block handed to the file: bounds the bytes in memory
 _ROWS_PER_WRITE = 65536
+# encoder pieces joined per chunk of a JSON file
+_JSON_PARTS = 4096
 # 10^j for j <= 15: exact in int64, and in float64 since 10^15 < 2^53
 _POW10 = 10 ** np.arange(16, dtype=np.int64)
 _POW10F = _POW10.astype(np.float64)
@@ -210,13 +214,22 @@ def _write_file(path, chunks):
 
 
 def _write_json(path, doc):
-    """doc and its schema_version as JSON to path (stdout if path is empty)."""
+    """doc and its schema_version as JSON to path (stdout if path is empty).
+    The text is streamed from the encoder, _JSON_PARTS pieces a chunk, so
+    it is never held whole; it is json.dumps' text, since dumps is the
+    same encoder's pieces joined."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    parts = json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc)
+
+    def chunks():
+        while chunk := "".join(itertools.islice(parts, _JSON_PARTS)):
+            yield chunk
+        yield "\n"
+
     if path:
-        _write_file(path, [text.encode()])
+        _write_file(path, (chunk.encode() for chunk in chunks()))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks())
 
 
 def _header(**meta):
@@ -225,12 +238,20 @@ def _header(**meta):
     return "".join(f"# {key} {val}\n" for key, val in items)
 
 
-def _csv_chunks(head, *columns):
-    """head, then the rows of the columns, _ROWS_PER_WRITE rows a chunk,
-    all as bytes."""
-    yield head.encode()
-    for lo in range(0, columns[0].size, _ROWS_PER_WRITE):
-        yield _encode_rows([col[lo : lo + _ROWS_PER_WRITE] for col in columns])
+def _class_chunks(surv):
+    """The class CSV of surv as bytes: its header, then its rows,
+    _ROWS_PER_WRITE a chunk, with selmer and L formed per chunk.  Where
+    a_n = 0, k and selmer are 0 and L nan, so the row reads n,0,0,0, with
+    an empty L."""
+    head = _header(curve=surv.curve, n0=surv.n0, bound=surv.bound)
+    yield f"{head}{CSV_HEADER}\n".encode()
+    for lo in range(0, surv.members.size, _ROWS_PER_WRITE):
+        hi = lo + _ROWS_PER_WRITE
+        k = surv.k[lo:hi]
+        yield _encode_rows([
+            surv.members[lo:hi], surv.a[lo:hi], k, surv.torsion * k,
+            surv.l_rows(lo, hi),
+        ])
 
 
 def _encode_rows(columns):
@@ -389,10 +410,11 @@ def cmd_expand(args):
     F is read from its rows n = r (mod M), M the table modulus, for the r
     whose gcd(r, M) the modulus-1 squarefree flags to M mark: if p^2
     divides gcd(r, M), it divides every n of row r, so that row holds no
-    squarefree n.  Each row is scattered into one int32 array as it is
-    released; the other rows' entries stay 0 and are never read.  The
-    file is written _ROWS_PER_WRITE values of n at a time, each block
-    taking its squarefree n from the modulus-1 flags to bound.
+    squarefree n.  The file is written in blocks of n whose length is a
+    multiple of M (at most _ROWS_PER_WRITE values of n when that is >= M):
+    each block's a_n are assembled in one reused int32 array by one
+    strided copy per kept row, the other rows' entries are never read,
+    and the block's squarefree n come from the modulus-1 flags to bound.
     """
     spec = catalog.curve(args.curve)
     bound = args.bound
@@ -407,17 +429,22 @@ def cmd_expand(args):
         r for r in range(min(modulus, bound + 1)) if free[math.gcd(r, modulus)]
     ]
     rows = coefficient_rows(spec.recipe, bound, modulus, keep)
-    coeffs = np.zeros(bound + 1, dtype=np.int32)
-    for r in keep:
-        coeffs[r::modulus] = rows.pop(r)
     # n = 0 is False in the row, so its indices are the squarefree n
     flags = squarefree_rows(bound, 1, (0,))[0]
+    step = modulus * max(1, _ROWS_PER_WRITE // modulus)
+    block = np.zeros(step, dtype=np.int32)
 
     def chunks():
         yield (_header() + "n,a_n\n").encode()
-        for lo in range(0, bound + 1, _ROWS_PER_WRITE):
-            ns = lo + np.flatnonzero(flags[lo : lo + _ROWS_PER_WRITE])
-            yield _encode_rows([ns, coeffs[ns]])
+        for lo in range(0, bound + 1, step):
+            hi = min(lo + step, bound + 1)
+            # lo is a multiple of M, so entry i is n = lo + i, in row i mod M
+            j = lo // modulus
+            for r in keep:
+                part = block[r : hi - lo : modulus]
+                part[:] = rows[r][j : j + part.size]
+            i = np.flatnonzero(flags[lo:hi])
+            yield _encode_rows([lo + i, block[i]])
 
     _write_file(out, chunks())
     _status(f"wrote {out} ({np.count_nonzero(flags)} rows)")
@@ -436,13 +463,7 @@ def cmd_survey(args):
     )
     for rep, surv in surveys.items():
         path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
-        head = _header(curve=surv.curve, n0=surv.n0, bound=surv.bound)
-        # where a_n = 0, survey_class leaves k and selmer 0 and L nan, so
-        # the row reads n,0,0,0, with an empty L
-        _write_file(path, _csv_chunks(
-            f"{head}{CSV_HEADER}\n",
-            surv.members, surv.a, surv.k, surv.selmer, surv.l,
-        ))
+        _write_file(path, _class_chunks(surv))
     spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
     _write_json(spath, summary)
     _status(f"wrote {len(surveys)} class files and {spath}")
@@ -622,36 +643,74 @@ def run_cassels_suite(labels, bound, overrides, surveys):
     return fails
 
 
-# the suites' fixed settings: series precisions, the relative-defect
-# threshold and the number of vanishing twists per curve
-_PAIR_PRECISION, _ZERO_PRECISION, _ZERO_PICKS = 1e-7, 1e-8, 2
+# the suites' fixed settings: series precisions (the anchors' is
+# baseline_selmer's own), the relative-defect threshold and the number of
+# vanishing twists per curve
+_PAIR_PRECISION, _ZERO_PRECISION, _ANCHOR_PRECISION = 1e-7, 1e-8, 1e-9
+_ZERO_PICKS = 2
 _DEFECT_THRESHOLD = 1e-5
 
 
-def run_waldspurger_suite(surveys, pairs):
-    """Each class's L and k columns in surveys ({label: survey_curve
-    result}), which the production transfer fills from the class anchor,
-    at the first `pairs` later members with a_n != 0: L against the direct
-    series twisted_l1, and k against #S / t assembled by BSD from that
-    direct L(1) (bsd_selmer), which reads c(n) from its own root counts."""
+def _pair_picks(surv, pairs):
+    """Indices of the first `pairs` members after the class anchor with
+    a_n != 0."""
+    later = (surv.a != 0) & (surv.members > surv.n0_effective)
+    return np.flatnonzero(later)[:pairs]
+
+
+def _zero_picks(per_class):
+    """The first _ZERO_PICKS twists in the k = 0 rows of a curve's
+    classes, where a_n = 0."""
+    zeros = np.concatenate([s.members[s.k == 0] for s in per_class.values()])
+    return np.sort(zeros)[:_ZERO_PICKS].tolist()
+
+
+def weight_two_tables(surveys, pairs, reps_by_label):
+    """{label: one weight-two table} for each curve of reps_by_label, long
+    enough for every L(1) that the three suites below evaluate on it: the
+    pair picks at _PAIR_PRECISION and the zero picks at _ZERO_PRECISION of
+    its survey in surveys, if it has one, and the frozen anchors'
+    n0_effective (without the overrides) at _ANCHOR_PRECISION.  b[m] does
+    not depend on the table's length, so each suite reads the values a
+    table of its own would hold."""
+    tables = {}
+    for label, reps in reps_by_label.items():
+        spec = catalog.curve(label)
+        needs = [(catalog.baseline(spec, rep).n0_effective, _ANCHOR_PRECISION)
+                 for rep in reps]
+        per_class = surveys.get(label)
+        if per_class:
+            for surv in per_class.values():
+                picks = surv.members[_pair_picks(surv, pairs)].tolist()
+                needs += [(n, _PAIR_PRECISION) for n in picks]
+            needs += [(n, _ZERO_PRECISION) for n in _zero_picks(per_class)]
+        # the need with the most terms sizes the table
+        n, precision = max(needs, key=lambda need: terms_needed(spec, *need))
+        tables[label] = weight_two_table(spec, [n], precision)
+    return tables
+
+
+def run_waldspurger_suite(surveys, pairs, tables):
+    """Each class's L and k in surveys ({label: survey_curve result}),
+    which the production transfer forms from the class anchor, at the
+    first `pairs` later members with a_n != 0: L against the direct
+    series twisted_l1 on the curve's table in tables (weight_two_tables),
+    and k against #S / t assembled by BSD from that direct L(1)
+    (bsd_selmer), which reads c(n) from its own root counts."""
     fails = []
     for label, per_class in surveys.items():
         spec = catalog.curve(label)
+        coeffs = tables[label]
         chosen = {}
         for rep, surv in per_class.items():
-            later = (surv.a != 0) & (surv.members > surv.n0_effective)
-            if not later.any():
+            picks = _pair_picks(surv, pairs)
+            if not picks.size:
                 fails.append(f"waldspurger {label}/{rep}: not enough members")
                 continue
-            chosen[rep] = tuple(
-                col[later][:pairs] for col in (surv.members, surv.l, surv.k)
+            ns = surv.members[picks]
+            chosen[rep] = (
+                ns, propagate_l(ns, surv.a[picks], surv), surv.k[picks]
             )
-        if not chosen:
-            continue
-        coeffs = weight_two_table(
-            spec, [n for ns, _, _ in chosen.values() for n in ns.tolist()],
-            _PAIR_PRECISION,
-        )
         for rep in sorted(chosen):
             for n, prop, k in zip(*(col.tolist() for col in chosen[rep])):
                 where = f"waldspurger {label}/{rep} n={n}"
@@ -672,20 +731,18 @@ def run_waldspurger_suite(surveys, pairs):
     return fails
 
 
-def run_zero_suite(surveys):
+def run_zero_suite(surveys, tables):
     """L(1) consistent with 0 at each curve's first twists in its
-    survey's k = 0 rows, where a_n = 0."""
+    survey's k = 0 rows, where a_n = 0, on the curve's table in tables."""
     fails = []
     for label, per_class in surveys.items():
         spec = catalog.curve(label)
-        zeros = np.concatenate([s.members[s.k == 0] for s in per_class.values()])
-        if not zeros.size:
+        picks = _zero_picks(per_class)
+        if not picks:
             fails.append(f"zero {label}: no vanishing coefficient found")
             continue
-        picks = np.sort(zeros)[:_ZERO_PICKS].tolist()
-        coeffs = weight_two_table(spec, picks, _ZERO_PRECISION)
         for n in picks:
-            data = twisted_l1(spec, n, coeffs, _ZERO_PRECISION)
+            data = twisted_l1(spec, n, tables[label], _ZERO_PRECISION)
             if not data.zero_consistent:
                 fails.append(
                     f"zero {label} n={n}: |L| = {abs(data.l1):.2e} above "
@@ -694,22 +751,19 @@ def run_zero_suite(surveys):
     return fails
 
 
-def run_baseline_suite(reps_by_label, overrides=None):
+def run_baseline_suite(reps_by_label, tables, overrides=None):
     """Every field of each frozen anchor against a fresh derivation:
-    l_n0 to 1e-9 relative, the rest exactly.  One table per curve, sized
-    from the frozen anchors' n0_effective without the overrides; one too
-    short for the oracle's own anchor is that anchor's failure."""
+    l_n0 to 1e-9 relative, the rest exactly, on the curve's table in
+    tables (weight_two_tables, sized for the frozen anchors' n0_effective
+    at least); one too short for the oracle's own anchor is that anchor's
+    failure."""
     fails = []
     for label in sorted(reps_by_label):
         spec = catalog.curve(label)
-        reps = reps_by_label[label]
-        coeffs = weight_two_table(
-            spec, [catalog.baseline(spec, rep).n0_effective for rep in reps]
-        )
-        for rep in reps:
+        for rep in reps_by_label[label]:
             want = catalog.baseline(spec, rep, overrides=overrides)
             try:
-                got = baseline_selmer(spec, rep, coeffs)
+                got = baseline_selmer(spec, rep, tables[label])
             except (NormalizationError, ConvergenceError, NumericError) as exc:
                 fails.append(f"baseline {label}/{rep}: {exc}")
                 continue
@@ -764,22 +818,30 @@ def cmd_verify(args):
         label: catalog.curve(label).class_reps[:anchors] for label in labels
     }
     suites = []
+    # each status line's seconds run from the one before, so they add up
+    # to the run and waldspurger_pairs' include building the tables
+    t0 = time.time()
 
     def run(name, fn, *fargs):
-        t0 = time.time()
+        nonlocal t0
         failures = fn(*fargs)
-        _status(f"verify {name}: {len(failures)} failures ({time.time()-t0:.1f}s)")
+        t1 = time.time()
+        _status(f"verify {name}: {len(failures)} failures ({t1 - t0:.1f}s)")
+        t0 = t1
         suites.append(
             {"name": name, "passed": not failures, "failures": failures}
         )
 
-    # each curve is surveyed once, by cassels; the next two suites read it
+    # each curve is surveyed once, by cassels; the next two suites read it,
+    # and the three L(1) suites read one weight-two table per curve
     surveys = {}
     run("theta_reference", run_theta_suite, labels, theta_bound)
     run("cassels", run_cassels_suite, labels, survey_bound, overrides, surveys)
-    run("waldspurger_pairs", run_waldspurger_suite, surveys, pairs)
-    run("zero_consistency", run_zero_suite, surveys)
-    run("baseline_reproduction", run_baseline_suite, baseline_reps, overrides)
+    tables = weight_two_tables(surveys, pairs, baseline_reps)
+    run("waldspurger_pairs", run_waldspurger_suite, surveys, pairs, tables)
+    run("zero_consistency", run_zero_suite, surveys, tables)
+    run("baseline_reproduction", run_baseline_suite, baseline_reps, tables,
+        overrides)
     if args.depth == "extended" and "11a1" in labels:
         run("propagation", run_propagation_suite, overrides)
     passed = all(s["passed"] for s in suites)

@@ -23,8 +23,10 @@ flag only at class members, so each is held on the class's residue row
 n = n0 + M*j alone: build_tamagawa gives e as an int8 row, found by
 dividing the row's n by the primes up to sqrt(bound), and survey_class
 forms c = 1 << e after it gathers the members.  A ClassSurvey holds n
-(< 2^31) and a_n as int32, k as int64 and L as float64, not selmer = t*k;
-numpy 2 keeps int32 * int in int32, so an int32 k would wrap in t * k.
+(< 2^31) and a_n as int32 and k as int64, 16 bytes a member, and neither
+selmer = t*k nor L: numpy 2 keeps int32 * int in int32, so an int32 k
+would wrap in t * k, and L is computed from n, a_n and the anchor's three
+facts wherever it is read, block by block as the class CSV is written.
 """
 
 from __future__ import annotations
@@ -171,21 +173,38 @@ def propagate_l(n, a_n, baseline):
 
 @dataclass(frozen=True)
 class ClassSurvey:
-    """Vectorized twist results for every class member up to a bound."""
+    """Vectorized twist results for every class member up to a bound.
+
+    It carries the anchor facts that propagate_l reads (n0_effective,
+    a_n0, l_n0), so it stands in for the anchor there, and L is computed
+    from them by l_rows rather than held.
+    """
 
     curve: str
     n0: int
     n0_effective: int  # the anchor the class was transferred from
+    a_n0: int
+    l_n0: float
     bound: int
     members: np.ndarray  # ascending squarefree class members, int32
     a: np.ndarray  # int32, the a row's own dtype
     k: np.ndarray  # int64 (module docstring), 0 on the positive-rank bucket
     torsion: int  # the family's t
-    l: np.ndarray  # float64, nan where k = 0
 
     @property
     def selmer(self):  # t * k, with a 0 placeholder where k = 0
         return self.torsion * self.k
+
+    def l_rows(self, lo=0, hi=None):
+        """L(1) of the twists by -n for the members [lo, hi) (all of them by
+        default), float64: propagate_l where a_n != 0 and nan where a_n = 0,
+        so nan where k = 0.  Each value is the same elementwise IEEE
+        computation whatever the slice, and is computed on each call."""
+        a = self.a[lo:hi]
+        nz = a != 0
+        l = np.full(a.size, np.nan)
+        l[nz] = propagate_l(self.members[lo:hi][nz], a[nz], self)
+        return l
 
 
 def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
@@ -200,7 +219,8 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     A non-integral k means the class normalization is wrong and raises
     IntegralityError; a non-square k, CasselsViolationError; a bound >= 2^31
     or an anchor k0 whose products leave int64, OverflowGuardError.
-    Members with a_n = 0 land in the k = 0 bucket with no L-value.
+    Members with a_n = 0 land in the k = 0 bucket with no L-value.  L is
+    not formed here (ClassSurvey.l_rows).
     """
     if bound >= MEMBER_LIMIT:
         raise OverflowGuardError(f"bound {bound} leaves the int32 members")
@@ -247,9 +267,7 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
             f"{spec.label}: k = {int(k[i])} at n = {int(members[i])} is not "
             f"a perfect square"
         )
-    l = np.full(members.size, np.nan)
-    l[nz] = propagate_l(members[nz], a_members[nz], baseline)
     return ClassSurvey(
-        spec.label, baseline.n0, baseline.n0_effective, bound, members,
-        a_members, k, spec.family_torsion, l,
+        spec.label, baseline.n0, baseline.n0_effective, baseline.a_n0,
+        baseline.l_n0, bound, members, a_members, k, spec.family_torsion,
     )

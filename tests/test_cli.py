@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -64,9 +65,10 @@ def test_expand_matches_naive_series_around_the_modulus(tmp_path, label):
 
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_expand_peak_memory_per_coefficient(tmp_path, label):
-    # D and the kept rows of F, then F as one int32 array beside the bool
-    # flags; the file is encoded block by block, so no full-length column
-    # of n or a_n is ever gathered
+    # the int16 D and the kept int32 rows of F, then those rows beside the
+    # bool flags; each block's a_n are assembled from the rows, so F is
+    # never held as one array, and no full-length column of n or a_n is
+    # ever gathered
     bound = 10**6
     tracemalloc.start()
     try:
@@ -75,13 +77,13 @@ def test_expand_peak_memory_per_coefficient(tmp_path, label):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * (bound + 1), peak / (bound + 1)
+    assert peak <= 7.5 * (bound + 1), peak / (bound + 1)
 
 
 def test_survey_curve_peak_memory_per_coefficient():
-    # D with the int8 Tamagawa rows and their transients, then D with the
-    # int32 class rows; the transients once stood beside both (5.54 bytes
-    # per n)
+    # the int16 D with the int8 Tamagawa rows and their transients, then D
+    # with the int32 class rows; the transients once stood beside both
+    # (5.54 bytes per n, and 5.25 with an int32 D)
     bound = 10**6
     tracemalloc.start()
     try:
@@ -89,16 +91,15 @@ def test_survey_curve_peak_memory_per_coefficient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.25 * (bound + 1), peak / (bound + 1)
+    assert peak <= 4.0 * (bound + 1), peak / (bound + 1)
 
 
 @pytest.mark.parametrize("bound, rows", [(10**8, 10), (10**7, 6)])
 def test_summary_table_rows_reach_1e8(bound, rows):
     members = np.arange(1, bound, 997, dtype=np.int32)
     surv = waldspurger.ClassSurvey(
-        "11a1", 1, 1, bound, members, np.ones_like(members),
+        "11a1", 1, 1, 1, 1.0, bound, members, np.ones_like(members),
         np.arange(members.size, dtype=np.int64) % 2, 1,
-        np.ones(members.size),
     )
     checkpoints = stats.default_checkpoints(bound, bound // 20)
     entry = cli._summarize_class(surv, checkpoints)
@@ -523,20 +524,20 @@ def test_verify_catches_square_consistent_forgery(tmp_path):
 
 def test_waldspurger_pairs_checks_the_production_transfer(monkeypatch):
     # a transfer off by 1e-4 relative must show against the direct series;
-    # the suite reads the L column that survey_class fills through
-    # waldspurger.propagate_l, so the skew is put there
+    # the suite forms L at its picks with propagate_l, the transfer that
+    # ClassSurvey.l_rows writes to the class CSV, so the skew is put there
     spec = catalog.curve("17a1")
-    assert cli.run_waldspurger_suite({"17a1": cli.survey_curve(spec, 20000)},
-                                     3) == []
+    surveys = {"17a1": cli.survey_curve(spec, 20000)}
+    tables = cli.weight_two_tables(surveys, 3, {"17a1": ()})
+    assert cli.run_waldspurger_suite(surveys, 3, tables) == []
     real = waldspurger.propagate_l
+    assert cli.propagate_l is real
 
     def skewed(n, a_n, baseline):
         return real(n, a_n, baseline) * (1 + 1e-4)
 
-    monkeypatch.setattr(waldspurger, "propagate_l", skewed)
-    failures = cli.run_waldspurger_suite(
-        {"17a1": cli.survey_curve(spec, 20000)}, 3
-    )
+    monkeypatch.setattr(cli, "propagate_l", skewed)
+    failures = cli.run_waldspurger_suite(surveys, 3, tables)
     assert len(failures) == 3 * len(catalog.curve("17a1").class_reps)
     assert all(f.startswith("waldspurger 17a1/") for f in failures)
 
@@ -611,16 +612,20 @@ def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
     aborts = cli.run_cassels_suite(("17a1", "11a1"), 20000, None, surveys)
     assert len(aborts) == 1 and aborts[0].startswith("cassels 17a1: ")
     assert list(surveys) == ["11a1"]
+    tables = cli.weight_two_tables(surveys, 3, {"11a1": ()})
     args = (surveys, 3) if prefix == "waldspurger" else (surveys,)
-    assert getattr(cli, suite)(*args) == []
-    # the surviving curve is still read: a skewed L column, or no k = 0
-    # row left, shows on it
-    for surv in surveys["11a1"].values():
+    assert getattr(cli, suite)(*args, tables) == []
+    # the surviving curve is still read: a skewed anchor L-value, which
+    # the L column is computed from, or no k = 0 row left, shows on it
+    per_class = surveys["11a1"]
+    for rep, surv in per_class.items():
         if prefix == "waldspurger":
-            surv.l[:] *= 1 + 1e-4
+            per_class[rep] = dataclasses.replace(
+                surv, l_n0=surv.l_n0 * (1 + 1e-4)
+            )
         else:
             surv.k[surv.k == 0] = 1
-    failures = getattr(cli, suite)(*args)
+    failures = getattr(cli, suite)(*args, tables)
     assert failures and all(f.startswith(f"{prefix} 11a1") for f in failures)
 
 
@@ -735,11 +740,12 @@ def test_verify_quick_catches_forged_catalogue_l_value(tmp_path, monkeypatch):
     (["--depth", "quick"], catalog.LABELS),
     (["--curve", "20a1", "--depth", "extended"], ("20a1",)),
 ], ids=["quick", "extended-20a1"])
-def test_verify_builds_one_table_per_curve_and_suite(tmp_path, monkeypatch,
-                                                     argv, labels):
-    # waldspurger_pairs, zero_consistency and baseline_reproduction each
-    # build one weight-two table per curve, whatever the number of anchors;
-    # each expand_b call, however imported, makes one WeightTwoCoefficients
+def test_verify_builds_one_table_per_curve(tmp_path, monkeypatch, argv,
+                                           labels):
+    # waldspurger_pairs, zero_consistency and baseline_reproduction read
+    # one weight-two table per curve, whatever the number of anchors and
+    # picks; each expand_b call, however imported, makes one
+    # WeightTwoCoefficients
     built = []
     real = bsd_oracle.WeightTwoCoefficients
 
@@ -749,7 +755,7 @@ def test_verify_builds_one_table_per_curve_and_suite(tmp_path, monkeypatch,
 
     monkeypatch.setattr(bsd_oracle, "WeightTwoCoefficients", counted)
     assert run(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(built) == 3 * len(labels)
+    assert len(built) == len(labels)
 
 
 def test_baseline_table_too_short_for_the_oracle_anchor_fails(monkeypatch):
@@ -758,7 +764,9 @@ def test_baseline_table_too_short_for_the_oracle_anchor_fails(monkeypatch):
     row = catalog._BASELINE_ROWS["14a1"][23]
     assert row[0] == 79
     monkeypatch.setitem(catalog._BASELINE_ROWS["14a1"], 23, (23,) + row[1:])
-    assert cli.run_baseline_suite({"14a1": (23,)}) == [
+    reps = {"14a1": (23,)}
+    tables = cli.weight_two_tables({}, 0, reps)
+    assert cli.run_baseline_suite(reps, tables) == [
         "baseline 14a1/23: need coefficients to 1509, have 484"
     ]
 
@@ -1048,13 +1056,14 @@ def _class_csv_by_loop(surv):
     chunked writer."""
     text = (f"# schema_version 1\n# curve {surv.curve}\n# n0 {surv.n0}\n"
             f"# bound {surv.bound}\nn,a_n,k,selmer,L\n")
+    l = surv.l_rows()
     for i in range(surv.members.size):
         n, a = int(surv.members[i]), int(surv.a[i])
         if a == 0:
             text += f"{n},0,0,0,\n"
         else:
             text += (f"{n},{a},{int(surv.k[i])},{int(surv.selmer[i])},"
-                     f"{float(surv.l[i]):.12g}\n")
+                     f"{float(l[i]):.12g}\n")
     return text.encode()
 
 
@@ -1070,9 +1079,10 @@ def test_row_files_identical_across_chunk_sizes(tmp_path, monkeypatch):
     want_an = "# schema_version 1\nn,a_n\n" + "".join(
         f"{n},{coeffs[n]}\n" for n in squarefree
     )
-    # neither file is a whole number of 3-row chunks
+    # neither file is a whole number of 3-row chunks; expand's blocks are
+    # a multiple of the modulus 68, so 100 rows make blocks of 68 values
     assert surv.members.size % 3 and len(squarefree) % 3
-    for rows in (1, 3, 65536):
+    for rows in (1, 3, 100, 65536):
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
         out = tmp_path / str(rows)
         assert run(["survey", "--curve", "17a1", "--bound", str(bound),
@@ -1082,6 +1092,47 @@ def test_row_files_identical_across_chunk_sizes(tmp_path, monkeypatch):
                     "--out", str(out / "an.csv")]) == 0
         assert (out / "17a1_class3.csv").read_bytes() == _class_csv_by_loop(surv)
         assert (out / "an.csv").read_bytes() == want_an.encode()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 65536])
+def test_class_csv_l_is_the_whole_column_transfer(tmp_path, monkeypatch, rows):
+    # L is formed per written block, never held; each block's values are
+    # the whole column's propagate_l, element by element
+    bound = 30000
+    spec = catalog.curve("17a1")
+    surv = cli.survey_curve(spec, bound, (3,))[3]
+    nz = surv.a != 0
+    want = np.full(surv.members.size, np.nan)
+    want[nz] = waldspurger.propagate_l(
+        surv.members[nz], surv.a[nz], catalog.baseline(spec, 3)
+    )
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+    assert run(["survey", "--curve", "17a1", "--bound", str(bound),
+                "--step", "10000", "--classes", "3",
+                "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "17a1_class3.csv").read_text().splitlines()
+    got = [line.rsplit(",", 1)[1] for line in lines[5:]]
+    assert got == ["" if math.isnan(v) else "{:.12g}".format(v)
+                   for v in want.tolist()]
+    assert np.array_equal(surv.l_rows(), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("parts", [1, 3, 4096])
+def test_json_file_is_the_dumps_text(tmp_path, monkeypatch, capsys,
+                                     survey_dir, parts):
+    # the file and stdout are streamed from the encoder in chunks of
+    # `parts` pieces; the text is json.dumps' with the schema version and
+    # a final newline
+    doc = json.loads((survey_dir / "17a1_summary.json").read_text())
+    del doc["schema_version"]
+    monkeypatch.setattr(cli, "_JSON_PARTS", parts)
+    path = tmp_path / "doc.json"
+    cli._write_json(str(path), doc)
+    want = {"schema_version": cli.SCHEMA_VERSION, **doc}
+    text = json.dumps(want, indent=1, sort_keys=True) + "\n"
+    assert path.read_text() == text
+    cli._write_json("", doc)
+    assert capsys.readouterr().out == text
 
 
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):

@@ -119,10 +119,20 @@ def test_theta_unary_examples():
     assert t20[0] == 1 and np.count_nonzero(t20) == 1
 
 
+def row_reach(recipe, bound):
+    """max(N+, N-): the most that the lattice rows of the forms of one
+    sign can add to one |D[m]|, 4*(ymax + 1) + 1 per form."""
+    reach = {1: 0, -1: 0}
+    for sign, f in recipe.terms:
+        ymax = math.isqrt(4 * f.a * bound // (4 * f.a * f.c - f.b * f.b))
+        reach[sign] += 4 * (ymax + 1) + 1
+    return max(reach.values())
+
+
 def test_series_sub_and_add():
     form = BinaryQuadraticForm(1, 0, 11)
     zero = theta_difference(ThetaRecipe(((1, form), (-1, form)), 11), 30)
-    assert zero.dtype == np.int32 and not zero.any()
+    assert zero.dtype == np.int16 and not zero.any()
     doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30)
     assert doubled.tolist() == [2 * v for v in naive_theta(1, 0, 11, 30)]
 
@@ -130,22 +140,66 @@ def test_series_sub_and_add():
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_theta_difference_peak_memory_is_one_table(label):
     # every form scatters straight into D, so no second full-length array
-    # is ever allocated; tracemalloc sees numpy's allocations
+    # is ever allocated; tracemalloc sees numpy's allocations.  Every
+    # catalogued D is int16 here, 2 bytes per n
     bound = 10**6
     recipe = catalog.curve(label).recipe
     tracemalloc.start()
     try:
-        theta_difference(recipe, bound)
+        diff = theta_difference(recipe, bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 4 * (bound + 1), peak / (4 * (bound + 1))
+    assert diff.dtype == np.int16
+    assert peak <= 1.1 * 2 * (bound + 1), peak / (2 * (bound + 1))
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_theta_difference_int16_to_1e8_and_int32_at_2_31(monkeypatch, label):
+    # the dtype is fixed from the forms before D is allocated, so the
+    # choice is read at bounds far beyond what is built here: D's
+    # allocation is the first np.zeros call, which is stopped
+    chosen = []
+
+    def zeros(shape, dtype):
+        chosen.append(np.dtype(dtype))
+        raise _Allocated
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    recipe = catalog.curve(label).recipe
+    for bound in (10**8, 2**31 - 1):
+        with pytest.raises(_Allocated):
+            theta_difference(recipe, bound)
+    assert chosen == [np.int16, np.int32]
+    assert row_reach(recipe, 10**8) < 2**15 <= row_reach(recipe, 2**31 - 1)
+
+
+def test_theta_difference_int16_guard(monkeypatch):
+    # D is int16 only while max(N+, N-) is below the limit: at a limit of
+    # exactly max(N+, N-) it falls back to int32, one above it stays
+    # int16, and both equal the naive difference
+    bound = 3000
+    reach = row_reach(RECIPE_11A1, bound)
+    want = [
+        u - v for u, v in zip(naive_theta(1, 0, 11, bound),
+                              naive_theta(3, 2, 4, bound))
+    ]
+    for limit, dtype in ((reach, np.int32), (reach + 1, np.int16)):
+        monkeypatch.setattr(qseries, "_INT16_LIMIT", limit)
+        got = theta_difference(RECIPE_11A1, bound)
+        assert got.dtype == dtype and got.tolist() == want
 
 
 def test_theta_difference_guards_its_point_count(monkeypatch):
-    # |D[m]| is at most the number of lattice points scattered, so D is
-    # exact in int32 while that count stays below the limit; one point
-    # more than the limit allows is refused before it is scattered
+    # with int16 ruled out, |D[m]| is at most the number of lattice points
+    # scattered, so D is exact in int32 while that count stays below the
+    # limit; one point more than the limit allows is refused before it is
+    # scattered
+    monkeypatch.setattr(qseries, "_INT16_LIMIT", 0)
     bound = 300
     points = sum(
         sum(naive_theta(form.a, form.b, form.c, bound))

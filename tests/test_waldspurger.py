@@ -207,7 +207,7 @@ def test_evaluate_twist_self_application(survey):
             assert sv.k[i] == base.k0
             assert sv.selmer[i] == spec.family_torsion * base.k0
             assert sv.n0_effective == base.n0_effective
-            assert sv.l[i] == pytest.approx(base.l_n0, rel=1e-15)
+            assert sv.l_rows()[i] == pytest.approx(base.l_n0, rel=1e-15)
 
 
 def test_evaluate_twist_positive_rank(survey):
@@ -215,7 +215,7 @@ def test_evaluate_twist_positive_rank(survey):
     sv = survey("11a1", catalog.baseline(SPECS["11a1"], 3), 1000)
     i = member_index(sv, 47)
     assert sv.a[i] == 0 and sv.k[i] == 0 and sv.selmer[i] == 0
-    assert math.isnan(sv.l[i])
+    assert math.isnan(sv.l_rows()[i])
 
 
 def test_evaluate_twist_corrupt_anchor_coefficient(survey):
@@ -295,14 +295,20 @@ def test_survey_class_products_stay_int64(survey, class_rows):
 
 
 def test_class_survey_columns(survey):
-    # 24 bytes a member: int32 members and a, int64 k (an int32 k would
-    # wrap in t * k under numpy 2), float64 l; selmer is derived from k
-    assert "selmer" not in {f.name for f in fields(ClassSurvey)}
+    # 16 bytes a member are held: int32 members and a, int64 k (an int32 k
+    # would wrap in t * k under numpy 2); selmer is derived from k, and the
+    # float64 l from the members, a and the anchor
+    names = {f.name for f in fields(ClassSurvey)}
+    assert not names & {"selmer", "l"}
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
             sv = survey(label, catalog.baseline(spec, n0))
-            assert [sv.members.dtype, sv.a.dtype, sv.k.dtype, sv.l.dtype] == [
+            held = [getattr(sv, name) for name in sorted(names)
+                    if isinstance(getattr(sv, name), np.ndarray)]
+            assert sum(col.itemsize for col in held) == 16
+            assert [sv.members.dtype, sv.a.dtype, sv.k.dtype,
+                    sv.l_rows().dtype] == [
                 np.int32, np.int32, np.int64, np.float64
             ]
             assert sv.selmer.dtype == np.int64
@@ -367,20 +373,21 @@ def test_rebasing_is_involutive(survey):
     live = np.flatnonzero((sv.k > 0) & (sv.members != base.n0_effective))
     i = int(live[0])
     n = int(sv.members[i])
+    l = sv.l_rows()
     base2 = replace(
         base,
         n0_effective=n,
         a_n0=int(sv.a[i]),
         c_n0=tamagawa_by_root_count(spec.weierstrass, n),
         k0=int(sv.k[i]),
-        l_n0=float(sv.l[i]),
+        l_n0=float(l[i]),
     )
     again = survey("14a1", base2, 4000)
     assert np.array_equal(again.members, sv.members)
     assert np.array_equal(again.k, sv.k)
     assert np.array_equal(again.selmer, sv.selmer)
     keep = sv.k > 0
-    assert np.allclose(again.l[keep], sv.l[keep], rtol=1e-12, atol=0)
+    assert np.allclose(again.l_rows()[keep], l[keep], rtol=1e-12, atol=0)
 
 
 def test_survey_scale_invariance(class_rows):
@@ -394,7 +401,9 @@ def test_survey_scale_invariance(class_rows):
     assert np.array_equal(one.k, three.k)
     assert np.array_equal(one.selmer, three.selmer)
     keep = one.k > 0
-    assert np.allclose(one.l[keep], three.l[keep], rtol=1e-12)
+    assert np.allclose(
+        one.l_rows()[keep], three.l_rows()[keep], rtol=1e-12
+    )
 
 
 def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
@@ -417,6 +426,7 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
             base.l_n0,
         )
         coeffs = coeff_series[label]
+        l = got.l_rows()
         for i, n in enumerate(members):
             a_n = int(coeffs[n])
             assert got.a[i] == a_n
@@ -426,9 +436,9 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
             assert got.k[i] == k
             assert got.selmer[i] == selmer
             if l_value is None:
-                assert math.isnan(got.l[i])
+                assert math.isnan(l[i])
             else:
-                assert got.l[i] == pytest.approx(l_value, rel=1e-12)
+                assert l[i] == pytest.approx(l_value, rel=1e-12)
         assert (got.k > 1).any() and (got.k == 0).any()
 
 
@@ -444,4 +454,4 @@ def test_all_classes_survey_clean(survey):
             assert np.array_equal(sv.k == 0, ~nz)
             assert np.all(sv.selmer[nz] == spec.family_torsion * sv.k[nz])
             assert np.all(sv.selmer[~nz] == 0)
-            assert np.all(np.isnan(sv.l[~nz]))
+            assert np.all(np.isnan(sv.l_rows()[~nz]))
