@@ -176,20 +176,27 @@ def make_config(args):
     return cfg, spec, checkpoints, catalog.load_overrides(cfg.overrides)
 
 
-def survey_curve(spec, bound, reps=None, overrides=None):
-    """{rep: ClassSurvey} in the order of reps (default: every class).  The
-    Tamagawa rows, then the rows of F, are built from D, which then goes, as
-    no row is a view of it; so the Tamagawa transients never stand beside
-    the rows of F.  A bound that survey_class would refuse is refused
-    before D is built."""
+def _check_bound(bound):
+    """survey's and expand's refusal, before anything is allocated: class
+    members are int32, and expand's D there would be gigabytes mapped
+    lazily, not refused."""
     if bound >= MEMBER_LIMIT:
         raise DomainError(f"bound {bound} is not below 2^31")
+
+
+def survey_curve(spec, bound, reps=None, overrides=None):
+    """{rep: ClassSurvey} in the order of reps (default: every class).  The
+    Tamagawa rows, then the rows of F, are built from D's reached rows mod
+    M, which then go, as no row of F is a view of them; so the Tamagawa
+    transients never stand beside the rows of F.  A bound that
+    survey_class would refuse is refused before D is built."""
+    _check_bound(bound)
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
-    diff = theta_difference(spec.recipe, bound)
-    tama = build_tamagawa(spec, diff, reps)
-    a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, diff)
-    del diff
+    table = theta_difference(spec.recipe, bound, modulus)
+    tama = build_tamagawa(spec, table, bound, reps)
+    a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, table)
+    del table
     flags = squarefree_rows(bound, modulus, reps)
     out = {}
     for rep in reps:
@@ -420,6 +427,7 @@ def cmd_expand(args):
     bound = args.bound
     if bound < 1:
         raise DomainError("bound must be positive")
+    _check_bound(bound)
     if args.threads is not None:
         _parse_threads(args.threads)
     out = args.out or f"{spec.label}_an.csv"

@@ -5,33 +5,34 @@ The coefficient series for a curve family is assembled as
     F = D * (1 + 2*sum_{z>=1} q^(t*z^2)),   D = sum_i sign_i * Theta(Q_i)
 
 where Theta(Q) counts lattice representations by a positive definite
-binary quadratic form.  theta_difference builds D as one array: each
-form's lattice points are enumerated row by row, one point of each pair
-+-(x, y), and scattered into it with twice the form's sign, so no
-per-form count table is held.  D is int16 when a bound fixed before the
-build, from the number of lattice rows alone, keeps every partial sum of
-every D[m] inside int16 (true of every catalogued curve to 10^8), and
-int32 otherwise, where |D[m]| is at most the number of lattice points,
-which theta_difference checks is below 2^31.
+binary quadratic form.  F, and so D, is read on residue rows n = r
+(mod M) alone, and Q(x, y) mod M depends on x and y mod M alone, so the
+residues rho that some form value reaches are known before the build and
+every other row T_rho = D[rho::M] is identically zero (26 of the 44 rows
+for 11a1, 91 of 136 for 34a1).  theta_difference holds D as its reached
+rows only, one (reached, bound // M + 1) array, with a length-M slot map
+from rho to its row (-1 if unreached); at M = 1 the one row is D.  D is
+int16 under a bound checked before the build (every catalogued curve to
+10^8), and int32 otherwise.
 
 Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 (z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
 (2*zmax + 1), and so is every partial sum of those terms.
-coefficient_rows checks that this bound is below 2^31 and then works,
-and returns F, exactly in int32 whatever D's dtype, raising
-OverflowGuardError instead when it is not.  It is the one coefficient
-kernel: it gives F on chosen residue rows n = r (mod M), which is all a
-class survey and expand read, and at modulus 1 the one row is F.  Most
-residue rows of D are identically zero (32 of the 44 rows mod 44 for
-11a1, where D vanishes at every m = 0 or 2 mod 4), and the kernel
-neither copies nor adds them; a row of F that reads no nonzero row of D
-is left all zero.  For the catalogued recipes the binary difference
-kills the constant term (the two forms lie in one genus), leaving a cusp
-form.
+coefficient_rows, the one coefficient kernel, checks that this bound is
+below 2^31 and returns F exactly in int32 on chosen residue rows, which
+is all a class survey and expand read (at modulus 1 the one row is F).
+It sums the shifted rows of D in D's own dtype, the faster add, in runs
+of at most iinfo(D).max // max|D| rows, so no partial sum of a run can
+wrap, and widens each run into the int32 output before the next starts;
+for the catalogued curves one run covers every shift (11a1 at 8,090,677:
+max|D| = 18 and 857 shifts, runs of 1,820).  For the catalogued recipes
+the binary difference kills the constant term (the two forms lie in one
+genus), leaving a cusp form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -45,17 +46,20 @@ _INT32_LIMIT = 2**31
 _BLOCK = 65536
 
 
-def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
-    """D = sum_i sign_i * Theta(Q_i) as int16 or int32 coefficients
-    0..bound.
+def theta_difference(recipe: ThetaRecipe, bound: int, modulus: int):
+    """(rows, slot): the int16 or int32 D = sum_i sign_i * Theta(Q_i) to
+    bound on its reached residue rows: rows[slot[rho], i] = D[rho +
+    modulus*i] (zero past bound), rows in ascending rho, and slot[rho] = -1
+    where no form value is rho mod modulus.
 
     Q(-x, -y) = Q(x, y), so the points off the origin come in pairs, and
     each pair is enumerated once, as its point with y > 0 or with y = 0
     and x > 0, with weight 2*sign; the origin adds sign once.  Rows of
     constant y >= 0 are enumerated with the x-range solved exactly from
-    the quadratic, so every generated value is <= bound, and each row is
-    scattered into D with the unbuffered np.add.at, which counts a value
-    repeated within the row once per point.
+    the quadratic, so every generated value m is <= bound, and each row
+    is scattered, at m // modulus + slot[m % modulus] * L in the flat
+    rows, with the unbuffered np.add.at, which counts a value repeated
+    within the row once per point.
 
     The dtype is fixed before the build.  A form f has rows y = 0..ymax_f
     with ymax_f = isqrt(4*a*bound // |disc_f|).  On a row, Q(x, y) = m is
@@ -75,14 +79,22 @@ def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
     # (sign, a, b, c, |disc|, ymax) per form
     forms = []
     reach = {1: 0, -1: 0}
+    res = np.arange(modulus, dtype=np.int64)
+    hit = np.zeros(modulus, dtype=bool)  # the residues some Q(x, y) takes
     for sign, form in recipe.terms:
         absd = -form.discriminant()
         # 4a*Q = (2ax + by)^2 + |D|y^2, so |D|y^2 <= 4a*bound on the ellipse.
         ymax = math.isqrt(4 * form.a * bound // absd)
         forms.append((sign, form.a, form.b, form.c, absd, ymax))
         reach[sign] += 4 * (ymax + 1) + 1
+        hit[(np.add.outer(form.a * res * res, form.c * res * res)
+             + form.b * np.outer(res, res)) % modulus] = True
     narrow = max(reach.values()) < _INT16_LIMIT
-    diff = np.zeros(bound + 1, dtype=np.int16 if narrow else np.int32)
+    slot = np.where(hit, np.cumsum(hit) - 1, -1)
+    size = bound // modulus + 1
+    diff = np.zeros((slot.max() + 1, size), np.int16 if narrow else np.int32)
+    flat = diff.reshape(-1)
+    offset = slot * size  # where each reached row starts in flat
     points = 0
     for sign, a, b, c, absd, ymax in forms:
         weight = diff.dtype.type(2 * sign)
@@ -95,85 +107,88 @@ def theta_difference(recipe: ThetaRecipe, bound: int) -> np.ndarray:
             if not narrow and points >= _INT32_LIMIT:
                 raise OverflowGuardError(f"{points} lattice points reach 2^31")
             x = np.arange(lo, hi + 1, dtype=np.int64)
-            np.add.at(diff, (a * x + b * y) * x + c * y * y, weight)
-        diff[0] += sign
-    return diff
+            m = (a * x + b * y) * x + c * y * y
+            np.floor_divide(m, modulus, out=x)  # x is m // modulus from here
+            m -= modulus * x  # m % modulus, the faster way
+            x += offset[m]
+            np.add.at(flat, x, weight)
+            del m  # before the next row's temporaries
+        diff[0, 0] += sign
+    return diff, slot
 
 
-def coefficient_rows(recipe, bound, modulus, residues, diff=None) -> dict:
+def difference_at(table, n):
+    """D[n] for each n <= bound of an int array, from theta_difference's
+    (rows, slot): 0 on an unreached residue."""
+    diff, slot = table
+    i = n // slot.size
+    row = slot[n - slot.size * i]
+    return np.where(row >= 0, diff[row, i], 0)
+
+
+def coefficient_rows(recipe, bound, modulus, residues, table=None) -> dict:
     """{r: F_r} with F_r[j] = F[r + modulus*j] for every r + modulus*j <= bound,
     each a read-only int32 row, for the residues 0 <= r < modulus asked for.
 
-    D is the recipe's theta_difference; a caller that already holds it
-    passes it as diff, of any integer dtype.  Writing T_rho[i] =
-    D[rho + modulus*i], the term D[n - t*z^2] of F[n] at n = r + modulus*j
-    is T_rho[j - q] with rho = (r - t*z^2) mod modulus and q = (t*z^2 +
-    rho - r) / modulus, so each z >= 1 adds the contiguous row T_rho
-    shifted by q.  Whether a T_rho is identically zero is decided once per
-    call; a zero T_rho adds nothing, so it is neither copied nor added,
-    and a residue whose T_r and shifted rows are all zero keeps its zero
-    output untouched.  Each other T_rho is copied once per residue, as
-    int32, since int32 += int16 is the slower add.  Under the int32 bound
-    of the module docstring, checked once for all rows, G = the sum of the
-    shifted nonzero rows is added one 64K-element output block at a time,
-    so the block stays in cache across the zmax shifts; then 2G + T_r is
-    formed in place (|2G| <= 2*max|D|*zmax, still in int32).  At modulus 1
-    the one row is F itself and T_0 is D, read in place, not a copy.
+    table is the recipe's theta_difference(recipe, bound, modulus), rows
+    of any integer dtype, which a caller that holds it passes.  The term
+    D[n - t*z^2] of F[n] at n = r + modulus*j is T_rho[j - q] with rho =
+    (r - t*z^2) mod modulus and q = (t*z^2 + rho - r) / modulus, so each
+    z >= 1 adds the row T_rho shifted by q, read in place through the slot
+    map; an unreached T_rho adds nothing, and a residue that reads no
+    reached row keeps its zero output untouched.  Under the int32 bound of
+    the module docstring, checked once for all rows, each 64K-element
+    output block is formed in turn, so it stays in cache across the zmax
+    shifts: G = the sum of the shifted rows, in runs summed in one scratch
+    block of D's dtype and each widened into the block, then 2G + T_r,
+    doubled only once G is int32 (|2G| may pass D's dtype).
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    if diff is None:
-        diff = theta_difference(recipe, bound)
-    if diff.shape != (bound + 1,):
+    if table is None:
+        table = theta_difference(recipe, bound, modulus)
+    diff, slot = table
+    size = bound // modulus + 1
+    if slot.shape != (modulus,) or diff.shape != ((slot >= 0).sum(), size):
         raise DimensionError(
-            f"need {bound + 1} coefficients of D, got {diff.shape}"
+            f"need the reached rows of D mod {modulus}, {size} long, "
+            f"got {diff.shape} for {slot.size} residues"
         )
     zmax = math.isqrt(bound // recipe.unary_t)
-    peak = max(int(diff.max()), -int(diff.min()))
+    peak = max(int(diff.max(initial=0)), -int(diff.min(initial=0)))
     if peak * (2 * zmax + 1) >= _INT32_LIMIT:
         raise OverflowGuardError(
             f"max|D| * (2*zmax + 1) = {peak} * {2 * zmax + 1} reaches 2^31"
         )
-    shifts = [recipe.unary_t * z * z for z in range(1, zmax + 1)]
-    nonzero = {}  # rho -> whether T_rho has a nonzero entry
-
-    def live(rho):
-        if rho not in nonzero:
-            nonzero[rho] = bool(diff[rho::modulus].any())
-        return nonzero[rho]
-
+    # a run of this many rows sums inside D's dtype (see the module docstring)
+    run = max(1, np.iinfo(diff.dtype).max // max(peak, 1))
+    scratch = np.empty(min(_BLOCK, size), dtype=diff.dtype)
+    shifts = recipe.unary_t * np.arange(1, zmax + 1) ** 2
     rows = {}
     for r in residues:
         if not 0 <= r < modulus:
             raise ValueError(f"residue {r} is not in [0, {modulus})")
-        size = (bound - r) // modulus + 1
-        # (q, T_rho) per shift with T_rho nonzero, q ascending with the
-        # shift; one copy per rho
-        tables, terms = {}, []
-        for s in shifts:
-            rho = (r - s) % modulus
-            q = (s + rho - r) // modulus
-            if q >= size:
-                break
-            if not live(rho):
-                continue
-            if rho not in tables:
-                view = diff[rho::modulus]
-                tables[rho] = view if modulus == 1 else view.astype(np.int32)
-            terms.append((q, tables[rho]))
-        out = np.zeros(size, dtype=np.int32)
-        if terms or live(r):
-            for lo in range(0, size, _BLOCK):
-                hi = min(lo + _BLOCK, size)
-                for q, row in terms:
-                    if q >= hi:
-                        break
-                    start = max(lo, q)
-                    out[start:hi] += row[start - q : hi - q]
-            out *= 2
-            # T_r from its int32 copy when a shift made one: adding the
-            # int16 view would cast through a 32 KB buffer
-            out += tables[r] if r in tables else diff[r::modulus]
+        n = (bound - r) // modulus + 1
+        # q and the row of T_rho per shift with q < n and rho reached, q
+        # ascending with the shift
+        rho = (r - shifts) % modulus
+        q = (shifts + rho - r) // modulus
+        used = (q < n) & (slot[rho] >= 0)
+        qs, terms = q[used].tolist(), slot[rho[used]].tolist()
+        out = np.zeros(n, dtype=np.int32)
+        if terms or slot[r] >= 0:
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                block, g = out[lo:hi], scratch[: hi - lo]
+                live = bisect.bisect_left(qs, hi)  # the shifts reaching [lo, hi)
+                for first in range(0, live, run):
+                    stop = min(first + run, live)
+                    g[:] = 0
+                    for q, k in zip(qs[first:stop], terms[first:stop]):
+                        start = max(lo, q)
+                        g[start - lo :] += diff[k, start - q : hi - q]
+                    block += g
+                block *= 2
+                if slot[r] >= 0:
+                    block += diff[slot[r], lo:hi]
         out.setflags(write=False)
         rows[r] = out
     return rows

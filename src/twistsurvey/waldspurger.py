@@ -42,6 +42,7 @@ from .errors import (
     IntegralityError,
     OverflowGuardError,
 )
+from .qseries import difference_at
 from .sieve import factorize, first_multiple, primes_upto
 
 # float64 holds every integer below 2^53 exactly and sqrt rounds
@@ -95,17 +96,19 @@ def _euler_chi(d, ps):
     return chi[res]
 
 
-def tamagawa_exponents(spec, ps, diff):
+def tamagawa_exponents(spec, ps, table):
     """e_p with c_p = 2^e_p, as int8, at each prime of ps; 0 at p = 2 and
     at the bad primes, which never divide a class member.
 
-    diff is the recipe's theta difference D = Theta(Q1) - Theta(Q2) to at
-    least max(ps).  When the cubic is irreducible (11a1) the counts come
-    from the sign of D[p]: the principal form Q1 represents p <=> the
-    cubic splits (c_p = 4, D[p] > 0), Q2 represents p <=> no roots
-    (c_p = 1, D[p] < 0), and neither <=> one root (c_p = 2, D[p] = 0).  Q1
-    and Q2 are distinct classes of discriminant -44, so no prime is
-    represented by both and the sign loses nothing.
+    table is the recipe's theta difference D = Theta(Q1) - Theta(Q2) to at
+    least max(ps), as qseries.theta_difference gives it; D[p] is read
+    through its slot map, so an unreached p has D[p] = 0.  When the cubic
+    is irreducible (11a1) the counts come from the sign of D[p]: the
+    principal form Q1 represents p <=> the cubic splits (c_p = 4,
+    D[p] > 0), Q2 represents p <=> no roots (c_p = 1, D[p] < 0), and
+    neither <=> one root (c_p = 2, D[p] = 0).  Q1 and Q2 are distinct
+    classes of discriminant -44, so no prime is represented by both and
+    the sign loses nothing.
 
     With a rational 2-torsion point the counts come from Euler's
     criterion on the curve's discriminant Delta (_euler_chi).  The cubic
@@ -117,17 +120,17 @@ def tamagawa_exponents(spec, ps, diff):
     e = np.zeros(ps.size, dtype=np.int8)
     good = (ps > 2) & (spec.conductor % ps != 0)
     if spec.family_torsion == 1:
-        d = diff[ps[good]]
+        d = difference_at(table, ps[good])
         e[good] = np.where(d > 0, 2, np.where(d < 0, 0, 1))
     else:
         e[good] = np.where(_euler_chi(spec.discriminant(), ps[good]) == 1, 2, 1)
     return e
 
 
-def build_tamagawa(spec, diff, residues):
+def build_tamagawa(spec, table, bound, residues):
     """{r: e_r} with c(n) = 2^e_r[j] at n = r + M*j <= bound, M the table
-    modulus and bound = diff.size - 1, each a read-only int8 row, for
-    units r mod M.
+    modulus, each a read-only int8 row, for units r mod M; table is the
+    recipe's theta difference to bound (tamagawa_exponents).
 
     e_r[j] is the sum of e_p (tamagawa_exponents) over the primes p | n,
     each counted once.  Each prime p <= sqrt(bound) not dividing M adds
@@ -138,11 +141,10 @@ def build_tamagawa(spec, diff, residues):
     exact at every entry, squarefree or not.  e_r[j] <= 2*omega(n), which
     stays far inside int8 for any bound held in memory.
     """
-    bound = diff.size - 1
     modulus = spec.table_modulus
     ps = primes_upto(math.isqrt(bound))
     ps = ps[modulus % ps != 0]
-    small = list(zip(ps.tolist(), tamagawa_exponents(spec, ps, diff).tolist()))
+    small = list(zip(ps.tolist(), tamagawa_exponents(spec, ps, table).tolist()))
     rows = {}
     for r in residues:
         rest = r + modulus * np.arange((bound - r) // modulus + 1)
@@ -154,7 +156,7 @@ def build_tamagawa(spec, diff, residues):
                 rest[first_multiple(r, modulus, q) :: q] //= p
                 q *= p
         big = rest > 1
-        row[big] += tamagawa_exponents(spec, rest[big], diff)
+        row[big] += tamagawa_exponents(spec, rest[big], table)
         row.setflags(write=False)
         rows[r] = row
     return rows

@@ -269,10 +269,10 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     # scale invariance of the transfer under F -> 3F
     spec = catalog.curve("11a1")
     small = 10 ** 5
-    diff = theta_difference(spec.recipe, small)
-    (a_row,) = coefficient_rows(spec.recipe, small, 44, (3,), diff).values()
+    table = theta_difference(spec.recipe, small, 44)
+    (a_row,) = coefficient_rows(spec.recipe, small, 44, (3,), table).values()
     (flags,) = squarefree_rows(small, 44, (3,)).values()
-    (tama,) = build_tamagawa(spec, diff, (3,)).values()
+    (tama,) = build_tamagawa(spec, table, small, (3,)).values()
     base = catalog.baseline(spec, 3)
     from dataclasses import replace
 

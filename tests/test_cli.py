@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey import bsd_oracle, catalog, cli, sieve, stats, waldspurger
+from twistsurvey import bsd_oracle, catalog, cli, qseries, sieve, stats, waldspurger
 from twistsurvey.errors import DomainError
 
 from oracles import is_squarefree_trial, naive_recipe_series
@@ -548,8 +548,8 @@ def test_verify_quick_checks_k_by_bsd(tmp_path, monkeypatch):
     # untouched; only the BSD assembly of the direct L(1) sees it
     real = waldspurger.tamagawa_exponents
 
-    def forged(spec, ps, diff):
-        e = real(spec, ps, diff).copy()
+    def forged(spec, ps, table):
+        e = real(spec, ps, table).copy()
         e[(ps > 1000) & (e == 2)] = 0
         return e
 
@@ -1019,17 +1019,21 @@ def test_bound_too_big_for_memory_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "argv",
     [["survey", "--curve", "11a1"], ["tables", "--curve", "11a1"],
-     ["plot-data", "--curve", "11a1", "--n0", "3", "--k", "1"]],
+     ["plot-data", "--curve", "11a1", "--n0", "3", "--k", "1"],
+     ["expand", "--curve", "11a1", "--out", "an.csv"]],
 )
 def test_bound_past_the_int32_members_exits_2_before_theta(
     tmp_path, capsys, monkeypatch, argv
 ):
     # a class member is held as int32, so a bound >= 2^31 is refused
-    # before D (8.6 GB of int32 at that bound) is built
+    # before D is built; expand, which reaches D through coefficient_rows,
+    # is refused by the same check, as its D (3.5 GB of reached int32 rows
+    # there) would be mapped lazily rather than refused
     def no_theta(*args, **kwargs):
         raise AssertionError("theta_difference called")
 
     monkeypatch.setattr(cli, "theta_difference", no_theta)
+    monkeypatch.setattr(qseries, "theta_difference", no_theta)
     monkeypatch.chdir(tmp_path)
     assert run([*argv, "--bound", str(2**31)]) == 2
     assert capsys.readouterr().err == (

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twistsurvey import catalog, qseries
 from twistsurvey.catalog import BinaryQuadraticForm, ThetaRecipe
 from twistsurvey.errors import DimensionError, InvalidFormError, OverflowGuardError
-from twistsurvey.qseries import coefficient_rows, theta_difference
+from twistsurvey.qseries import coefficient_rows, difference_at, theta_difference
 
 from oracles import naive_recipe_series, naive_theta, shifted_add_product
 
@@ -25,18 +25,46 @@ RECIPE_11A1 = ThetaRecipe(
 )
 
 
+def as_table(values, modulus=1, unreached=(), dtype=None):
+    """theta_difference's (rows, slot) layout of an explicit D[0..bound]:
+    a row, zero-padded to bound // modulus + 1, for each residue not in
+    unreached, in ascending order."""
+    diff = np.asarray(values, dtype=dtype)
+    size = (diff.size - 1) // modulus + 1
+    reached = [rho for rho in range(modulus) if rho not in set(unreached)]
+    rows = np.zeros((len(reached), size), dtype=diff.dtype)
+    slot = np.full(modulus, -1, dtype=np.int64)
+    for k, rho in enumerate(reached):
+        seg = diff[rho::modulus]
+        rows[k, : seg.size] = seg
+        slot[rho] = k
+    return rows, slot
+
+
+def unfold(table, bound):
+    """The flat D[0..bound] of a (rows, slot) table, as int64."""
+    rows, slot = table
+    diff = np.zeros(bound + 1, dtype=np.int64)
+    for rho in np.flatnonzero(slot >= 0):
+        seg = diff[rho :: slot.size]
+        seg[:] = rows[slot[rho], : seg.size]
+    return diff
+
+
 def times_unary(t, values):
     """The modulus-1 row on an explicit D: the product
     D * (1 + 2*sum q^(t z^2))."""
     diff = np.asarray(values, dtype=np.int64)
     recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
-    return coefficient_rows(recipe, diff.size - 1, 1, (0,), diff)[0]
+    return coefficient_rows(recipe, diff.size - 1, 1, (0,), as_table(diff))[0]
 
 
 def theta(a, b, c, bound):
     """Theta(Q) for one form, as the one-term recipe's theta_difference."""
     recipe = ThetaRecipe(((1, BinaryQuadraticForm(a, b, c)),), 1)
-    return theta_difference(recipe, bound).tolist()
+    rows, slot = theta_difference(recipe, bound, 1)
+    assert rows.shape == (1, bound + 1) and slot.tolist() == [0]
+    return rows[0].tolist()
 
 
 def unary(t, bound):
@@ -131,27 +159,64 @@ def row_reach(recipe, bound):
 
 def test_series_sub_and_add():
     form = BinaryQuadraticForm(1, 0, 11)
-    zero = theta_difference(ThetaRecipe(((1, form), (-1, form)), 11), 30)
+    zero, _ = theta_difference(ThetaRecipe(((1, form), (-1, form)), 11), 30, 1)
     assert zero.dtype == np.int16 and not zero.any()
-    doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30)
-    assert doubled.tolist() == [2 * v for v in naive_theta(1, 0, 11, 30)]
+    doubled = theta_difference(ThetaRecipe(((1, form), (1, form)), 11), 30, 7)
+    assert unfold(doubled, 30).tolist() == [
+        2 * v for v in naive_theta(1, 0, 11, 30)
+    ]
+
+
+def naive_difference(recipe, bound):
+    """sum_i sign_i * Theta(Q_i) to bound from the naive thetas, int64."""
+    diff = np.zeros(bound + 1, dtype=np.int64)
+    for sign, form in recipe.terms:
+        diff += sign * np.asarray(naive_theta(form.a, form.b, form.c, bound))
+    return diff
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_theta_difference_reached_rows_match_naive(label):
+    # the reached rows against the naive thetas at the table modulus,
+    # zero-padded past the bound, and the naive D zero on every unreached
+    # residue; difference_at reads the same D at every n
+    bound = 140000
+    spec = catalog.curve(label)
+    recipe, modulus = spec.recipe, spec.table_modulus
+    want = naive_difference(recipe, bound)
+    rows, slot = theta_difference(recipe, bound, modulus)
+    size = bound // modulus + 1
+    reached = np.flatnonzero(slot >= 0)
+    assert rows.shape == (reached.size, size) and rows.dtype == np.int16
+    assert slot[reached].tolist() == list(range(reached.size))
+    assert reached[0] == 0 and reached.size < modulus
+    for rho in range(modulus):
+        seg = want[rho::modulus]
+        if slot[rho] < 0:
+            assert not seg.any(), rho
+        else:
+            assert rows[slot[rho], : seg.size].tolist() == seg.tolist(), rho
+            assert not rows[slot[rho], seg.size :].any(), rho
+    got = difference_at((rows, slot), np.arange(bound + 1))
+    assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_theta_difference_peak_memory_is_one_table(label):
-    # every form scatters straight into D, so no second full-length array
-    # is ever allocated; tracemalloc sees numpy's allocations.  Every
-    # catalogued D is int16 here, 2 bytes per n
+    # every form scatters straight into D's reached rows, so nothing else
+    # of their size is ever allocated; tracemalloc sees numpy's
+    # allocations.  Every catalogued D is int16 here, 2 bytes per entry
     bound = 10**6
-    recipe = catalog.curve(label).recipe
+    spec = catalog.curve(label)
     tracemalloc.start()
     try:
-        diff = theta_difference(recipe, bound)
+        rows, _ = theta_difference(spec.recipe, bound, spec.table_modulus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert diff.dtype == np.int16
-    assert peak <= 1.1 * 2 * (bound + 1), peak / (2 * (bound + 1))
+    assert rows.dtype == np.int16
+    held = rows.shape[0] * (bound // spec.table_modulus + 1) * 2
+    assert peak <= 1.1 * held, peak / held
 
 
 class _Allocated(Exception):
@@ -162,19 +227,26 @@ class _Allocated(Exception):
 def test_theta_difference_int16_to_1e8_and_int32_at_2_31(monkeypatch, label):
     # the dtype is fixed from the forms before D is allocated, so the
     # choice is read at bounds far beyond what is built here: D's
-    # allocation is the first np.zeros call, which is stopped
+    # allocation is the one two-dimensional np.zeros call, its reached
+    # rows, which is stopped
     chosen = []
+    real = np.zeros
 
     def zeros(shape, dtype):
-        chosen.append(np.dtype(dtype))
+        if np.ndim(shape) == 0:
+            return real(shape, dtype)
+        chosen.append((shape[1], np.dtype(dtype)))
         raise _Allocated
 
     monkeypatch.setattr(np, "zeros", zeros)
-    recipe = catalog.curve(label).recipe
+    spec = catalog.curve(label)
+    recipe, modulus = spec.recipe, spec.table_modulus
     for bound in (10**8, 2**31 - 1):
         with pytest.raises(_Allocated):
-            theta_difference(recipe, bound)
-    assert chosen == [np.int16, np.int32]
+            theta_difference(recipe, bound, modulus)
+    assert chosen == [
+        (10**8 // modulus + 1, np.int16), ((2**31 - 1) // modulus + 1, np.int32)
+    ]
     assert row_reach(recipe, 10**8) < 2**15 <= row_reach(recipe, 2**31 - 1)
 
 
@@ -190,8 +262,8 @@ def test_theta_difference_int16_guard(monkeypatch):
     ]
     for limit, dtype in ((reach, np.int32), (reach + 1, np.int16)):
         monkeypatch.setattr(qseries, "_INT16_LIMIT", limit)
-        got = theta_difference(RECIPE_11A1, bound)
-        assert got.dtype == dtype and got.tolist() == want
+        got = theta_difference(RECIPE_11A1, bound, 44)
+        assert got[0].dtype == dtype and unfold(got, bound).tolist() == want
 
 
 def test_theta_difference_guards_its_point_count(monkeypatch):
@@ -210,24 +282,24 @@ def test_theta_difference_guards_its_point_count(monkeypatch):
                               naive_theta(3, 2, 4, bound))
     ]
     monkeypatch.setattr(qseries, "_INT32_LIMIT", points + 1)
-    got = theta_difference(RECIPE_11A1, bound)
-    assert got.dtype == np.int32 and got.tolist() == want
+    got = theta_difference(RECIPE_11A1, bound, 44)
+    assert got[0].dtype == np.int32 and unfold(got, bound).tolist() == want
     monkeypatch.setattr(qseries, "_INT32_LIMIT", points)
     with pytest.raises(OverflowGuardError):
-        theta_difference(RECIPE_11A1, bound)
+        theta_difference(RECIPE_11A1, bound, 44)
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_build_F_holds_one_table(label):
-    # G and then 2G + D are summed in the int32 output itself, so given D
-    # the modulus-1 row (F) allocates that one table and no doubled copy
-    # of D
+    # G and then 2G + D are summed block by block in the int32 output
+    # itself, so given D the modulus-1 row (F) allocates that one table,
+    # one scratch block and no copy of D
     bound = 10**6
     recipe = catalog.curve(label).recipe
-    diff = theta_difference(recipe, bound)
+    table = theta_difference(recipe, bound, 1)
     tracemalloc.start()
     try:
-        coefficient_rows(recipe, bound, 1, (0,), diff)
+        coefficient_rows(recipe, bound, 1, (0,), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,8 +317,14 @@ def test_series_mul_unary_square_q2_coefficient():
 
 
 def test_series_bound_mismatch_raises():
+    # rows of the wrong length, or a slot map of the wrong modulus
     with pytest.raises(DimensionError):
-        coefficient_rows(RECIPE_11A1, 5, 1, (0,), np.zeros(7, dtype=np.int64))
+        coefficient_rows(RECIPE_11A1, 5, 1, (0,), as_table(np.zeros(7, np.int64)))
+    with pytest.raises(DimensionError):
+        coefficient_rows(RECIPE_11A1, 6, 2, (0,), as_table(np.zeros(7, np.int64)))
+    rows, slot = as_table(np.zeros(7, np.int64), 2)
+    with pytest.raises(DimensionError):
+        coefficient_rows(RECIPE_11A1, 6, 2, (0,), (rows[:1], slot))
 
 
 def test_series_overflow_guard():
@@ -327,7 +405,7 @@ def test_coefficient_rows_match_strided_product(values, t, modulus, picks, block
     want = shifted_add_product(values, t, bound)
     with mock.patch.object(qseries, "_BLOCK", block):
         rows = coefficient_rows(
-            recipe, bound, modulus, residues, np.asarray(values, dtype=np.int32)
+            recipe, bound, modulus, residues, as_table(values, modulus, (), np.int32)
         )
     assert list(rows) == residues
     for r, row in rows.items():
@@ -348,10 +426,10 @@ def test_coefficient_rows_match_strided_product(values, t, modulus, picks, block
 def test_coefficient_rows_skip_zero_residue_rows(
     size, seed, t, modulus, zeroed, pick, block
 ):
-    # a random D with a random set of its residue rows D[rho::M] zeroed,
-    # always including the rows that one residue's first and last shift
-    # terms read; every other row loses only its first zeroed[rho] < 3
-    # entries, and so still has to be added
+    # a random D with a random set of its residue rows D[rho::M] zeroed
+    # and left out of the table, always including the rows that one
+    # residue's first and last shift terms read; every other row loses
+    # only its first zeroed[rho] < 3 entries, and so still has to be added
     diff = np.random.default_rng(seed).integers(-1000, 1001, size, np.int32)
     bound = size - 1
     zmax = math.isqrt(bound // t)
@@ -363,27 +441,62 @@ def test_coefficient_rows_skip_zero_residue_rows(
     want = shifted_add_product(diff, t, bound)
     recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
     with mock.patch.object(qseries, "_BLOCK", block):
-        rows = coefficient_rows(recipe, bound, modulus, range(modulus), diff)
+        rows = coefficient_rows(
+            recipe, bound, modulus, range(modulus), as_table(diff, modulus, dead)
+        )
     for rho, row in rows.items():
         assert row.tolist() == want[rho::modulus].tolist(), rho
 
 
+@pytest.mark.parametrize("block", [64, 65536])
+@pytest.mark.parametrize("peak", [20000, 3000])
+@pytest.mark.parametrize("modulus", [1, 7])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_coefficient_rows_narrow_runs_are_exact(dtype, modulus, peak, block):
+    # reached rows with entries up to peak: in int16 a run holds 32767 //
+    # peak shifted rows (1 or 10), fewer than the 24 nonzero shifted rows,
+    # and |2G| passes 2^15, so a run summed past its length, or a block
+    # doubled before it is widened (np.multiply(int16 20000, 2, out=int32,
+    # casting="unsafe") gives -25536), would wrap.  In int32 the guard
+    # keeps every run as long as all the shifts, and G is widened as is
+    bound, t = 600, 1
+    zmax = math.isqrt(bound // t)
+    values = np.random.default_rng(peak).integers(-peak, peak + 1, bound + 1)
+    values[: bound // 2] = peak  # a long stretch where G only grows
+    want = shifted_add_product(values, t, bound)
+    assert np.abs(want - values).max() > 2**15
+    run = np.iinfo(dtype).max // peak
+    assert run < zmax if dtype == np.int16 else run > 2 * zmax
+    recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), t)
+    table = as_table(values, modulus, (), dtype)
+    with mock.patch.object(qseries, "_BLOCK", block):
+        rows = coefficient_rows(recipe, bound, modulus, range(modulus), table)
+    for r, row in rows.items():
+        assert row.tolist() == want[r::modulus].tolist(), r
+
+
 @pytest.mark.parametrize("r", catalog.curve("11a1").class_reps)
 def test_coefficient_rows_peak_skips_zero_rows(r):
-    # 11a1's residue r reads T_r and T_(r-11) (11z^2 = 0 or 11 mod 44), and
-    # D vanishes at every m = 0 or 2 (mod 4), so T_(r-11) is zero: given
-    # D, the row allocates its output and one copy of T_r
+    # 11a1's residue r reads T_r and T_(r-11) (11z^2 = 0 or 11 mod 44),
+    # in place through the slot map: given D, the row allocates its output,
+    # one int16 scratch block, numpy's buffer for widening it into the
+    # int32 output (np.getbufsize() elements) and at most 16 KB of Python
+    # bookkeeping (the shifts' offsets and row numbers), and copies no row
+    # of D, which would take another 45 KB
     bound = 10**6
     recipe = catalog.curve("11a1").recipe
-    diff = theta_difference(recipe, bound)
+    table = theta_difference(recipe, bound, 44)
+    size = bound // 44 + 1
     row_bytes = 4 * ((bound - r) // 44 + 1)
     tracemalloc.start()
     try:
-        coefficient_rows(recipe, bound, 44, (r,), diff)
+        coefficient_rows(recipe, bound, 44, (r,), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * row_bytes, peak / row_bytes
+    assert table[0].dtype == np.int16 and size < qseries._BLOCK
+    extra = 2 * size + 4 * np.getbufsize() + 2**14
+    assert peak <= 1.1 * row_bytes + extra, peak / row_bytes
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)
@@ -406,12 +519,13 @@ def test_coefficient_rows_guard_and_residues():
     # lie in [0, modulus)
     edge = (2**31 - 1) // 3
     recipe = ThetaRecipe(((1, BinaryQuadraticForm(1, 0, 1)),), 1)
-    rows = coefficient_rows(recipe, 3, 2, (0, 1), np.array([edge, edge, -edge, 0]))
+    table = as_table([edge, edge, -edge, 0], 2, (), np.int64)
+    rows = coefficient_rows(recipe, 3, 2, (0, 1), table)
     assert rows[0].tolist() == [edge, edge] and rows[1].tolist() == [3 * edge, -2 * edge]
     with pytest.raises(OverflowGuardError):
-        coefficient_rows(recipe, 3, 2, (1,), np.array([edge + 1, 0, 0, 0]))
+        coefficient_rows(recipe, 3, 2, (1,), as_table([edge + 1, 0, 0, 0], 2))
     with pytest.raises(ValueError):
-        coefficient_rows(recipe, 3, 2, (2,), np.array([1, 0, 0, 0]))
+        coefficient_rows(recipe, 3, 2, (2,), as_table([1, 0, 0, 0], 2))
 
 
 def test_build_F_11a1_first_coefficients():

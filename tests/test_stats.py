@@ -27,10 +27,10 @@ from oracles import broadcast_fit, series_fit
 def mini_survey():
     spec = catalog.curve("11a1")
     bound = 100000
-    diff = theta_difference(spec.recipe, bound)
-    (a_row,) = coefficient_rows(spec.recipe, bound, 44, (3,), diff).values()
+    table = theta_difference(spec.recipe, bound, 44)
+    (a_row,) = coefficient_rows(spec.recipe, bound, 44, (3,), table).values()
     (flags,) = squarefree_rows(bound, 44, (3,)).values()
-    (exps,) = build_tamagawa(spec, diff, (3,)).values()
+    (exps,) = build_tamagawa(spec, table, bound, (3,)).values()
     base = catalog.baseline(spec, 3)
     return survey_class(spec, base, a_row, flags, exps, bound)
 

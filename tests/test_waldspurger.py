@@ -21,7 +21,7 @@ from twistsurvey.errors import (
     IntegralityError,
     OverflowGuardError,
 )
-from twistsurvey.qseries import coefficient_rows, theta_difference
+from twistsurvey.qseries import coefficient_rows, difference_at, theta_difference
 from twistsurvey.sieve import factorize, primes_upto, squarefree_rows
 from twistsurvey.waldspurger import (
     ClassSurvey,
@@ -59,11 +59,11 @@ def class_rows():
     out = {}
     for label, spec in SPECS.items():
         reps, modulus = spec.class_reps, spec.table_modulus
-        diff = theta_difference(spec.recipe, BOUND)
+        table = theta_difference(spec.recipe, BOUND, modulus)
         out[label] = (
-            coefficient_rows(spec.recipe, BOUND, modulus, reps, diff),
+            coefficient_rows(spec.recipe, BOUND, modulus, reps, table),
             squarefree_rows(BOUND, modulus, reps),
-            build_tamagawa(spec, diff, reps),
+            build_tamagawa(spec, table, BOUND, reps),
         )
     return out
 
@@ -73,7 +73,8 @@ def unit_tamagawa(spec, bound):
     modulus, from the exponent and flag rows of every unit residue."""
     modulus = spec.table_modulus
     reps = [r for r in range(1, modulus) if math.gcd(r, modulus) == 1]
-    exps = build_tamagawa(spec, theta_difference(spec.recipe, bound), reps)
+    table = theta_difference(spec.recipe, bound, modulus)
+    exps = build_tamagawa(spec, table, bound, reps)
     flags = squarefree_rows(bound, modulus, reps)
     return {
         int(n): 1 << int(exps[r][(n - r) // modulus])
@@ -136,7 +137,8 @@ def test_class_rows_match_factorize_and_root_count(label):
     spec = SPECS[label]
     bound = 200000
     reps, modulus = spec.class_reps, spec.table_modulus
-    exps = build_tamagawa(spec, theta_difference(spec.recipe, bound), reps)
+    table = theta_difference(spec.recipe, bound, modulus)
+    exps = build_tamagawa(spec, table, bound, reps)
     flags = squarefree_rows(bound, modulus, reps)
     cp = {}
     checked = 0
@@ -162,18 +164,19 @@ def test_class_rows_match_factorize_and_root_count(label):
 def test_tamagawa_rule_matches_root_count(label):
     # c_p from the sign of D[p] (11a1) or the Euler criterion on the
     # curve's discriminant (2-torsion curves) against 1 + #roots of the
-    # cubic mod p, at every good odd p
+    # cubic mod p, at every good odd p; D[p] is read through the slot map
     spec = SPECS[label]
     bound = 20000
-    diff = theta_difference(spec.recipe, bound)
+    table = theta_difference(spec.recipe, bound, spec.table_modulus)
     ps = primes_upto(bound)
-    exps = tamagawa_exponents(spec, ps, diff)
+    exps = tamagawa_exponents(spec, ps, table)
     good = {p for p in ps.tolist() if p > 2 and spec.conductor % p}
     assert len(good) > 2000
     for p, e in zip(ps.tolist(), exps.tolist()):
         assert 1 << e == (tamagawa_cp(spec, p) if p in good else 1), p
     if spec.family_torsion == 1:
-        assert {int(np.sign(diff[p])) for p in good} == {-1, 0, 1}
+        d = difference_at(table, np.array(sorted(good)))
+        assert set(np.sign(d).tolist()) == {-1, 0, 1}
 
 
 @pytest.fixture(scope="module")
@@ -327,9 +330,9 @@ def test_survey_class_peak_memory_per_member():
     # L-values, so they are never all live at once
     bound, rep = 10**6, 3
     spec = SPECS["11a1"]
-    diff = theta_difference(spec.recipe, bound)
-    a_row = coefficient_rows(spec.recipe, bound, spec.table_modulus, (rep,), diff)
-    tama = build_tamagawa(spec, diff, (rep,))[rep]
+    table = theta_difference(spec.recipe, bound, spec.table_modulus)
+    a_row = coefficient_rows(spec.recipe, bound, spec.table_modulus, (rep,), table)
+    tama = build_tamagawa(spec, table, bound, (rep,))[rep]
     flags = squarefree_rows(bound, spec.table_modulus, (rep,))[rep]
     base = catalog.baseline(spec, rep)
     tracemalloc.start()

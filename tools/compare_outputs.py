@@ -34,6 +34,7 @@ QUICK = [
     # refused: exit 2 with a message, nothing written
     ["expand", "--curve", "11a1", "--bound", "0", "--out", "an_0.csv"],
     ["survey", "--curve", "11a1", "--bound", str(10**15), "--out", "huge"],
+    ["expand", "--curve", "11a1", "--bound", str(10**15), "--out", "an_huge.csv"],
 ]
 FULL = QUICK + [
     ["expand", "--curve", "11a1", "--bound", "8090677",
