@@ -12,8 +12,8 @@ every other row T_rho = D[rho::M] is identically zero (26 of the 44 rows
 for 11a1, 91 of 136 for 34a1).  theta_difference holds D as its reached
 rows only, one (reached, bound // M + 1) array, with a length-M slot map
 from rho to its row (-1 if unreached); at M = 1 the one row is D.  D is
-int16 under a bound checked before the build (every catalogued curve to
-10^8), and int32 otherwise.
+int16 or int32 by one bound checked before the build: int16 for every
+catalogued curve to 10^8, int32 for each at every bound below 2^31.
 
 Each coefficient of F is a sum of at most 2*zmax + 1 terms D[m - t*z^2]
 (z = 0 and +-z), with zmax = isqrt(bound // t), so |F[m]| <= max|D| *
@@ -67,18 +67,17 @@ def theta_difference(recipe: ThetaRecipe, bound: int, modulus: int):
     each point adds 2*sign: f adds at most 4*(ymax_f + 1) + 1 to |D[m]|,
     the origin included.  Every addition from f has f's sign, so with N+
     and N- those sums over the forms of each sign, every partial sum of
-    D[m] lies in [-N-, N+].  D is int16 when max(N+, N-) < 2^15, and int32
-    otherwise; there |D[m]| is bounded by the number of lattice points,
-    each pair counted twice and the origin once, and a row that would take
-    that count to 2^31 raises OverflowGuardError before it is scattered
-    (the origin is counted with the row y = 0).  A weight of D's dtype
-    keeps np.add.at on its fast same-type loop.
+    D[m] lies in [-N-, N+].  D is int16 when max(N+, N-) < 2^15 and int32
+    when it is < 2^31; otherwise OverflowGuardError is raised before D
+    is allocated (max(N+, N-) < 10^5 for every catalogued curve at any
+    bound below 2^31).  A weight of D's dtype keeps np.add.at on its fast
+    same-type loop.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     # (sign, a, b, c, |disc|, ymax) per form
     forms = []
-    reach = {1: 0, -1: 0}
+    npm = {1: 0, -1: 0}  # N+ and N-
     res = np.arange(modulus, dtype=np.int64)
     hit = np.zeros(modulus, dtype=bool)  # the residues some Q(x, y) takes
     for sign, form in recipe.terms:
@@ -86,26 +85,24 @@ def theta_difference(recipe: ThetaRecipe, bound: int, modulus: int):
         # 4a*Q = (2ax + by)^2 + |D|y^2, so |D|y^2 <= 4a*bound on the ellipse.
         ymax = math.isqrt(4 * form.a * bound // absd)
         forms.append((sign, form.a, form.b, form.c, absd, ymax))
-        reach[sign] += 4 * (ymax + 1) + 1
+        npm[sign] += 4 * (ymax + 1) + 1
         hit[(np.add.outer(form.a * res * res, form.c * res * res)
              + form.b * np.outer(res, res)) % modulus] = True
-    narrow = max(reach.values()) < _INT16_LIMIT
+    reach = max(npm.values())
+    if reach >= _INT32_LIMIT:
+        raise OverflowGuardError(f"max(N+, N-) = {reach} reaches 2^31")
     slot = np.where(hit, np.cumsum(hit) - 1, -1)
     size = bound // modulus + 1
-    diff = np.zeros((slot.max() + 1, size), np.int16 if narrow else np.int32)
+    dtype = np.int16 if reach < _INT16_LIMIT else np.int32
+    diff = np.zeros((slot.max() + 1, size), dtype)
     flat = diff.reshape(-1)
     offset = slot * size  # where each reached row starts in flat
-    points = 0
     for sign, a, b, c, absd, ymax in forms:
         weight = diff.dtype.type(2 * sign)
-        points += 1  # the origin
         for y in range(ymax + 1):
             r = math.isqrt(4 * a * bound - absd * y * y)
             lo = -((b * y + r) // (2 * a)) if y else 1
             hi = (r - b * y) // (2 * a)
-            points += 2 * max(hi - lo + 1, 0)
-            if not narrow and points >= _INT32_LIMIT:
-                raise OverflowGuardError(f"{points} lattice points reach 2^31")
             x = np.arange(lo, hi + 1, dtype=np.int64)
             m = (a * x + b * y) * x + c * y * y
             np.floor_divide(m, modulus, out=x)  # x is m // modulus from here

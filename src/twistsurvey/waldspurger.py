@@ -97,8 +97,9 @@ def _euler_chi(d, ps):
 
 
 def tamagawa_exponents(spec, ps, table):
-    """e_p with c_p = 2^e_p, as int8, at each prime of ps; 0 at p = 2 and
-    at the bad primes, which never divide a class member.
+    """e_p with c_p = 2^e_p, as int8, at each prime of ps: units mod the
+    table modulus, which carries 2 and every bad prime, so odd and good,
+    as is every prime of a class member.
 
     table is the recipe's theta difference D = Theta(Q1) - Theta(Q2) to at
     least max(ps), as qseries.theta_difference gives it; D[p] is read
@@ -108,23 +109,20 @@ def tamagawa_exponents(spec, ps, table):
     D[p] > 0), Q2 represents p <=> no roots (c_p = 1, D[p] < 0), and
     neither <=> one root (c_p = 2, D[p] = 0).  Q1 and Q2 are distinct
     classes of discriminant -44, so no prime is represented by both and
-    the sign loses nothing.
+    the sign loses nothing: e_p = sign(D[p]) + 1.
 
     With a rational 2-torsion point the counts come from Euler's
     criterion on the curve's discriminant Delta (_euler_chi).  The cubic
     4x^3+b2x^2+2b4x+b6 has discriminant 16 Delta; at a good odd p it is
     separable and keeps its rational root, so it has 3 roots mod p when
     Delta is a square mod p and 1 root otherwise: c_p is
-    3 + kronecker(Delta, p).
+    3 + kronecker(Delta, p), and e_p = (kronecker(Delta, p) + 3) // 2.
     """
-    e = np.zeros(ps.size, dtype=np.int8)
-    good = (ps > 2) & (spec.conductor % ps != 0)
     if spec.family_torsion == 1:
-        d = difference_at(table, ps[good])
-        e[good] = np.where(d > 0, 2, np.where(d < 0, 0, 1))
+        e = np.sign(difference_at(table, ps)) + 1
     else:
-        e[good] = np.where(_euler_chi(spec.discriminant(), ps[good]) == 1, 2, 1)
-    return e
+        e = (_euler_chi(spec.discriminant(), ps) + 3) // 2
+    return e.astype(np.int8)
 
 
 def build_tamagawa(spec, table, bound, residues):

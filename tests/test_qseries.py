@@ -266,27 +266,35 @@ def test_theta_difference_int16_guard(monkeypatch):
         assert got[0].dtype == dtype and unfold(got, bound).tolist() == want
 
 
-def test_theta_difference_guards_its_point_count(monkeypatch):
-    # with int16 ruled out, |D[m]| is at most the number of lattice points
-    # scattered, so D is exact in int32 while that count stays below the
-    # limit; one point more than the limit allows is refused before it is
-    # scattered
-    monkeypatch.setattr(qseries, "_INT16_LIMIT", 0)
+def test_theta_difference_guards_its_reach(monkeypatch):
+    # with int16 ruled out, D is int32 while max(N+, N-) stays below the
+    # limit, and equals the naive difference; at a limit of exactly
+    # max(N+, N-) it is refused before its rows are allocated.  No
+    # catalogued recipe comes near 2^31 at any bound below it
     bound = 300
-    points = sum(
-        sum(naive_theta(form.a, form.b, form.c, bound))
-        for _, form in RECIPE_11A1.terms
-    )
+    reach = row_reach(RECIPE_11A1, bound)
     want = [
         u - v for u, v in zip(naive_theta(1, 0, 11, bound),
                               naive_theta(3, 2, 4, bound))
     ]
-    monkeypatch.setattr(qseries, "_INT32_LIMIT", points + 1)
+    monkeypatch.setattr(qseries, "_INT16_LIMIT", 0)
+    monkeypatch.setattr(qseries, "_INT32_LIMIT", reach + 1)
     got = theta_difference(RECIPE_11A1, bound, 44)
     assert got[0].dtype == np.int32 and unfold(got, bound).tolist() == want
-    monkeypatch.setattr(qseries, "_INT32_LIMIT", points)
+    monkeypatch.setattr(qseries, "_INT32_LIMIT", reach)
+    shapes = []
+    real = np.zeros
+
+    def zeros(shape, dtype):
+        shapes.append(np.shape(shape))
+        return real(shape, dtype)
+
+    monkeypatch.setattr(np, "zeros", zeros)
     with pytest.raises(OverflowGuardError):
         theta_difference(RECIPE_11A1, bound, 44)
+    assert shapes and all(len(shape) < 2 for shape in shapes), shapes
+    for label in catalog.LABELS:
+        assert row_reach(catalog.curve(label).recipe, 2**31 - 1) < 10**5
 
 
 @pytest.mark.parametrize("label", catalog.LABELS)

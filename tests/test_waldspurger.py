@@ -164,18 +164,22 @@ def test_class_rows_match_factorize_and_root_count(label):
 def test_tamagawa_rule_matches_root_count(label):
     # c_p from the sign of D[p] (11a1) or the Euler criterion on the
     # curve's discriminant (2-torsion curves) against 1 + #roots of the
-    # cubic mod p, at every good odd p; D[p] is read through the slot map
+    # cubic mod p, at the primes coprime to the table modulus, which are
+    # what build_tamagawa passes: every good odd p, as the modulus carries
+    # 2 and every bad prime; D[p] is read through the slot map
     spec = SPECS[label]
     bound = 20000
     table = theta_difference(spec.recipe, bound, spec.table_modulus)
-    ps = primes_upto(bound)
+    primes = primes_upto(bound)
+    ps = primes[spec.table_modulus % primes != 0]
+    good = [p for p in primes.tolist() if p > 2 and spec.conductor % p]
+    assert ps.tolist() == good and len(good) > 2000
     exps = tamagawa_exponents(spec, ps, table)
-    good = {p for p in ps.tolist() if p > 2 and spec.conductor % p}
-    assert len(good) > 2000
-    for p, e in zip(ps.tolist(), exps.tolist()):
-        assert 1 << e == (tamagawa_cp(spec, p) if p in good else 1), p
+    assert exps.dtype == np.int8
+    for p, e in zip(good, exps.tolist()):
+        assert 1 << e == tamagawa_cp(spec, p), p
     if spec.family_torsion == 1:
-        d = difference_at(table, np.array(sorted(good)))
+        d = difference_at(table, ps)
         assert set(np.sign(d).tolist()) == {-1, 0, 1}
 
 

@@ -31,6 +31,9 @@ QUICK = [
     ["tables", "--curve", "11a1", *_C3],
     ["fit", "--survey-csv", "c3/11a1_class3.csv", "--k", "4",
      "--out", "fit_c3.json"],
+    # a 2-torsion curve: its Tamagawa rows come from Euler's criterion
+    ["survey", "--curve", "34a1", "--classes", "53", "--step", "20000",
+     "--bound", "300000", "--out", "c34"],
     # refused: exit 2 with a message, nothing written
     ["expand", "--curve", "11a1", "--bound", "0", "--out", "an_0.csv"],
     ["survey", "--curve", "11a1", "--bound", str(10**15), "--out", "huge"],
