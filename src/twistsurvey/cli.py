@@ -188,18 +188,19 @@ def _check_bound(bound):
 
 def survey_curve(spec, bound, reps=None, overrides=None):
     """{rep: ClassSurvey} in the order of reps (default: every class).  The
-    Tamagawa rows, then the rows of F, are built from D's reached rows mod
-    M, which then go, as no row of F is a view of them; so the Tamagawa
-    transients never stand beside the rows of F.  A bound that
-    survey_class would refuse is refused before D is built."""
+    squarefree rows mod M come first; the Tamagawa rows, built on them,
+    then the rows of F are built from D's reached rows mod M, which then
+    go, as no row of F is a view of them, so the Tamagawa transients never
+    stand beside the rows of F.  A bound that survey_class would refuse is
+    refused before anything is built."""
     _check_bound(bound)
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
+    flags = squarefree_rows(bound, modulus, reps)
     table = theta_difference(spec.recipe, bound, modulus)
-    tama = build_tamagawa(spec, table, bound, reps)
+    tama = build_tamagawa(spec, table, bound, flags)
     a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, table)
     del table
-    flags = squarefree_rows(bound, modulus, reps)
     out = {}
     for rep in reps:
         base = catalog.baseline(spec, rep, overrides=overrides)
@@ -252,7 +253,7 @@ def _class_chunks(surv):
     _ROWS_PER_WRITE a chunk, with selmer and L formed per chunk.  Where
     a_n = 0, k and selmer are 0 and L nan, so the row reads n,0,0,0, with
     an empty L."""
-    head = _header(curve=surv.curve, n0=surv.n0, bound=surv.bound)
+    head = _header(curve=surv.base.curve, n0=surv.base.n0, bound=surv.bound)
     yield f"{head}{CSV_HEADER}\n".encode()
     for lo in range(0, surv.members.size, _ROWS_PER_WRITE):
         hi = lo + _ROWS_PER_WRITE
@@ -398,7 +399,7 @@ def _summarize_class(surv, checkpoints):
             for m, xm, q in zip(bounds, tx, qs)
         ]
     return {"members": int(surv.members.size), "fits": fits, "table_rows": rows,
-            "n0_effective": surv.n0_effective}
+            "n0_effective": surv.base.n0_effective}
 
 
 def _summarize(spec, surveys, checkpoints, bound, step):
@@ -664,7 +665,7 @@ _DEFECT_THRESHOLD = 1e-5
 def _pair_picks(surv, pairs):
     """Indices of the first `pairs` members after the class anchor with
     a_n != 0."""
-    later = (surv.a != 0) & (surv.members > surv.n0_effective)
+    later = (surv.a != 0) & (surv.members > surv.base.n0_effective)
     return np.flatnonzero(later)[:pairs]
 
 
@@ -719,7 +720,7 @@ def run_waldspurger_suite(surveys, pairs, tables):
                 continue
             ns = surv.members[picks]
             chosen[rep] = (
-                ns, propagate_l(ns, surv.a[picks], surv), surv.k[picks]
+                ns, propagate_l(ns, surv.a[picks], surv.base), surv.k[picks]
             )
         for rep in sorted(chosen):
             for n, prop, k in zip(*(col.tolist() for col in chosen[rep])):

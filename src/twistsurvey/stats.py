@@ -36,14 +36,15 @@ _EPSILONS = np.array(sorted(
 
 
 def default_checkpoints(bound, step=CHECKPOINT_STEP):
-    """The nested interval family [0, step*i] capped at bound."""
+    """The nested interval family [0, step*i] capped at bound, as a range,
+    so a bound too large to survey is refused before any grid is held."""
     bound = int(bound)
     step = int(step)
     if step <= 0:
         raise RangeError("checkpoint step must be positive")
     if bound < step:
         raise RangeError("bound below first checkpoint")
-    return tuple(range(step, bound + 1, step))
+    return range(step, bound + 1, step)
 
 
 def tally(members, k, checkpoints, bound):
@@ -52,11 +53,13 @@ def tally(members, k, checkpoints, bound):
     Returns (ks, x, s): ks = np.unique(k); x[j] counts the members <= M_j;
     s[i, j] counts those among them with k = ks[i].
     """
+    # before the copy: a default_checkpoints range may be too long to hold
+    top = checkpoints[-1] if len(checkpoints) else bound
+    if top > bound:
+        raise RangeError(f"checkpoint {top} exceeds surveyed bound {bound}")
     cps = np.asarray(checkpoints, dtype=np.int64)
     if (np.diff(cps) <= 0).any():
         raise DomainError("checkpoints must be strictly ascending")
-    if cps.size and cps[-1] > bound:
-        raise RangeError(f"checkpoint {cps[-1]} exceeds surveyed bound {bound}")
     k = np.asarray(k, dtype=np.int64)
     if (k < 0).any():
         raise DomainError("k must be nonnegative")

@@ -13,20 +13,18 @@ Frobenius-fixed components: 1 + #roots of the 2-division cubic
 These exact counts, not the split-case shift 4^(omega(n0)-omega(n)),
 enter the transfer.  L-values move by (a_n^2/a_n0^2) * sqrt(n0/n).
 
-Class members are odd, squarefree and coprime to the conductor, so the
-primes hitting c(n) never divide 2N, and so never divide the curve's
-discriminant; the count is well defined everywhere it is used.
-
-Every c_p is 1, 2 or 4, so c(n) = 2^e(n), with e(n) the sum of
-e_p = log2(c_p) over p | n.  A survey reads c(n), a_n and the squarefree
-flag only at class members, so each is held on the class's residue row
-n = n0 + M*j alone: build_tamagawa gives e as an int8 row, found by
-dividing the row's n by the primes up to sqrt(bound), and survey_class
-forms c = 1 << e after it gathers the members.  A ClassSurvey holds n
-(< 2^31) and a_n as int32 and k as int64, 16 bytes a member, and neither
-selmer = t*k nor L: numpy 2 keeps int32 * int in int32, so an int32 k
-would wrap in t * k, and L is computed from n, a_n and the anchor's three
-facts wherever it is read, block by block as the class CSV is written.
+The law is read only at class members, which are odd, squarefree and
+coprime to the conductor, as in Tunnell's form of Waldspurger's theorem
+(J. Tunnell, Invent. Math. 72 (1983) 323-334).  So no prime of c(n)
+divides 2N or the discriminant, and c(n) = 2^e(n), with e(n) the sum of
+e_p = log2(c_p) over p | n.  The squarefree flag, a_n and e are held on
+the class's residue row n = n0 + M*j alone: the flags first
+(sieve.squarefree_rows), then e as an int8 row exact wherever they are
+set (build_tamagawa).  A ClassSurvey holds its anchor, n (< 2^31) and a_n
+as int32 and k as int64, 16 bytes a member; numpy 2 keeps int32 * int in
+int32, so an int32 k would wrap in selmer = t * k, which is formed where
+it is read, as L is from n, a_n and the anchor, block by block as the
+class CSV is written.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import ClassBaseline
 from .errors import (
     CasselsViolationError,
     DimensionError,
@@ -125,35 +124,36 @@ def tamagawa_exponents(spec, ps, table):
     return e.astype(np.int8)
 
 
-def build_tamagawa(spec, table, bound, residues):
-    """{r: e_r} with c(n) = 2^e_r[j] at n = r + M*j <= bound, M the table
-    modulus, each a read-only int8 row, for units r mod M; table is the
-    recipe's theta difference to bound (tamagawa_exponents).
+def build_tamagawa(spec, table, bound, flags):
+    """{r: e_r} for each row r of flags, sieve.squarefree_rows(bound, M,
+    reps) with M the table modulus: a read-only int8 row of the flag row's
+    length, with c(n) = 2^e_r[j] at each n = r + M*j the row flags; table
+    is the recipe's theta difference to bound (tamagawa_exponents).
 
-    e_r[j] is the sum of e_p (tamagawa_exponents) over the primes p | n,
-    each counted once.  Each prime p <= sqrt(bound) not dividing M adds
-    e_p at every p-th entry from first_multiple(r, M, p), and each power
-    p^k <= bound takes a factor p out of every p^k-th entry of rest =
-    r + M*j.  n <= bound has at most one prime factor above sqrt(bound),
-    so rest ends as 1 or that prime, which adds its own e_p: the row is
-    exact at every entry, squarefree or not.  e_r[j] <= 2*omega(n), which
-    stays far inside int8 for any bound held in memory.
+    e_r[j] is the sum of e_p over the primes p | n.  Each prime p <=
+    sqrt(bound) not dividing M adds e_p at every p-th entry from
+    first_multiple(r, M, p), and takes one factor p out of the same
+    entries of rest = r + M*j.  A squarefree n <= bound has at most one
+    prime factor above sqrt(bound), so its rest ends as 1 or that prime,
+    which adds its own e_p; an unflagged n is left as it falls.  rest is
+    int32, which holds n < 2^31 (MEMBER_LIMIT, checked here as in
+    survey_class), and e_r[j] <= 2*omega(n) stays far inside int8.
     """
+    if bound >= MEMBER_LIMIT:
+        raise OverflowGuardError(f"bound {bound} leaves the int32 members")
     modulus = spec.table_modulus
     ps = primes_upto(math.isqrt(bound))
     ps = ps[modulus % ps != 0]
     small = list(zip(ps.tolist(), tamagawa_exponents(spec, ps, table).tolist()))
     rows = {}
-    for r in residues:
-        rest = r + modulus * np.arange((bound - r) // modulus + 1)
-        row = np.zeros(rest.size, dtype=np.int8)
+    for r, free in flags.items():
+        rest = r + modulus * np.arange(free.size, dtype=np.int32)
+        row = np.zeros(free.size, dtype=np.int8)
         for p, ep in small:
-            row[first_multiple(r, modulus, p) :: p] += ep
-            q = p
-            while q <= bound:
-                rest[first_multiple(r, modulus, q) :: q] //= p
-                q *= p
-        big = rest > 1
+            j = first_multiple(r, modulus, p)
+            row[j::p] += ep
+            rest[j::p] //= p
+        big = free & (rest > 1)
         row[big] += tamagawa_exponents(spec, rest[big], table)
         row.setflags(write=False)
         rows[r] = row
@@ -173,18 +173,11 @@ def propagate_l(n, a_n, baseline):
 
 @dataclass(frozen=True)
 class ClassSurvey:
-    """Vectorized twist results for every class member up to a bound.
+    """Vectorized twist results for every class member up to a bound,
+    with the class anchor they were transferred from; L is computed from
+    the anchor by l_rows rather than held."""
 
-    It carries the anchor facts that propagate_l reads (n0_effective,
-    a_n0, l_n0), so it stands in for the anchor there, and L is computed
-    from them by l_rows rather than held.
-    """
-
-    curve: str
-    n0: int
-    n0_effective: int  # the anchor the class was transferred from
-    a_n0: int
-    l_n0: float
+    base: ClassBaseline
     bound: int
     members: np.ndarray  # ascending squarefree class members, int32
     a: np.ndarray  # int32, the a row's own dtype
@@ -203,7 +196,7 @@ class ClassSurvey:
         a = self.a[lo:hi]
         nz = a != 0
         l = np.full(a.size, np.nan)
-        l[nz] = propagate_l(self.members[lo:hi][nz], a[nz], self)
+        l[nz] = propagate_l(self.members[lo:hi][nz], a[nz], self.base)
         return l
 
 
@@ -268,6 +261,5 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
             f"a perfect square"
         )
     return ClassSurvey(
-        spec.label, baseline.n0, baseline.n0_effective, baseline.a_n0,
-        baseline.l_n0, bound, members, a_members, k, spec.family_torsion,
+        baseline, bound, members, a_members, k, spec.family_torsion
     )

@@ -271,8 +271,9 @@ def test_criterion_8_property_suites(full_surveys, tmp_path):
     small = 10 ** 5
     table = theta_difference(spec.recipe, small, 44)
     (a_row,) = coefficient_rows(spec.recipe, small, 44, (3,), table).values()
-    (flags,) = squarefree_rows(small, 44, (3,)).values()
-    (tama,) = build_tamagawa(spec, table, small, (3,)).values()
+    flag_rows = squarefree_rows(small, 44, (3,))
+    (flags,) = flag_rows.values()
+    (tama,) = build_tamagawa(spec, table, small, flag_rows).values()
     base = catalog.baseline(spec, 3)
     from dataclasses import replace
 

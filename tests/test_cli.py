@@ -97,8 +97,9 @@ def test_survey_curve_peak_memory_per_coefficient():
 @pytest.mark.parametrize("bound, rows", [(10**8, 10), (10**7, 6)])
 def test_summary_table_rows_reach_1e8(bound, rows):
     members = np.arange(1, bound, 997, dtype=np.int32)
+    base = catalog.ClassBaseline("11a1", 1, 1, 1, 1, 1, 1.0)
     surv = waldspurger.ClassSurvey(
-        "11a1", 1, 1, 1, 1.0, bound, members, np.ones_like(members),
+        base, bound, members, np.ones_like(members),
         np.arange(members.size, dtype=np.int64) % 2, 1,
     )
     checkpoints = stats.default_checkpoints(bound, bound // 20)
@@ -620,9 +621,8 @@ def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
     per_class = surveys["11a1"]
     for rep, surv in per_class.items():
         if prefix == "waldspurger":
-            per_class[rep] = dataclasses.replace(
-                surv, l_n0=surv.l_n0 * (1 + 1e-4)
-            )
+            base = dataclasses.replace(surv.base, l_n0=surv.base.l_n0 * 1.0001)
+            per_class[rep] = dataclasses.replace(surv, base=base)
         else:
             surv.k[surv.k == 0] = 1
     failures = getattr(cli, suite)(*args, tables)
@@ -1042,6 +1042,34 @@ def test_bound_past_the_int32_members_exits_2_before_theta(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["survey", "tables", "plot-data", "fit"])
+def test_huge_bound_refused_before_the_grid_is_held(
+    survey_dir, tmp_path, capsys, monkeypatch, command
+):
+    # at 10^15 the default grid has 2*10^10 checkpoints (160 GB as a
+    # tuple), so each command names the bound it refuses, not a failed
+    # allocation, and holds a few MB at most on the way
+    huge = str(10**15)
+    if command == "fit":
+        argv = ["fit", "--survey-csv", str(survey_dir / "17a1_class3.csv"),
+                "--k", "1", "--bound", huge]
+        want = f"error: checkpoint {huge} exceeds surveyed bound 150000\n"
+    else:
+        argv = [command, "--curve", "11a1", "--bound", huge]
+        argv += ["--n0", "3", "--k", "1"] if command == "plot-data" else []
+        want = f"error: bound {huge} is not below 2^31\n"
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == want
+    assert peak < 4 * 2**20, peak
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):
     # an allocation refused inside the interpreter raises MemoryError()
     # with no message; the error line still gives a reason
@@ -1058,7 +1086,8 @@ def test_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):
 def _class_csv_by_loop(surv):
     """A class CSV rendered one row at a time: the reference for the
     chunked writer."""
-    text = (f"# schema_version 1\n# curve {surv.curve}\n# n0 {surv.n0}\n"
+    text = (f"# schema_version 1\n# curve {surv.base.curve}\n"
+            f"# n0 {surv.base.n0}\n"
             f"# bound {surv.bound}\nn,a_n,k,selmer,L\n")
     l = surv.l_rows()
     for i in range(surv.members.size):

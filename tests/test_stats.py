@@ -29,15 +29,18 @@ def mini_survey():
     bound = 100000
     table = theta_difference(spec.recipe, bound, 44)
     (a_row,) = coefficient_rows(spec.recipe, bound, 44, (3,), table).values()
-    (flags,) = squarefree_rows(bound, 44, (3,)).values()
-    (exps,) = build_tamagawa(spec, table, bound, (3,)).values()
+    flag_rows = squarefree_rows(bound, 44, (3,))
+    (flags,) = flag_rows.values()
+    (exps,) = build_tamagawa(spec, table, bound, flag_rows).values()
     base = catalog.baseline(spec, 3)
     return survey_class(spec, base, a_row, flags, exps, bound)
 
 
 def test_default_checkpoints():
-    assert default_checkpoints(200000) == (50000, 100000, 150000, 200000)
-    assert default_checkpoints(10, step=4) == (4, 8)
+    assert tuple(default_checkpoints(200000)) == (50000, 100000, 150000, 200000)
+    assert tuple(default_checkpoints(10, step=4)) == (4, 8)
+    # a range, so a grid far too long to hold is never built
+    assert len(default_checkpoints(10**15)) == 2 * 10**10
     with pytest.raises(RangeError):
         default_checkpoints(100000, step=0)
     with pytest.raises(RangeError):

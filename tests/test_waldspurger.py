@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from twistsurvey import catalog
+from twistsurvey import catalog, waldspurger
 from twistsurvey.bsd_oracle import (
     count_cubic_roots,
     tamagawa_cp,
@@ -60,10 +60,11 @@ def class_rows():
     for label, spec in SPECS.items():
         reps, modulus = spec.class_reps, spec.table_modulus
         table = theta_difference(spec.recipe, BOUND, modulus)
+        flags = squarefree_rows(BOUND, modulus, reps)
         out[label] = (
             coefficient_rows(spec.recipe, BOUND, modulus, reps, table),
-            squarefree_rows(BOUND, modulus, reps),
-            build_tamagawa(spec, table, BOUND, reps),
+            flags,
+            build_tamagawa(spec, table, BOUND, flags),
         )
     return out
 
@@ -74,8 +75,8 @@ def unit_tamagawa(spec, bound):
     modulus = spec.table_modulus
     reps = [r for r in range(1, modulus) if math.gcd(r, modulus) == 1]
     table = theta_difference(spec.recipe, bound, modulus)
-    exps = build_tamagawa(spec, table, bound, reps)
     flags = squarefree_rows(bound, modulus, reps)
+    exps = build_tamagawa(spec, table, bound, flags)
     return {
         int(n): 1 << int(exps[r][(n - r) // modulus])
         for r in reps
@@ -130,31 +131,33 @@ def test_build_tamagawa_matches_scalar(label, squarefree):
 @pytest.mark.parametrize("label", catalog.LABELS)
 def test_class_rows_match_factorize_and_root_count(label):
     # every n <= 2*10^5 on each class row: the flag row against
-    # factorize, and 2^e against the product over the distinct primes of
-    # n of 1 + the cubic's roots, counted by gcd(f, x^p - x)
-    # (tamagawa_cp's count takes O(p) time); the rows are exact at the
-    # non-squarefree n too, which a prime divided out once would miss
+    # factorize, and, where the flag is set (the rows are exact only
+    # there), 2^e against the product over the primes of n of 1 + the
+    # cubic's roots, counted by gcd(f, x^p - x) (tamagawa_cp's count takes
+    # O(p) time)
     spec = SPECS[label]
     bound = 200000
     reps, modulus = spec.class_reps, spec.table_modulus
     table = theta_difference(spec.recipe, bound, modulus)
-    exps = build_tamagawa(spec, table, bound, reps)
     flags = squarefree_rows(bound, modulus, reps)
+    exps = build_tamagawa(spec, table, bound, flags)
     cp = {}
-    checked = 0
+    struck = 0
     for r in reps:
         assert flags[r].size == exps[r].size == (bound - r) // modulus + 1
         for j, n in enumerate(range(r, bound + 1, modulus)):
             factors = factorize(n)
             squarefree_n = all(e == 1 for e in factors.values())
             assert bool(flags[r][j]) == squarefree_n, n
+            if not squarefree_n:
+                struck += 1
+                continue
             for p in factors:
                 if p not in cp:
                     cp[p] = 1 + cubic_root_count(spec.weierstrass, p)
             want = math.prod(cp[p] for p in factors)
             assert 1 << int(exps[r][j]) == want, n
-            checked += not squarefree_n
-    assert checked > 2000
+    assert struck > 2000
     # the gcd count is the oracle's root count wherever that is cheap
     for p in [p for p in cp if p < 2000]:
         assert cp[p] == tamagawa_cp(spec, p), p
@@ -181,6 +184,34 @@ def test_tamagawa_rule_matches_root_count(label):
     if spec.family_torsion == 1:
         d = difference_at(table, ps)
         assert set(np.sign(d).tolist()) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_build_tamagawa_passes_only_primes(monkeypatch, label):
+    # _euler_chi applies one value per residue class mod 4|core|, so a
+    # composite passed to tamagawa_exponents would corrupt its whole
+    # class; every unit row is built, so the non-squarefree n, whose rest
+    # may stay composite, are all met
+    spec = SPECS[label]
+    bound = 100000
+    modulus = spec.table_modulus
+    reps = [r for r in range(1, modulus) if math.gcd(r, modulus) == 1]
+    passed = []
+
+    def record(spec, ps, table):
+        passed.append(np.asarray(ps))
+        return tamagawa_exponents(spec, ps, table)
+
+    monkeypatch.setattr(waldspurger, "tamagawa_exponents", record)
+    table = theta_difference(spec.recipe, bound, modulus)
+    build_tamagawa(spec, table, bound, squarefree_rows(bound, modulus, reps))
+    values = np.concatenate(passed).astype(np.int64)
+    assert values.size > 5000 and values.min() > 2
+    for d in range(2, math.isqrt(int(values.max())) + 1):
+        assert not ((values % d == 0) & (values != d)).any(), d
+    # the members' int32 rest is refused a bound it cannot hold
+    with pytest.raises(OverflowGuardError, match="2147483648"):
+        build_tamagawa(spec, table, 2 ** 31, {})
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +244,7 @@ def test_evaluate_twist_self_application(survey):
             assert sv.a[i] == base.a_n0
             assert sv.k[i] == base.k0
             assert sv.selmer[i] == spec.family_torsion * base.k0
-            assert sv.n0_effective == base.n0_effective
+            assert sv.base == base
             assert sv.l_rows()[i] == pytest.approx(base.l_n0, rel=1e-15)
 
 
@@ -305,8 +336,9 @@ def test_class_survey_columns(survey):
     # 16 bytes a member are held: int32 members and a, int64 k (an int32 k
     # would wrap in t * k under numpy 2); selmer is derived from k, and the
     # float64 l from the members, a and the anchor
+    # the anchor is held once, as base
     names = {f.name for f in fields(ClassSurvey)}
-    assert not names & {"selmer", "l"}
+    assert names == {"base", "bound", "members", "a", "k", "torsion"}
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
@@ -329,15 +361,16 @@ def test_class_survey_columns(survey):
 
 
 def test_survey_class_peak_memory_per_member():
-    # 24 bytes a member are kept; the transfer's int64 temporaries (num,
+    # 16 bytes a member are kept; the transfer's int64 temporaries (num,
     # den, c, the int64 a) are freed before the square test and the
     # L-values, so they are never all live at once
     bound, rep = 10**6, 3
     spec = SPECS["11a1"]
     table = theta_difference(spec.recipe, bound, spec.table_modulus)
     a_row = coefficient_rows(spec.recipe, bound, spec.table_modulus, (rep,), table)
-    tama = build_tamagawa(spec, table, bound, (rep,))[rep]
-    flags = squarefree_rows(bound, spec.table_modulus, (rep,))[rep]
+    flag_rows = squarefree_rows(bound, spec.table_modulus, (rep,))
+    tama = build_tamagawa(spec, table, bound, flag_rows)[rep]
+    flags = flag_rows[rep]
     base = catalog.baseline(spec, rep)
     tracemalloc.start()
     try:
