@@ -316,11 +316,12 @@ def terms_needed(spec, n, precision=1e-9):
     return t
 
 
-def weight_two_table(spec, ns, precision=1e-9):
-    """expand_b to the most terms twisted_l1 needs at any n of ns; the
-    count depends on n mod 4 as well as on the size of n.  b[m] does not
-    depend on the table's length, so one table serves every n."""
-    return expand_b(spec, max(terms_needed(spec, n, precision) for n in ns))
+def weight_two_table(spec, needs):
+    """expand_b to the most terms twisted_l1 needs for any (n, precision)
+    pair of needs; the count depends on n mod 4 as well as on the size of
+    n.  b[m] does not depend on the table's length, so one table serves
+    every pair."""
+    return expand_b(spec, max(terms_needed(spec, n, p) for n, p in needs))
 
 
 def twisted_l1(spec, n, coeffs, precision=1e-9):

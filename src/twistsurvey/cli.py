@@ -24,7 +24,6 @@ from .bsd_oracle import (
     baseline_selmer,
     bsd_selmer,
     reference_series,
-    terms_needed,
     twisted_l1,
     weight_two_table,
 )
@@ -77,17 +76,6 @@ def _status(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-@dataclasses.dataclass
-class SurveyConfig:
-    curve: str = ""
-    bound: int = 10**7
-    classes: tuple = ()
-    checkpoint_step: int = stats.CHECKPOINT_STEP
-    output_dir: str = "."
-    threads: int = 0  # 0 = auto
-    overrides: str = ""
-
-
 def _parse_classes(value):
     """Comma-separated class reps, each at most once."""
     value = value.strip()
@@ -115,20 +103,21 @@ def _parse_threads(value):
     return n
 
 
+# each settings key of survey and tables: (parse, default)
 _CONFIG_PARSERS = {
-    "curve": str,
-    "bound": int,
-    "classes": _parse_classes,
-    "checkpoint_step": int,
-    "output_dir": str,
-    "threads": _parse_threads,
-    "overrides": str,
+    "curve": (str, ""),
+    "bound": (int, 10**7),
+    "classes": (_parse_classes, ()),
+    "checkpoint_step": (int, stats.CHECKPOINT_STEP),
+    "output_dir": (str, "."),
+    "threads": (_parse_threads, 0),  # 0 = auto
+    "overrides": (str, ""),
 }
 
 
 def parse_config(text):
-    """Flat key = value lines mirroring SurveyConfig, each key at most
-    once; # starts a comment."""
+    """{key: parsed value} of flat key = value lines, each key one of
+    _CONFIG_PARSERS' and at most once; # starts a comment."""
     out = {}
     for idx, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -144,7 +133,7 @@ def parse_config(text):
         if key in out:
             raise DomainError(f"config line {idx}: repeated key {key!r}")
         try:
-            out[key] = _CONFIG_PARSERS[key](val)
+            out[key] = _CONFIG_PARSERS[key][0](val)
         except DomainError:
             raise
         except ValueError:
@@ -153,19 +142,20 @@ def parse_config(text):
 
 
 def make_config(args):
-    """(cfg, spec, checkpoints, overrides) of a configured run: the
-    SurveyConfig from defaults <- config file <- explicit flags, the
+    """(cfg, spec, checkpoints, overrides) of a configured run: cfg is a
+    Namespace of every _CONFIG_PARSERS key, its default overlaid by the
+    config file's value and that by the explicit flag's; then the
     catalogue entry of its curve, its checkpoint grid and its overrides,
-    checked in that order before any directory is made or class surveyed."""
-    vals = {}
+    checked in that order before any class is surveyed."""
+    vals = {key: default for key, (_, default) in _CONFIG_PARSERS.items()}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             vals.update(parse_config(fh.read()))
-    for key, parse in _CONFIG_PARSERS.items():
+    for key, (parse, _) in _CONFIG_PARSERS.items():
         val = getattr(args, key, None)
         if val is not None:
             vals[key] = parse(val)
-    cfg = SurveyConfig(**vals)
+    cfg = argparse.Namespace(**vals)
     if not cfg.curve:
         raise DomainError("no curve given")
     spec = catalog.curve(cfg.curve)
@@ -464,14 +454,15 @@ def cmd_expand(args):
 
 def cmd_survey(args):
     cfg, spec, checkpoints, overrides = make_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.time()
     surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
     _status(f"{spec.label}: surveyed {len(surveys)} classes in {time.time()-t0:.1f}s")
-    # summarized first: a survey that cannot be fitted writes no file
+    # summarized first: a survey that cannot be fitted writes nothing,
+    # not even its directory
     summary = _summarize(
         spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
     )
+    os.makedirs(cfg.output_dir, exist_ok=True)
     for rep, surv in surveys.items():
         path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
         _write_file(path, _class_chunks(surv))
@@ -592,7 +583,9 @@ def cmd_tables(args):
     cfg, spec, checkpoints, overrides = make_config(args)
     surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
     kcols = tuple(j * j for j in range(20))
-    entries = {r: _summarize_class(s, checkpoints) for r, s in surveys.items()}
+    entries = _summarize(
+        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
+    )["classes"]
     width = 9
     print(f"fitted alpha by class and k ({spec.label}, M = {cfg.bound})")
     header = "class".rjust(6) + "".join(str(k).rjust(width) for k in kcols)
@@ -605,7 +598,7 @@ def cmd_tables(args):
             cells.append(
                 f"{fr['alpha']:.6f}".rjust(width) if fr is not None else "-".rjust(width)
             )
-        print(str(rep).rjust(6) + "".join(cells))
+        print(rep.rjust(6) + "".join(cells))
     for rep in entries:
         fits = entries[rep]["fits"]
         for k in sorted(fits, key=int):
@@ -677,13 +670,14 @@ def _zero_picks(per_class):
 
 
 def weight_two_tables(surveys, pairs, reps_by_label):
-    """{label: one weight-two table} for each curve of reps_by_label, long
-    enough for every L(1) that the three suites below evaluate on it: the
-    pair picks at _PAIR_PRECISION and the zero picks at _ZERO_PRECISION of
-    its survey in surveys, if it has one, and the frozen anchors'
-    n0_effective (without the overrides) at _ANCHOR_PRECISION.  b[m] does
-    not depend on the table's length, so each suite reads the values a
-    table of its own would hold."""
+    """{label: weight_two_table(spec, needs)} for each curve of
+    reps_by_label, where needs are the (n, precision) pairs of every L(1)
+    that the three suites below evaluate on it: the pair picks at
+    _PAIR_PRECISION and the zero picks at _ZERO_PRECISION of its survey in
+    surveys, if it has one, and the frozen anchors' n0_effective (without
+    the overrides) at _ANCHOR_PRECISION.  weight_two_table sizes the table
+    for all of them; b[m] does not depend on the table's length, so each
+    suite reads the values a table of its own would hold."""
     tables = {}
     for label, reps in reps_by_label.items():
         spec = catalog.curve(label)
@@ -695,9 +689,7 @@ def weight_two_tables(surveys, pairs, reps_by_label):
                 picks = surv.members[_pair_picks(surv, pairs)].tolist()
                 needs += [(n, _PAIR_PRECISION) for n in picks]
             needs += [(n, _ZERO_PRECISION) for n in _zero_picks(per_class)]
-        # the need with the most terms sizes the table
-        n, precision = max(needs, key=lambda need: terms_needed(spec, *need))
-        tables[label] = weight_two_table(spec, [n], precision)
+        tables[label] = weight_two_table(spec, needs)
     return tables
 
 
@@ -712,18 +704,14 @@ def run_waldspurger_suite(surveys, pairs, tables):
     for label, per_class in surveys.items():
         spec = catalog.curve(label)
         coeffs = tables[label]
-        chosen = {}
         for rep, surv in per_class.items():
             picks = _pair_picks(surv, pairs)
             if not picks.size:
                 fails.append(f"waldspurger {label}/{rep}: not enough members")
                 continue
             ns = surv.members[picks]
-            chosen[rep] = (
-                ns, propagate_l(ns, surv.a[picks], surv.base), surv.k[picks]
-            )
-        for rep in sorted(chosen):
-            for n, prop, k in zip(*(col.tolist() for col in chosen[rep])):
+            cols = ns, propagate_l(ns, surv.a[picks], surv.base), surv.k[picks]
+            for n, prop, k in zip(*(col.tolist() for col in cols)):
                 where = f"waldspurger {label}/{rep} n={n}"
                 direct = twisted_l1(spec, n, coeffs, _PAIR_PRECISION).l1
                 rel = abs(direct - prop) / abs(direct)
@@ -821,13 +809,13 @@ def run_propagation_suite(overrides=None):
 
 def cmd_verify(args):
     labels = (args.curve,) if args.curve else catalog.LABELS
-    for label in labels:
-        catalog.curve(label)
-    overrides = catalog.load_overrides(args.overrides)
     theta_bound, survey_bound, pairs, anchors = _DEPTHS[args.depth]
+    # resolving every label first refuses an unknown curve before the
+    # overrides are read
     baseline_reps = {
         label: catalog.curve(label).class_reps[:anchors] for label in labels
     }
+    overrides = catalog.load_overrides(args.overrides)
     suites = []
     # each status line's seconds run from the one before, so they add up
     # to the run and waldspurger_pairs' include building the tables
@@ -880,7 +868,7 @@ def build_parser():
     pe.add_argument("--threads")
     pe.set_defaults(func=cmd_expand)
 
-    # the flags survey and tables share, each a SurveyConfig key
+    # the flags survey and tables share, each a _CONFIG_PARSERS key
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--curve")
     shared.add_argument("--bound", type=int)

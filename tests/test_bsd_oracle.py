@@ -212,7 +212,7 @@ def test_terms_needed_depends_on_parity_not_size():
 def anchor_table(spec, *reps):
     """The table sized for the frozen anchors of the classes reps."""
     return weight_two_table(
-        spec, [catalog.baseline(spec, n0).n0_effective for n0 in reps]
+        spec, [(catalog.baseline(spec, n0).n0_effective, 1e-9) for n0 in reps]
     )
 
 
@@ -242,7 +242,7 @@ def test_twisted_l1_truncation_guards():
 
 def test_twisted_l1_matches_frozen_baselines():
     spec = SPECS["11a1"]
-    coeffs = weight_two_table(spec, [1, 3])
+    coeffs = weight_two_table(spec, [(1, 1e-9), (3, 1e-9)])
     data = twisted_l1(spec, 1, coeffs)
     assert data.disc == -4 and data.conductor_twist == 176
     assert data.l1 == pytest.approx(1.4588166169384955, rel=1e-9)
@@ -257,7 +257,7 @@ def test_twisted_l1_zero_consistent_flag():
     # a_47 = 0 for the conductor-11 family, so L(1) of the -47 twist
     # vanishes; the flag must catch it without asserting exact zero
     spec = SPECS["11a1"]
-    data = twisted_l1(spec, 47, weight_two_table(spec, [47]))
+    data = twisted_l1(spec, 47, weight_two_table(spec, [(47, 1e-9)]))
     assert data.zero_consistent
     assert abs(data.l1) < 1e-9
 
@@ -315,7 +315,7 @@ def test_transfer_defect_small_pair():
     n0, n = live
     a_n0 = int(series[n0])
     a_n = int(series[n])
-    coeffs = weight_two_table(spec, (n, n0), 1e-7)
+    coeffs = weight_two_table(spec, [(n, 1e-7), (n0, 1e-7)])
     l_n, l_n0 = (twisted_l1(spec, m, coeffs, 1e-7).l1 for m in (n, n0))
 
     def defect(n, n0, a_n, a_n0, l_n, l_n0):

@@ -178,7 +178,8 @@ def test_all_frozen_baselines_reproduced_from_scratch():
         spec = catalog.curve(label)
         coeffs = weight_two_table(
             spec,
-            [catalog.baseline(spec, n0).n0_effective for n0 in spec.class_reps],
+            [(catalog.baseline(spec, n0).n0_effective, 1e-9)
+             for n0 in spec.class_reps],
         )
         for n0 in spec.class_reps:
             want = catalog.baseline(spec, n0)

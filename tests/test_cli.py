@@ -1003,6 +1003,20 @@ def test_survey_that_cannot_be_fitted_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--bound", str(10**15)], 2),
+    (["--bound", "100000", "--overrides", "k0.ov"], 4),
+    (["--bound", "2000000", "--step", "1500000"], 2),
+], ids=["refused-bound", "non-square-anchor", "one-checkpoint"])
+def test_refused_survey_leaves_no_directory(tmp_path, monkeypatch, flags,
+                                            code):
+    monkeypatch.chdir(tmp_path)
+    Path("k0.ov").write_text("# anchors\n17a1.3.k0 = 2\n")
+    assert run(["survey", "--curve", "17a1", "--classes", "3", *flags,
+                "--out", "d"]) == code
+    assert not Path("d").exists()
+
+
 @pytest.mark.parametrize("command", ["expand", "survey"])
 def test_bound_too_big_for_memory_exits_2(tmp_path, capsys, command):
     # 10^15 coefficients fit in no 64-bit address space, so the first
@@ -1334,6 +1348,14 @@ def test_only_weight_two_table_builds_a_table():
         if called == "expand_b"
     ]
     assert found == [("bsd_oracle.py", "weight_two_table")]
+    # and one size: terms_needed is called inside bsd_oracle alone
+    sizers = {
+        path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for _, called, _ in calls(path.read_text())
+        if called == "terms_needed"
+    }
+    assert sizers == {"bsd_oracle.py"}
     probe = "def f():\n    expand_b(s, 9)\n    bsd_oracle.expand_b(s, 9)\n"
     assert [(func, called) for func, called, _ in calls(probe)] == [
         ("f", "expand_b"), ("f", "expand_b")

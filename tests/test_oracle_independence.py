@@ -142,7 +142,7 @@ def test_baseline_selmer_needs_no_qseries(monkeypatch):
     monkeypatch.setattr(qseries, "theta_difference", refuse)
     spec = catalog.curve("11a1")
     want = catalog.baseline(spec, 3)
-    coeffs = bsd_oracle.weight_two_table(spec, [want.n0_effective])
+    coeffs = bsd_oracle.weight_two_table(spec, [(want.n0_effective, 1e-9)])
     got = bsd_oracle.baseline_selmer(spec, 3, coeffs)
     assert got.l_n0 == pytest.approx(want.l_n0, rel=1e-9)
     assert replace(got, l_n0=want.l_n0) == want

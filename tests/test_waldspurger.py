@@ -397,7 +397,7 @@ def test_propagate_l_matches_direct_series(coeff_series):
     squarefree = squarefree_rows(600, 1, (0,))[0]
     members = [n for n in range(1, 601, 44) if squarefree[n]]
     live = [n for n in members if series[n] != 0][1:3]
-    coeffs = weight_two_table(spec, live, 1e-8)
+    coeffs = weight_two_table(spec, [(n, 1e-8) for n in live])
     for n in live:
         got = propagate_l(n, int(series[n]), base)
         want = twisted_l1(spec, n, coeffs, 1e-8).l1

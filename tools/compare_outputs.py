@@ -9,7 +9,8 @@ one after another in one fresh temporary directory per tree, so a later
 command reads what an earlier one wrote (fit reads a survey's class CSV).
 For each command the exit codes, stdout and stderr are compared, stderr
 with its elapsed times ("1.2s") masked; then every file written, byte
-for byte.  Each difference is printed.  Exit status: 0 when both trees
+for byte, and the set of directories left, empty ones too.  Each
+difference is printed.  Exit status: 0 when both trees
 agree on everything, 1 when anything differs, 2 when a tree's src/ does
 not provide the package.  --quick runs the short list only (seconds per
 tree); the full list adds the 10^6-10^7 runs and both verify depths.
@@ -72,7 +73,8 @@ def _check_tree(tree):
 
 def run_tree(tree, commands):
     """[(exit code, stdout, masked stderr)] per command, and {relative
-    path: bytes} of every file the commands wrote."""
+    path: bytes} of every file the commands wrote and {relative path + '/':
+    None} of every directory they left."""
     results = []
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
         for argv in commands:
@@ -82,10 +84,13 @@ def run_tree(tree, commands):
             )
             err = _ELAPSED.sub(b"<t>s", proc.stderr)
             results.append((proc.returncode, proc.stdout, err))
-        files = {
-            str(p.relative_to(work)): p.read_bytes()
-            for p in sorted(Path(work).rglob("*")) if p.is_file()
-        }
+        files = {}
+        for p in sorted(Path(work).rglob("*")):
+            name = str(p.relative_to(work))
+            if p.is_dir():
+                files[f"{name}/"] = None
+            else:
+                files[name] = p.read_bytes()
     return results, files
 
 
@@ -103,11 +108,12 @@ def compare(parent, change, commands):
     for path in sorted(set(pfiles) | set(cfiles)):
         if path not in cfiles or path not in pfiles:
             side = "change" if path not in cfiles else "parent"
-            diffs.append(f"{path}: not written by the {side}")
+            verb = "left" if path.endswith("/") else "written"
+            diffs.append(f"{path}: not {verb} by the {side}")
         elif pfiles[path] != cfiles[path]:
             diffs.append(f"{path}: contents differ "
                          f"({len(pfiles[path])} vs {len(cfiles[path])} bytes)")
-    return diffs, len(pfiles)
+    return diffs, sum(data is not None for data in pfiles.values())
 
 
 def main(argv=None):
