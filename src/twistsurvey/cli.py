@@ -371,37 +371,38 @@ def _k_row(ks, s, k):
     return s[hit] if hit.any() else np.zeros((1, s.shape[1]), dtype=s.dtype)
 
 
-def _summarize_class(surv, checkpoints):
-    """Member count, anchor, and the fits and TABLE_BOUNDS rows of each k."""
-    ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
-    bounds = [b for b in TABLE_BOUNDS if b <= surv.bound]
-    _, tx, ts = stats.tally(surv.members, surv.k, bounds, surv.bound)
-    tq = stats.ratios(tx, ts).tolist()
-    tx = tx.tolist()
-    fits, rows = {}, {}
-    # one pass over the fitted rows, only to lay out the JSON
-    for k, fr, qs in zip(ks.tolist(), _fit_dicts(stats.fit(x, s)), tq):
-        live = not fr["degenerate"]
-        fits[str(k)] = fr
-        rows[str(k)] = [
-            [m, xm, q, stats.sigma(xm, fr["alpha"], fr["epsilon"])
-             if live and xm >= stats.MODEL_FLOOR else 0.0]
-            for m, xm, q in zip(bounds, tx, qs)
-        ]
-    return {"members": int(surv.members.size), "fits": fits, "table_rows": rows,
-            "n0_effective": surv.base.n0_effective}
-
-
 def _summarize(spec, surveys, checkpoints, bound, step):
-    return {
-        "curve": spec.label,
-        "bound": bound,
-        "checkpoint_step": step,
-        "classes": {
-            str(rep): _summarize_class(surv, checkpoints)
-            for rep, surv in surveys.items()
-        },
-    }
+    """The survey's summary: each class's member count and anchor, and
+    the fits and TABLE_BOUNDS rows of each k, both read from the one
+    count matrix tallied on the checkpoints and table bounds together."""
+    bounds = [b for b in TABLE_BOUNDS if b <= bound]
+    # not np.union1d or a plain np.unique: in numpy 2.4 their first call
+    # imports numpy.ma, which took survey --bound 10^7 from 69.1 to 69.7 MB
+    grid = np.array(sorted({*checkpoints, *bounds}), dtype=np.int64)
+    at_fit = np.searchsorted(grid, checkpoints)
+    at_row = np.searchsorted(grid, bounds)
+    classes = {}
+    for rep, surv in surveys.items():
+        ks, x, s = stats.tally(surv.members, surv.k, grid, surv.bound)
+        fitted = _fit_dicts(stats.fit(x[at_fit], s[:, at_fit]))
+        tq = stats.ratios(x[at_row], s[:, at_row]).tolist()
+        tx = x[at_row].tolist()
+        fits, rows = {}, {}
+        # one pass over the fitted rows, only to lay out the JSON
+        for k, fr, qs in zip(ks.tolist(), fitted, tq):
+            live = not fr["degenerate"]
+            fits[str(k)] = fr
+            rows[str(k)] = [
+                [m, xm, q, stats.sigma(xm, fr["alpha"], fr["epsilon"])
+                 if live and xm >= stats.MODEL_FLOOR else 0.0]
+                for m, xm, q in zip(bounds, tx, qs)
+            ]
+        classes[str(rep)] = {
+            "members": int(surv.members.size), "fits": fits,
+            "table_rows": rows, "n0_effective": surv.base.n0_effective,
+        }
+    return {"curve": spec.label, "bound": bound, "checkpoint_step": step,
+            "classes": classes}
 
 
 def cmd_expand(args):

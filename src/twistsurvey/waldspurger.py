@@ -174,8 +174,9 @@ def propagate_l(n, a_n, baseline):
 @dataclass(frozen=True)
 class ClassSurvey:
     """Vectorized twist results for every class member up to a bound,
-    with the class anchor they were transferred from; L is computed from
-    the anchor by l_rows rather than held."""
+    with the class anchor they were transferred from.  The Selmer order
+    t * k (0 where k = 0) is formed by whoever reads it, and L by l_rows
+    from the anchor; neither is held."""
 
     base: ClassBaseline
     bound: int
@@ -183,10 +184,6 @@ class ClassSurvey:
     a: np.ndarray  # int32, the a row's own dtype
     k: np.ndarray  # int64 (module docstring), 0 on the positive-rank bucket
     torsion: int  # the family's t
-
-    @property
-    def selmer(self):  # t * k, with a 0 placeholder where k = 0
-        return self.torsion * self.k
 
     def l_rows(self, lo=0, hi=None):
         """L(1) of the twists by -n for the members [lo, hi) (all of them by

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -102,14 +105,89 @@ def test_summary_table_rows_reach_1e8(bound, rows):
         base, bound, members, np.ones_like(members),
         np.arange(members.size, dtype=np.int64) % 2, 1,
     )
-    checkpoints = stats.default_checkpoints(bound, bound // 20)
-    entry = cli._summarize_class(surv, checkpoints)
+    step = bound // 20
+    checkpoints = stats.default_checkpoints(bound, step)
+    entry = cli._summarize(
+        catalog.curve("11a1"), {1: surv}, checkpoints, bound, step
+    )["classes"]["1"]
     want = [10**5, 10**6, 25 * 10**5, 5 * 10**6, 75 * 10**5, 10**7,
             25 * 10**6, 5 * 10**7, 75 * 10**6, 10**8][:rows]
     for k in ("0", "1"):
         assert [row[0] for row in entry["table_rows"][k]] == want
     # the anchor each class summary carries
     assert entry["n0_effective"] == 1
+
+
+@pytest.fixture(scope="module")
+def surveys_11a1():
+    # step 30000 leaves 10^5 and 10^6 off the checkpoint grid
+    return cli.survey_curve(catalog.curve("11a1"), 10**6, (3, 23))
+
+
+def test_summary_table_rows_count_the_members(surveys_11a1):
+    # every row [M, x, ratio, sigma] against a count made from the
+    # survey's own arrays, not from stats
+    spec = catalog.curve("11a1")
+    checkpoints = stats.default_checkpoints(10**6, 30000)
+    assert not {10**5, 10**6} & set(checkpoints)
+    summary = cli._summarize(spec, surveys_11a1, checkpoints, 10**6, 30000)
+    for rep, surv in surveys_11a1.items():
+        rows = summary["classes"][str(rep)]["table_rows"]
+        assert set(rows) == {str(k) for k in set(surv.k.tolist())}
+        for kk, table in rows.items():
+            assert [row[0] for row in table] == [10**5, 10**6]
+            for m, x, ratio, _ in table:
+                upto = surv.members <= m
+                assert x == int(upto.sum())
+                assert ratio == int((upto & (surv.k == int(kk))).sum()) / x
+    # below the first table bound every class has its fits and no rows
+    low = cli.survey_curve(spec, 60000, (3, 23))
+    summary = cli._summarize(
+        spec, low, stats.default_checkpoints(60000, 20000), 60000, 20000
+    )
+    for entry in summary["classes"].values():
+        assert entry["fits"]
+        assert all(rows == [] for rows in entry["table_rows"].values())
+
+
+def test_summarize_tallies_each_class_once(surveys_11a1, monkeypatch):
+    # the fits and the table rows read one count matrix, on one int64
+    # grid of the checkpoints and the table bounds
+    grids = []
+    tally = stats.tally
+
+    def counted(members, k, checkpoints, bound):
+        grids.append(checkpoints)
+        return tally(members, k, checkpoints, bound)
+
+    monkeypatch.setattr(stats, "tally", counted)
+    checkpoints = stats.default_checkpoints(10**6, 30000)
+    cli._summarize(
+        catalog.curve("11a1"), surveys_11a1, checkpoints, 10**6, 30000
+    )
+    assert len(grids) == 2
+    want = sorted({*checkpoints, 10**5, 10**6})
+    for grid in grids:
+        assert grid.dtype == np.int64 and grid.tolist() == want
+
+
+def test_survey_leaves_numpy_ma_unimported(tmp_path):
+    # np.union1d and a plain np.unique import numpy.ma on their first call,
+    # which costs a survey's peak RSS; the summary path calls neither
+    probe = (
+        "import sys\n"
+        "from twistsurvey import cli\n"
+        "assert cli.main(['survey', '--curve', '11a1', '--bound', '300000',"
+        " '--step', '30000', '--out', 'out']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    got = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -1109,8 +1187,8 @@ def _class_csv_by_loop(surv):
         if a == 0:
             text += f"{n},0,0,0,\n"
         else:
-            text += (f"{n},{a},{int(surv.k[i])},{int(surv.selmer[i])},"
-                     f"{float(l[i]):.12g}\n")
+            k = int(surv.k[i])
+            text += f"{n},{a},{k},{surv.torsion * k},{float(l[i]):.12g}\n"
     return text.encode()
 
 

@@ -243,7 +243,7 @@ def test_evaluate_twist_self_application(survey):
             i = member_index(sv, base.n0_effective)
             assert sv.a[i] == base.a_n0
             assert sv.k[i] == base.k0
-            assert sv.selmer[i] == spec.family_torsion * base.k0
+            assert sv.torsion * sv.k[i] == spec.family_torsion * base.k0
             assert sv.base == base
             assert sv.l_rows()[i] == pytest.approx(base.l_n0, rel=1e-15)
 
@@ -252,7 +252,7 @@ def test_evaluate_twist_positive_rank(survey):
     # a_47 = 0 in 11a1 class 3: the k = 0 bucket, no order and no L-value
     sv = survey("11a1", catalog.baseline(SPECS["11a1"], 3), 1000)
     i = member_index(sv, 47)
-    assert sv.a[i] == 0 and sv.k[i] == 0 and sv.selmer[i] == 0
+    assert sv.a[i] == 0 and sv.k[i] == 0 and sv.torsion * sv.k[i] == 0
     assert math.isnan(sv.l_rows()[i])
 
 
@@ -329,13 +329,15 @@ def test_survey_class_products_stay_int64(survey, class_rows):
     big = survey("17a1", replace(base, k0=2 ** 30))
     small = survey("17a1", base)
     assert np.array_equal(big.k, small.k * 2 ** 30)
-    assert np.array_equal(big.selmer, small.selmer * 2 ** 30)
+    assert np.array_equal(
+        big.torsion * big.k, small.torsion * small.k * 2 ** 30
+    )
 
 
 def test_class_survey_columns(survey):
     # 16 bytes a member are held: int32 members and a, int64 k (an int32 k
-    # would wrap in t * k under numpy 2); selmer is derived from k, and the
-    # float64 l from the members, a and the anchor
+    # would wrap in t * k under numpy 2); the caller forms t * k, and
+    # l_rows the float64 l from the members, a and the anchor
     # the anchor is held once, as base
     names = {f.name for f in fields(ClassSurvey)}
     assert names == {"base", "bound", "members", "a", "k", "torsion"}
@@ -350,8 +352,8 @@ def test_class_survey_columns(survey):
                     sv.l_rows().dtype] == [
                 np.int32, np.int32, np.int64, np.float64
             ]
-            assert sv.selmer.dtype == np.int64
-            assert np.array_equal(sv.selmer, spec.family_torsion * sv.k)
+            assert (sv.torsion * sv.k).dtype == np.int64
+            assert np.array_equal(sv.torsion * sv.k, spec.family_torsion * sv.k)
     # a member at or past 2^31 would wrap, so the bound is refused before
     # the rows are even measured against it
     spec = SPECS["11a1"]
@@ -425,7 +427,7 @@ def test_rebasing_is_involutive(survey):
     again = survey("14a1", base2, 4000)
     assert np.array_equal(again.members, sv.members)
     assert np.array_equal(again.k, sv.k)
-    assert np.array_equal(again.selmer, sv.selmer)
+    assert np.array_equal(again.torsion * again.k, sv.torsion * sv.k)
     keep = sv.k > 0
     assert np.allclose(again.l_rows()[keep], l[keep], rtol=1e-12, atol=0)
 
@@ -439,7 +441,7 @@ def test_survey_scale_invariance(class_rows):
     one = survey_class(spec, base, a_rows[3], flags[3], exps[3], BOUND)
     three = survey_class(spec, base3, 3 * a_rows[3], flags[3], exps[3], BOUND)
     assert np.array_equal(one.k, three.k)
-    assert np.array_equal(one.selmer, three.selmer)
+    assert np.array_equal(one.torsion * one.k, three.torsion * three.k)
     keep = one.k > 0
     assert np.allclose(
         one.l_rows()[keep], three.l_rows()[keep], rtol=1e-12
@@ -474,7 +476,7 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
                 spec.weierstrass, spec.family_torsion, anchor, n, a_n
             )
             assert got.k[i] == k
-            assert got.selmer[i] == selmer
+            assert got.torsion * got.k[i] == selmer
             if l_value is None:
                 assert math.isnan(l[i])
             else:
@@ -492,6 +494,8 @@ def test_all_classes_survey_clean(survey):
             assert sv.members.size > 0
             nz = sv.a != 0
             assert np.array_equal(sv.k == 0, ~nz)
-            assert np.all(sv.selmer[nz] == spec.family_torsion * sv.k[nz])
-            assert np.all(sv.selmer[~nz] == 0)
+            assert np.all(
+                sv.torsion * sv.k[nz] == spec.family_torsion * sv.k[nz]
+            )
+            assert np.all(sv.torsion * sv.k[~nz] == 0)
             assert np.all(np.isnan(sv.l_rows()[~nz]))

@@ -35,6 +35,10 @@ QUICK = [
     # a 2-torsion curve: its Tamagawa rows come from Euler's criterion
     ["survey", "--curve", "34a1", "--classes", "53", "--step", "20000",
      "--bound", "300000", "--out", "c34"],
+    # 10^5 off the checkpoint grid; then a bound below every table bound
+    ["survey", "--curve", "17a1", "--classes", "3,7", "--step", "30000",
+     "--bound", "300000", "--out", "c17"],
+    ["tables", "--curve", "14a1", "--step", "10000", "--bound", "60000"],
     # refused: exit 2 with a message, nothing written
     ["expand", "--curve", "11a1", "--bound", "0", "--out", "an_0.csv"],
     ["survey", "--curve", "11a1", "--bound", str(10**15), "--out", "huge"],
