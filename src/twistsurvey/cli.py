@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 bad configuration, 3 verification failure,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -176,13 +177,16 @@ def _check_bound(bound):
         raise DomainError(f"bound {bound} is not below 2^31")
 
 
-def survey_curve(spec, bound, reps=None, overrides=None):
-    """{rep: ClassSurvey} in the order of reps (default: every class).  The
-    squarefree rows mod M come first; the Tamagawa rows, built on them,
-    then the rows of F are built from D's reached rows mod M, which then
-    go, as no row of F is a view of them, so the Tamagawa transients never
-    stand beside the rows of F.  A bound that survey_class would refuse is
-    refused before anything is built."""
+def survey_classes(spec, bound, reps=None, overrides=None):
+    """(rep, ClassSurvey) for each rep of reps in turn (default: every
+    class), surveyed as the sequence is read.  The rows are built by the
+    call, so a bound that survey_class would refuse is refused before
+    anything is built or read.  The squarefree rows mod M come first; the
+    Tamagawa rows, built on them, then the rows of F are built from D's
+    reached rows mod M, which then go, as no row of F is a view of them, so
+    the Tamagawa transients never stand beside the rows of F.  Each class's
+    three rows are let go as its survey is made, so a reader that drops each
+    survey before taking the next holds one at a time."""
     _check_bound(bound)
     reps = reps or spec.class_reps
     modulus = spec.table_modulus
@@ -191,33 +195,62 @@ def survey_curve(spec, bound, reps=None, overrides=None):
     tama = build_tamagawa(spec, table, bound, flags)
     a_rows = coefficient_rows(spec.recipe, bound, modulus, reps, table)
     del table
-    out = {}
-    for rep in reps:
-        base = catalog.baseline(spec, rep, overrides=overrides)
-        out[rep] = survey_class(
-            spec, base, a_rows[rep], flags[rep], tama[rep], bound
-        )
-    return out
+    return (
+        (rep, survey_class(
+            spec, catalog.baseline(spec, rep, overrides=overrides),
+            a_rows.pop(rep), flags.pop(rep), tama.pop(rep), bound,
+        ))
+        for rep in reps
+    )
 
 
-def _write_file(path, chunks):
-    """Write the bytes of chunks to path.tmp and rename it onto path, so
-    path never holds part of a file; the temp file goes if anything raises."""
-    tmp = f"{path}.tmp"
+def survey_curve(spec, bound, reps=None, overrides=None):
+    """{rep: ClassSurvey} of survey_classes, every class held at once."""
+    return dict(survey_classes(spec, bound, reps, overrides))
+
+
+@contextlib.contextmanager
+def _staging(directory="."):
+    """A list for _write_file to stage its temp files in.  When the block
+    ends, each is renamed onto its path, so no path holds part of a file,
+    nor one file of a run that failed later; if anything raises, every
+    staged file goes instead, and so does each directory of directory's
+    path (made here when missing) that this made."""
+    made = []
+    head = os.path.abspath(directory)
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(directory, exist_ok=True)
+    tmps = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        yield tmps
+        for tmp in tmps:
+            os.replace(tmp, tmp.removesuffix(".tmp"))
+        made.clear()
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        for path in made:
+            os.rmdir(path)
 
 
-def _write_json(path, doc):
-    """doc and its schema_version as JSON to path (stdout if path is empty).
-    The text is streamed from the encoder, _JSON_PARTS pieces a chunk, so
-    it is never held whole; it is json.dumps' text, since dumps is the
-    same encoder's pieces joined."""
+def _write_file(path, chunks, staged=None):
+    """Write the bytes of chunks to path.tmp, renamed onto path by its own
+    _staging, or by staged's when given."""
+    own = _staging() if staged is None else contextlib.nullcontext(staged)
+    with own as tmps:
+        tmps.append(f"{path}.tmp")
+        with open(tmps[-1], "wb") as fh:
+            fh.writelines(chunks)
+
+
+def _write_json(path, doc, staged=None):
+    """doc and its schema_version as JSON to path (stdout if path is empty),
+    staged as _write_file stages it.  The text is streamed from the encoder,
+    _JSON_PARTS pieces a chunk, so it is never held whole; it is json.dumps'
+    text, since dumps is the same encoder's pieces joined."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     parts = json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc)
 
@@ -227,7 +260,7 @@ def _write_json(path, doc):
         yield "\n"
 
     if path:
-        _write_file(path, (chunk.encode() for chunk in chunks()))
+        _write_file(path, (chunk.encode() for chunk in chunks()), staged)
     else:
         sys.stdout.writelines(chunks())
 
@@ -371,10 +404,14 @@ def _k_row(ks, s, k):
     return s[hit] if hit.any() else np.zeros((1, s.shape[1]), dtype=s.dtype)
 
 
-def _summarize(spec, surveys, checkpoints, bound, step):
-    """The survey's summary: each class's member count and anchor, and
-    the fits and TABLE_BOUNDS rows of each k, both read from the one
-    count matrix tallied on the checkpoints and table bounds together."""
+def _summarize(spec, surveys, checkpoints, bound, step, each=None):
+    """The survey's summary of surveys, (rep, ClassSurvey) pairs taken one
+    at a time: each class's member count and anchor, and the fits and
+    TABLE_BOUNDS rows of each k, both read from the one count matrix
+    tallied on the checkpoints and table bounds together.  each(rep, surv),
+    when given, is called on every class once it is summarized; the class
+    is then let go before the next is asked for, so survey_classes is never
+    held whole."""
     bounds = [b for b in TABLE_BOUNDS if b <= bound]
     # not np.union1d or a plain np.unique: in numpy 2.4 their first call
     # imports numpy.ma, which took survey --bound 10^7 from 69.1 to 69.7 MB
@@ -382,7 +419,7 @@ def _summarize(spec, surveys, checkpoints, bound, step):
     at_fit = np.searchsorted(grid, checkpoints)
     at_row = np.searchsorted(grid, bounds)
     classes = {}
-    for rep, surv in surveys.items():
+    for rep, surv in surveys:
         ks, x, s = stats.tally(surv.members, surv.k, grid, surv.bound)
         fitted = _fit_dicts(stats.fit(x[at_fit], s[:, at_fit]))
         tq = stats.ratios(x[at_row], s[:, at_row]).tolist()
@@ -401,6 +438,9 @@ def _summarize(spec, surveys, checkpoints, bound, step):
             "members": int(surv.members.size), "fits": fits,
             "table_rows": rows, "n0_effective": surv.base.n0_effective,
         }
+        if each is not None:
+            each(rep, surv)
+        del surv
     return {"curve": spec.label, "bound": bound, "checkpoint_step": step,
             "classes": classes}
 
@@ -454,22 +494,28 @@ def cmd_expand(args):
 
 
 def cmd_survey(args):
+    """Survey the configured classes one at a time: each is summarized and
+    its CSV staged, then let go before the next class is built.  The files
+    are renamed onto their paths, and the summary written, only once every
+    class has succeeded; a survey that is refused, aborts or cannot be
+    fitted leaves no file, and no directory that it made (_staging)."""
     cfg, spec, checkpoints, overrides = make_config(args)
     t0 = time.time()
-    surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
-    _status(f"{spec.label}: surveyed {len(surveys)} classes in {time.time()-t0:.1f}s")
-    # summarized first: a survey that cannot be fitted writes nothing,
-    # not even its directory
-    summary = _summarize(
-        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
-    )
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    for rep, surv in surveys.items():
-        path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
-        _write_file(path, _class_chunks(surv))
-    spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
-    _write_json(spath, summary)
-    _status(f"wrote {len(surveys)} class files and {spath}")
+    with _staging(cfg.output_dir) as staged:
+
+        def write(rep, surv):
+            path = os.path.join(cfg.output_dir, f"{spec.label}_class{rep}.csv")
+            _write_file(path, _class_chunks(surv), staged)
+
+        summary = _summarize(
+            spec, survey_classes(spec, cfg.bound, cfg.classes, overrides),
+            checkpoints, cfg.bound, cfg.checkpoint_step, write,
+        )
+        spath = os.path.join(cfg.output_dir, f"{spec.label}_summary.json")
+        _write_json(spath, summary, staged)
+    count = len(summary["classes"])
+    _status(f"{spec.label}: surveyed {count} classes in {time.time()-t0:.1f}s")
+    _status(f"wrote {count} class files and {spath}")
     return EXIT_OK
 
 
@@ -582,10 +628,10 @@ def cmd_plot_data(args):
 
 def cmd_tables(args):
     cfg, spec, checkpoints, overrides = make_config(args)
-    surveys = survey_curve(spec, cfg.bound, cfg.classes, overrides)
     kcols = tuple(j * j for j in range(20))
     entries = _summarize(
-        spec, surveys, checkpoints, cfg.bound, cfg.checkpoint_step
+        spec, survey_classes(spec, cfg.bound, cfg.classes, overrides),
+        checkpoints, cfg.bound, cfg.checkpoint_step,
     )["classes"]
     width = 9
     print(f"fitted alpha by class and k ({spec.label}, M = {cfg.bound})")

@@ -24,7 +24,9 @@ set (build_tamagawa).  A ClassSurvey holds its anchor, n (< 2^31) and a_n
 as int32 and k as int64, 16 bytes a member; numpy 2 keeps int32 * int in
 int32, so an int32 k would wrap in selmer = t * k, which is formed where
 it is read, as L is from n, a_n and the anchor, block by block as the
-class CSV is written.
+class CSV is written.  The survey command makes the class surveys one at
+a time (cli.survey_classes) and lets each go once it is summarized and
+written, so it never holds two.
 """
 
 from __future__ import annotations

@@ -97,6 +97,57 @@ def test_survey_curve_peak_memory_per_coefficient():
     assert peak <= 4.0 * (bound + 1), peak / (bound + 1)
 
 
+@pytest.mark.parametrize("label, limit", [("11a1", 5.2), ("34a1", 3.0)])
+def test_survey_holds_one_class_survey_at_a_time(tmp_path, label, limit):
+    # each class is summarized and staged, then let go before the next is
+    # built: 4.63 and 2.17 bytes per n; holding every class survey until
+    # the summary and the writers ran took 5.89 and 3.84
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        assert run(["survey", "--curve", label, "--bound", str(bound),
+                    "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * (bound + 1), peak / (bound + 1)
+
+
+@pytest.mark.parametrize("out, old", [
+    (os.path.join("d", "e"), False), ("d", True),
+], ids=["new-dirs", "old-file"])
+def test_later_class_abort_leaves_nothing(tmp_path, monkeypatch, capsys, out,
+                                          old):
+    # class 3 is staged as its .tmp before class 7 aborts; that .tmp goes,
+    # and so does every directory the run made, while an older class file
+    # is left as it was
+    monkeypatch.chdir(tmp_path)
+    Path("k0.ov").write_text("17a1.7.k0 = 2\n")
+    if old:
+        Path(out).mkdir()
+        Path(out, "17a1_class3.csv").write_bytes(b"old\n")
+    staged = []
+    real = cli._write_file
+
+    def recorded(path, chunks, into=None):
+        real(path, chunks, into)
+        staged.append((path, os.path.exists(f"{path}.tmp")))
+
+    monkeypatch.setattr(cli, "_write_file", recorded)
+    assert run(["survey", "--curve", "17a1", "--classes", "3,7",
+                "--bound", "100000", "--overrides", "k0.ov",
+                "--out", out]) == 4
+    assert capsys.readouterr().err == (
+        "abort: 17a1: k = 2 at n = 7 is not a perfect square\n"
+    )
+    assert staged == [(os.path.join(out, "17a1_class3.csv"), True)]
+    if old:
+        assert [p.name for p in Path(out).iterdir()] == ["17a1_class3.csv"]
+        assert Path(out, "17a1_class3.csv").read_bytes() == b"old\n"
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k0.ov"]
+
+
 @pytest.mark.parametrize("bound, rows", [(10**8, 10), (10**7, 6)])
 def test_summary_table_rows_reach_1e8(bound, rows):
     members = np.arange(1, bound, 997, dtype=np.int32)
@@ -108,7 +159,7 @@ def test_summary_table_rows_reach_1e8(bound, rows):
     step = bound // 20
     checkpoints = stats.default_checkpoints(bound, step)
     entry = cli._summarize(
-        catalog.curve("11a1"), {1: surv}, checkpoints, bound, step
+        catalog.curve("11a1"), [(1, surv)], checkpoints, bound, step
     )["classes"]["1"]
     want = [10**5, 10**6, 25 * 10**5, 5 * 10**6, 75 * 10**5, 10**7,
             25 * 10**6, 5 * 10**7, 75 * 10**6, 10**8][:rows]
@@ -130,7 +181,9 @@ def test_summary_table_rows_count_the_members(surveys_11a1):
     spec = catalog.curve("11a1")
     checkpoints = stats.default_checkpoints(10**6, 30000)
     assert not {10**5, 10**6} & set(checkpoints)
-    summary = cli._summarize(spec, surveys_11a1, checkpoints, 10**6, 30000)
+    summary = cli._summarize(
+        spec, surveys_11a1.items(), checkpoints, 10**6, 30000
+    )
     for rep, surv in surveys_11a1.items():
         rows = summary["classes"][str(rep)]["table_rows"]
         assert set(rows) == {str(k) for k in set(surv.k.tolist())}
@@ -141,7 +194,7 @@ def test_summary_table_rows_count_the_members(surveys_11a1):
                 assert x == int(upto.sum())
                 assert ratio == int((upto & (surv.k == int(kk))).sum()) / x
     # below the first table bound every class has its fits and no rows
-    low = cli.survey_curve(spec, 60000, (3, 23))
+    low = cli.survey_classes(spec, 60000, (3, 23))
     summary = cli._summarize(
         spec, low, stats.default_checkpoints(60000, 20000), 60000, 20000
     )
@@ -163,7 +216,7 @@ def test_summarize_tallies_each_class_once(surveys_11a1, monkeypatch):
     monkeypatch.setattr(stats, "tally", counted)
     checkpoints = stats.default_checkpoints(10**6, 30000)
     cli._summarize(
-        catalog.curve("11a1"), surveys_11a1, checkpoints, 10**6, 30000
+        catalog.curve("11a1"), surveys_11a1.items(), checkpoints, 10**6, 30000
     )
     assert len(grids) == 2
     want = sorted({*checkpoints, 10**5, 10**6})
@@ -900,7 +953,7 @@ def test_survey_grid_checked_before_any_work(tmp_path, capsys, monkeypatch,
     def no_survey(*args, **kwargs):
         raise AssertionError("surveyed before checking the checkpoint grid")
 
-    monkeypatch.setattr(cli, "survey_curve", no_survey)
+    monkeypatch.setattr(cli, "survey_classes", no_survey)
     argv = [command, "--curve", "17a1"]
     if command == "survey":
         argv += ["--out", str(tmp_path / "out")]
@@ -1168,7 +1221,7 @@ def test_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "survey_curve", no_memory)
+    monkeypatch.setattr(cli, "survey_classes", no_memory)
     assert run(["survey", "--curve", "11a1", "--bound", "100000",
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
