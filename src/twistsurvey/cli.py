@@ -273,14 +273,14 @@ def _header(**meta):
 
 def _class_chunks(surv):
     """The class CSV of surv as bytes: its header, then its rows,
-    _ROWS_PER_WRITE a chunk, with selmer and L formed per chunk.  Where
-    a_n = 0, k and selmer are 0 and L nan, so the row reads n,0,0,0, with
-    an empty L."""
+    _ROWS_PER_WRITE a chunk, with k = root^2, selmer and L formed per
+    chunk.  Where a_n = 0, k and selmer are 0 and L nan, so the row reads
+    n,0,0,0, with an empty L."""
     head = _header(curve=surv.base.curve, n0=surv.base.n0, bound=surv.bound)
     yield f"{head}{CSV_HEADER}\n".encode()
     for lo in range(0, surv.members.size, _ROWS_PER_WRITE):
         hi = lo + _ROWS_PER_WRITE
-        k = surv.k[lo:hi]
+        k = np.square(surv.root[lo:hi], dtype=np.int64)
         yield _encode_rows([
             surv.members[lo:hi], surv.a[lo:hi], k, surv.torsion * k,
             surv.l_rows(lo, hi),
@@ -420,12 +420,14 @@ def _summarize(spec, surveys, checkpoints, bound, step, each=None):
     at_row = np.searchsorted(grid, bounds)
     classes = {}
     for rep, surv in surveys:
-        ks, x, s = stats.tally(surv.members, surv.k, grid, surv.bound)
+        # tallied by root: squaring keeps the order, so row i has k = root^2
+        roots, x, s = stats.tally(surv.members, surv.root, grid, surv.bound)
         fitted = _fit_dicts(stats.fit(x[at_fit], s[:, at_fit]))
         tq = stats.ratios(x[at_row], s[:, at_row]).tolist()
         tx = x[at_row].tolist()
         fits, rows = {}, {}
         # one pass over the fitted rows, only to lay out the JSON
+        ks = np.square(roots, dtype=np.int64)
         for k, fr, qs in zip(ks.tolist(), fitted, tq):
             live = not fr["degenerate"]
             fits[str(k)] = fr
@@ -605,8 +607,8 @@ def cmd_plot_data(args):
         raise InvalidClassError(f"{args.n0} not a {spec.label} class")
     checkpoints = stats.default_checkpoints(args.bound, args.step)
     surv = survey_curve(spec, args.bound, (args.n0,))[args.n0]
-    ks, x, s = stats.tally(surv.members, surv.k, checkpoints, surv.bound)
-    row = _k_row(ks, s, args.k)
+    rs, x, s = stats.tally(surv.members, surv.root, checkpoints, surv.bound)
+    row = _k_row(np.square(rs, dtype=np.int64), s, args.k)
     out = args.out or f"{spec.label}_n{args.n0}_k{args.k}.dat"
     lines = [_header(curve=spec.label, n0=args.n0, k=args.k), "x ratio sigma\n"]
     if row[0, -1] > 0:
@@ -682,8 +684,10 @@ def run_theta_suite(labels, bound):
 
 def run_cassels_suite(labels, bound, overrides, surveys):
     """Surveys each curve once, to bound under the overrides, into surveys.
-    survey_class's own checks are the suite's (integral and square k, the
-    int64 guard); an abort is the curve's one failure and leaves it out."""
+    survey_class's own checks are the suite's (an integral root of k at
+    every member, of the parity Cassels' square test asks for, and the
+    overflow guards); an abort is the curve's one failure and leaves it
+    out."""
     fails = []
     for label in labels:
         try:
@@ -712,7 +716,7 @@ def _pair_picks(surv, pairs):
 def _zero_picks(per_class):
     """The first _ZERO_PICKS twists in the k = 0 rows of a curve's
     classes, where a_n = 0."""
-    zeros = np.concatenate([s.members[s.k == 0] for s in per_class.values()])
+    zeros = np.concatenate([s.members[s.root == 0] for s in per_class.values()])
     return np.sort(zeros)[:_ZERO_PICKS].tolist()
 
 
@@ -756,9 +760,9 @@ def run_waldspurger_suite(surveys, pairs, tables):
             if not picks.size:
                 fails.append(f"waldspurger {label}/{rep}: not enough members")
                 continue
-            ns = surv.members[picks]
-            cols = ns, propagate_l(ns, surv.a[picks], surv.base), surv.k[picks]
-            for n, prop, k in zip(*(col.tolist() for col in cols)):
+            ns, roots = surv.members[picks], surv.root[picks]
+            cols = ns, propagate_l(ns, surv.a[picks], surv.base), roots
+            for n, prop, root in zip(*(col.tolist() for col in cols)):
                 where = f"waldspurger {label}/{rep} n={n}"
                 direct = twisted_l1(spec, n, coeffs, _PAIR_PRECISION).l1
                 rel = abs(direct - prop) / abs(direct)
@@ -772,8 +776,8 @@ def run_waldspurger_suite(surveys, pairs, tables):
                 except NormalizationError as exc:
                     fails.append(f"{where}: {exc}")
                     continue
-                if k != bsd_k:
-                    fails.append(f"{where}: k {k} vs BSD {bsd_k}")
+                if root * root != bsd_k:
+                    fails.append(f"{where}: k {root * root} vs BSD {bsd_k}")
     return fails
 
 

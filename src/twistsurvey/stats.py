@@ -60,7 +60,8 @@ def tally(members, k, checkpoints, bound):
     cps = np.asarray(checkpoints, dtype=np.int64)
     if (np.diff(cps) <= 0).any():
         raise DomainError("checkpoints must be strictly ascending")
-    k = np.asarray(k, dtype=np.int64)
+    # no copy: the survey's roots are tallied as the int32 they are held
+    k = np.asarray(k)
     if (k < 0).any():
         raise DomainError("k must be nonnegative")
     ks, row = np.unique(k, return_inverse=True)

@@ -20,13 +20,20 @@ divides 2N or the discriminant, and c(n) = 2^e(n), with e(n) the sum of
 e_p = log2(c_p) over p | n.  The squarefree flag, a_n and e are held on
 the class's residue row n = n0 + M*j alone: the flags first
 (sieve.squarefree_rows), then e as an int8 row exact wherever they are
-set (build_tamagawa).  A ClassSurvey holds its anchor, n (< 2^31) and a_n
-as int32 and k as int64, 16 bytes a member; numpy 2 keeps int32 * int in
-int32, so an int32 k would wrap in selmer = t * k, which is formed where
-it is read, as L is from n, a_n and the anchor, block by block as the
-class CSV is written.  The survey command makes the class surveys one at
-a time (cli.survey_classes) and lets each go once it is summarized and
-written, so it never holds two.
+set (build_tamagawa).
+
+With K = k0 * c_n0, k = K * a_n^2 / (a_n0^2 * 2^e(n)) is a rational
+square just when 2^(e(n) mod 2) * K is a square, and at most one of K and
+2K is one, as sqrt 2 is irrational.  So Cassels' square test is a parity
+test: every member with a_n != 0 must have e(n) = p (mod 2) for that one
+p, and then sqrt(k) = R * |a_n| / (|a_n0| * 2^ceil(e(n)/2)) with
+R = sqrt(2^p * K), an integer exactly when k is.  A ClassSurvey holds
+that root, with n (< 2^31) and a_n, as int32: 12 bytes a member.
+k = root^2 and selmer = t * k are formed in int64 where they are read,
+as L is from n, a_n and the anchor, block by block as the class CSV is
+written.  The survey command makes the class surveys one at a time
+(cli.survey_classes) and lets each go once it is summarized and written,
+so it never holds two.
 """
 
 from __future__ import annotations
@@ -46,28 +53,11 @@ from .errors import (
 from .qseries import difference_at
 from .sieve import factorize, first_multiple, primes_upto
 
-# float64 holds every integer below 2^53 exactly and sqrt rounds
-# correctly, so rint(sqrt(k)) is the root of any square k below 2^53;
-# the guard keeps one bit of margin
-SQUARE_EXACT_BOUND = 2 ** 52
 # class members are held as int32, so every surveyed bound lies below this
 MEMBER_LIMIT = 2 ** 31
-
-
-def is_square(k):
-    """Elementwise perfect-square test (negatives are not squares).
-
-    Raises OverflowGuardError for k >= 2^52, where the float root test
-    is no longer argued exact.
-    """
-    k = np.asarray(k)
-    if (k >= SQUARE_EXACT_BOUND).any():
-        raise OverflowGuardError(
-            f"square test needs k < 2^52, got {int(k.max())}"
-        )
-    k = k.astype(np.int64, copy=False)
-    root = np.rint(np.sqrt(np.maximum(k, 0).astype(np.float64)))
-    return root.astype(np.int64) ** 2 == k
+# roots stay below this, so k = root^2 < 2^52 and t * k stay far inside the
+# int64 they are formed in
+ROOT_LIMIT = 2 ** 26
 
 
 def _euler_chi(d, ps):
@@ -176,15 +166,15 @@ def propagate_l(n, a_n, baseline):
 @dataclass(frozen=True)
 class ClassSurvey:
     """Vectorized twist results for every class member up to a bound,
-    with the class anchor they were transferred from.  The Selmer order
-    t * k (0 where k = 0) is formed by whoever reads it, and L by l_rows
-    from the anchor; neither is held."""
+    with the class anchor they were transferred from.  k = root^2 and the
+    Selmer order t * k (0 where root = 0) are formed by whoever reads
+    them, in int64, and L by l_rows from the anchor; none is held."""
 
     base: ClassBaseline
     bound: int
     members: np.ndarray  # ascending squarefree class members, int32
     a: np.ndarray  # int32, the a row's own dtype
-    k: np.ndarray  # int64 (module docstring), 0 on the positive-rank bucket
+    root: np.ndarray  # int32 sqrt(k) < ROOT_LIMIT; 0 at rank > 0, as k is
     torsion: int  # the family's t
 
     def l_rows(self, lo=0, hi=None):
@@ -201,64 +191,70 @@ class ClassSurvey:
 
 def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     """The transfer law from the class anchor to every squarefree class
-    member <= bound, in exact int64 arithmetic: k from k0, and then
-    selmer = t * k.
+    member <= bound, as the root of k (module docstring) in exact int64
+    arithmetic.
 
     a_row, squarefree and tamagawa are the class's rows of
     qseries.coefficient_rows, sieve.squarefree_rows and build_tamagawa,
     each to bound: entry j stands for n = n0 + M*j <= bound, and c(n) =
     1 << tamagawa[j]; a row of another length raises DimensionError.
-    A non-integral k means the class normalization is wrong and raises
-    IntegralityError; a non-square k, CasselsViolationError; a bound >= 2^31
-    or an anchor k0 whose products leave int64, OverflowGuardError.
-    Members with a_n = 0 land in the k = 0 bucket with no L-value.  L is
-    not formed here (ClassSurvey.l_rows).
+    The first member with a_n != 0 whose e has the other parity raises
+    CasselsViolationError with its k, or IntegralityError if that k is no
+    integer, as does any inexact root (the class normalization is wrong);
+    a bound >= 2^31, or an anchor whose operands leave int64 or whose roots
+    reach ROOT_LIMIT, raises OverflowGuardError.  Members with a_n = 0 land
+    in the root = 0 bucket with no L-value.  L is not formed here
+    (ClassSurvey.l_rows).
     """
     if bound >= MEMBER_LIMIT:
         raise OverflowGuardError(f"bound {bound} leaves the int32 members")
+    where = f"{spec.label} class {baseline.n0}"
     size = (bound - baseline.n0) // spec.table_modulus + 1
     if not a_row.size == squarefree.size == tamagawa.size == size:
         raise DimensionError(
-            f"{spec.label} class {baseline.n0}: rows of length "
-            f"{a_row.size}, {squarefree.size}, {tamagawa.size} do not end "
-            f"at bound {bound}"
+            f"{where}: rows of length {a_row.size}, {squarefree.size}, "
+            f"{tamagawa.size} do not end at bound {bound}"
         )
     j = np.flatnonzero(squarefree)
     members = (baseline.n0 + spec.table_modulus * j).astype(np.int32)
     a_members = a_row[j]
-    c = np.left_shift(1, tamagawa[j].astype(np.int64))
+    e = tamagawa[j]
     del j
-    # int64 before any product: a Python int times int32 stays int32
-    a = a_members.astype(np.int64)
-    amax = int(np.abs(a).max(initial=1))
-    cmax = int(c.max(initial=1))
-    if max(
-        abs(baseline.k0 * baseline.c_n0) * amax * amax,
-        baseline.a_n0 * baseline.a_n0 * cmax,
-    ) >= 2 ** 63:
-        raise OverflowGuardError(
-            f"{spec.label} class {baseline.n0}: the anchor's transfer "
-            f"products leave int64"
-        )
-    num = baseline.k0 * baseline.c_n0 * a * a
-    den = baseline.a_n0 * baseline.a_n0 * c
-    nz = a != 0
-    bad = nz & (num % den != 0)
-    if bad.any():
-        n = int(members[bad][0])
-        raise IntegralityError(
-            f"{spec.label} class {baseline.n0}: non-integral k at n = {n}"
-        )
-    # num = 0 wherever a = 0, and den > 0, so k = 0 there
-    k = num // den
-    del a, num, den, bad, c
-    nonsq = nz & ~is_square(k)
-    if nonsq.any():
-        i = int(np.flatnonzero(nonsq)[0])
+    big = baseline.k0 * baseline.c_n0
+    # (R, p), or (0, -1), which no e mod 2 is, when neither K nor 2K is one
+    r, par = next(((math.isqrt(big << p), p) for p in (0, 1)
+                   if math.isqrt(big << p) ** 2 == big << p), (0, -1))
+    a0 = abs(baseline.a_n0)
+
+    def nonintegral(i):
+        return IntegralityError(f"{where}: non-integral k at n = {members[i]}")
+
+    wrong = np.flatnonzero((a_members != 0) & ((e & 1) != par))
+    if wrong.size:
+        i = int(wrong[0])
+        k, rest = divmod(big * int(a_members[i]) ** 2, a0 * a0 << int(e[i]))
+        if rest:
+            raise nonintegral(i)
         raise CasselsViolationError(
-            f"{spec.label}: k = {int(k[i])} at n = {int(members[i])} is not "
-            f"a perfect square"
+            f"{spec.label}: k = {k} at n = {int(members[i])} is not a "
+            f"perfect square"
         )
+    if max(r * int(np.abs(a_members).max(initial=1)),
+           a0 << (int(e.max(initial=0)) + 1) // 2) >= 2 ** 63:
+        raise OverflowGuardError(
+            f"{where}: the anchor's transfer products leave int64"
+        )
+    # every member left has a_n = 0 or e of parity p
+    root = np.abs(a_members, dtype=np.int64)
+    root *= r
+    den = np.int64(a0) << ((e + 1) >> 1)
+    bad = np.flatnonzero(root % den)
+    if bad.size:
+        raise nonintegral(bad[0])
+    root //= den
+    if root.max(initial=0) >= ROOT_LIMIT:
+        raise OverflowGuardError(f"{where}: a root of k reaches 2^26")
     return ClassSurvey(
-        baseline, bound, members, a_members, k, spec.family_torsion
+        baseline, bound, members, a_members, root.astype(np.int32),
+        spec.family_torsion,
     )

@@ -154,7 +154,7 @@ def test_summary_table_rows_reach_1e8(bound, rows):
     base = catalog.ClassBaseline("11a1", 1, 1, 1, 1, 1, 1.0)
     surv = waldspurger.ClassSurvey(
         base, bound, members, np.ones_like(members),
-        np.arange(members.size, dtype=np.int64) % 2, 1,
+        np.arange(members.size, dtype=np.int32) % 2, 1,
     )
     step = bound // 20
     checkpoints = stats.default_checkpoints(bound, step)
@@ -186,13 +186,14 @@ def test_summary_table_rows_count_the_members(surveys_11a1):
     )
     for rep, surv in surveys_11a1.items():
         rows = summary["classes"][str(rep)]["table_rows"]
-        assert set(rows) == {str(k) for k in set(surv.k.tolist())}
+        k = np.square(surv.root, dtype=np.int64)
+        assert set(rows) == {str(v) for v in set(k.tolist())}
         for kk, table in rows.items():
             assert [row[0] for row in table] == [10**5, 10**6]
             for m, x, ratio, _ in table:
                 upto = surv.members <= m
                 assert x == int(upto.sum())
-                assert ratio == int((upto & (surv.k == int(kk))).sum()) / x
+                assert ratio == int((upto & (k == int(kk))).sum()) / x
     # below the first table bound every class has its fits and no rows
     low = cli.survey_classes(spec, 60000, (3, 23))
     summary = cli._summarize(
@@ -324,6 +325,32 @@ def test_fit_rejects_bound_beyond_survey(survey_dir, capsys):
         assert run(["fit", "--survey-csv", csv, "--k", "1",
                     "--bound", bound]) == 2
         assert "bound below first checkpoint" in capsys.readouterr().err
+
+
+def test_fit_accepts_any_nonnegative_k(tmp_path, capsys):
+    # fit counts the k column of whatever class CSV it is given: no square
+    # (k = 2) and a k far above any surveyed one (10^12) are rows like any
+    # other, counted and fitted as a count made here by hand is
+    ns = list(range(1, 801, 2))
+    ks = [(2, 10 ** 12, 0, 2, 1)[i % 5] for i in range(len(ns))]
+    csv = tmp_path / "hand.csv"
+    csv.write_text(
+        "# schema_version 1\n# curve 11a1\n# n0 1\n# bound 800\n"
+        "n,a_n,k,selmer,L\n"
+        + "".join(f"{n},1,{k},{k},0.5\n" for n, k in zip(ns, ks))
+    )
+    cps = range(100, 801, 100)
+    x = [sum(n <= m for n in ns) for m in cps]
+    for k in (2, 10 ** 12):
+        assert run(["fit", "--survey-csv", str(csv), "--k", str(k),
+                    "--step", "100"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        row = [[sum(n <= m and v == k for n, v in zip(ns, ks)) for m in cps]]
+        alpha, eps, residual, degenerate = stats.fit(x, row)
+        assert (got["k"], got["alpha"], got["epsilon"], got["degenerate"]) == (
+            k, alpha[0], eps[0], False
+        )
+        assert got["residual"] == residual[0] and alpha[0] > 0
 
 
 def test_fit_matches_survey_summary(survey_dir, tmp_path, capsys):
@@ -755,7 +782,7 @@ def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
             base = dataclasses.replace(surv.base, l_n0=surv.base.l_n0 * 1.0001)
             per_class[rep] = dataclasses.replace(surv, base=base)
         else:
-            surv.k[surv.k == 0] = 1
+            surv.root[surv.root == 0] = 1
     failures = getattr(cli, suite)(*args, tables)
     assert failures and all(f.startswith(f"{prefix} 11a1") for f in failures)
 
@@ -1240,7 +1267,7 @@ def _class_csv_by_loop(surv):
         if a == 0:
             text += f"{n},0,0,0,\n"
         else:
-            k = int(surv.k[i])
+            k = int(surv.root[i]) ** 2
             text += f"{n},{a},{k},{surv.torsion * k},{float(l[i]):.12g}\n"
     return text.encode()
 

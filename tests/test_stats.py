@@ -134,8 +134,8 @@ def test_fit_epsilon_stays_inside_band():
 
 def test_tally_partition_identity(mini_survey):
     cps = default_checkpoints(mini_survey.bound)
-    ks, x, s = tally(mini_survey.members, mini_survey.k, cps, mini_survey.bound)
-    assert ks.tolist() == sorted({int(v) for v in mini_survey.k.tolist()})
+    ks, x, s = tally(mini_survey.members, mini_survey.root, cps, mini_survey.bound)
+    assert ks.tolist() == sorted({int(v) for v in mini_survey.root.tolist()})
     assert s.shape == (ks.size, len(cps))
     assert s.sum(axis=0).tolist() == x.tolist()
     # a member on a checkpoint counts there; one past the last counts nowhere
@@ -143,16 +143,16 @@ def test_tally_partition_identity(mini_survey):
     assert ks2.tolist() == [0, 1]
     assert x2.tolist() == [2, 4]
     assert s2.tolist() == [[1, 1], [1, 3]]
-    # the x column really counts surveyed members, and each row its k
+    # the x column really counts surveyed members, and each row its root
     members = mini_survey.members
     for j, cp in enumerate(cps):
         assert x[j] == int((members <= cp).sum())
         for i, k in enumerate(ks.tolist()):
-            assert s[i, j] == int(((members <= cp) & (mini_survey.k == k)).sum())
+            assert s[i, j] == int(((members <= cp) & (mini_survey.root == k)).sum())
 
 
 def test_tally_checkpoint_beyond_bound(mini_survey):
-    members, k = mini_survey.members, mini_survey.k
+    members, k = mini_survey.members, mini_survey.root
     with pytest.raises(RangeError):
         tally(members, k, (50000, 200000), mini_survey.bound)
     with pytest.raises(DomainError):
@@ -161,7 +161,7 @@ def test_tally_checkpoint_beyond_bound(mini_survey):
 
 def test_fit_on_real_survey_sane(mini_survey):
     cps = default_checkpoints(mini_survey.bound)
-    ks, x, s = tally(mini_survey.members, mini_survey.k, cps, mini_survey.bound)
+    ks, x, s = tally(mini_survey.members, mini_survey.root, cps, mini_survey.bound)
     alpha, _, residual, degenerate = fit(x, s[ks == 1])
     assert 0.2 < alpha[0] < 0.8
     assert residual[0] < 0.05
@@ -185,11 +185,11 @@ def test_fit_matches_series_oracle(label):
     cps = default_checkpoints(bound, step=1000)
     cells = 0
     for surv in cli.survey_curve(catalog.curve(label), bound).values():
-        ks, x, s = tally(surv.members, surv.k, cps, bound)
+        ks, x, s = tally(surv.members, surv.root, cps, bound)
         cparr = np.asarray(cps)
         assert x.tolist() == np.searchsorted(surv.members, cparr, "right").tolist()
         for k, row in zip(ks.tolist(), s.tolist()):
-            hits = surv.members[surv.k == k]
+            hits = surv.members[surv.root == k]
             assert row == np.searchsorted(hits, cparr, "right").tolist()
         assert _fit_rows(x, s) == _oracle_rows(x, s)
         cells += ks.size

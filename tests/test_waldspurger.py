@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from twistsurvey import catalog, waldspurger
+from twistsurvey import catalog, cli, waldspurger
 from twistsurvey.bsd_oracle import (
     count_cubic_roots,
     tamagawa_cp,
@@ -25,8 +26,8 @@ from twistsurvey.qseries import coefficient_rows, difference_at, theta_differenc
 from twistsurvey.sieve import factorize, primes_upto, squarefree_rows
 from twistsurvey.waldspurger import (
     ClassSurvey,
+    ROOT_LIMIT,
     build_tamagawa,
-    is_square,
     propagate_l,
     survey_class,
     tamagawa_exponents,
@@ -242,8 +243,7 @@ def test_evaluate_twist_self_application(survey):
             sv = survey(label, base, 1000)
             i = member_index(sv, base.n0_effective)
             assert sv.a[i] == base.a_n0
-            assert sv.k[i] == base.k0
-            assert sv.torsion * sv.k[i] == spec.family_torsion * base.k0
+            assert int(sv.root[i]) ** 2 == base.k0
             assert sv.base == base
             assert sv.l_rows()[i] == pytest.approx(base.l_n0, rel=1e-15)
 
@@ -252,7 +252,7 @@ def test_evaluate_twist_positive_rank(survey):
     # a_47 = 0 in 11a1 class 3: the k = 0 bucket, no order and no L-value
     sv = survey("11a1", catalog.baseline(SPECS["11a1"], 3), 1000)
     i = member_index(sv, 47)
-    assert sv.a[i] == 0 and sv.k[i] == 0 and sv.torsion * sv.k[i] == 0
+    assert sv.a[i] == 0 and sv.root[i] == 0
     assert math.isnan(sv.l_rows()[i])
 
 
@@ -270,39 +270,85 @@ def test_evaluate_twist_forged_selmer_fails_square_check(survey):
         survey("17a1", base, 1000)
 
 
-def test_is_square_exact_below_guard():
-    r = 2 ** 26 - 1
-    ks = np.array([0, 1, 2, 3, 4, 8, 9, 15, 16, r * r - 1, r * r, r * r + 1,
-                   2 ** 52 - 1, -1, -4])
-    want = [k >= 0 and math.isqrt(k) ** 2 == k for k in ks.tolist()]
-    assert is_square(ks).tolist() == want
-    assert is_square(r * r) and not is_square(2 ** 52 - 1)
-    assert is_square(np.arange(0, 10**6)).sum() == 1000
-    rng = np.random.default_rng(5)
-    roots = rng.integers(0, 2 ** 26, size=10000)
-    assert is_square(roots * roots).all()
-    assert not is_square(roots * roots + 2 * roots + 2).any()
+def test_survey_class_root_exact_below_guard(survey):
+    # the root is an exact integer quotient however close k comes to 2^52:
+    # on the anchor alone (the bound is n0), k0 = r^2 gives root r, and
+    # the k0 next to a square are no squares, whose exact k is printed
+    for label, n0 in (("11a1", 3), ("17a1", 3), ("34a1", 43)):
+        base = catalog.baseline(SPECS[label], n0)
+        bound = base.n0_effective
+        assert bound == n0
+        for r in (1, 2, 3, 12345, 2 ** 25 + 1, 2 ** 26 - 1):
+            sv = survey(label, replace(base, k0=r * r), bound)
+            assert sv.root.tolist() == [r] and sv.root.dtype == np.int32
+        r = 2 ** 26 - 1
+        for k0 in (r * r - 1, r * r + 1, 2 ** 52 - 1):
+            with pytest.raises(CasselsViolationError, match=f"k = {k0} at"):
+                survey(label, replace(base, k0=k0), bound)
 
 
-def test_is_square_overflow_guard():
-    for k in (2 ** 52, 2 ** 53, 2 ** 63, 2 ** 70):
+def test_survey_class_root_guard(survey):
+    # a root at or past 2^26 (k >= 2^52) is refused on the anchor alone,
+    # as is one whose R * |a_n| would leave int64
+    base = catalog.baseline(SPECS["11a1"], 3)
+    assert ROOT_LIMIT == 2 ** 26
+    for r in (2 ** 26, 2 ** 26 + 1, 2 ** 31, 2 ** 40, 2 ** 70):
         with pytest.raises(OverflowGuardError):
-            is_square(k)
-    with pytest.raises(OverflowGuardError):
-        is_square(np.array([4, 2 ** 52]))
+            survey("11a1", replace(base, k0=r * r), 3)
 
 
 def test_survey_class_overflow_guard(survey):
     # these anchors once wrapped around in int64 (k0 = 2^60 gave k = 0 on
-    # every member); each product that would leave int64 must raise
+    # every member); their roots reach 2^26, or, for a_n0 = 2^32, no
+    # member's root is an integer
     base = catalog.baseline(SPECS["17a1"], 3)
-    for fields in (
-        {"k0": 2 ** 60},
-        {"k0": 2 ** 52},
-        {"a_n0": 2 ** 32},
+    for fields, error in (
+        ({"k0": 2 ** 60}, OverflowGuardError),
+        ({"k0": 2 ** 52}, OverflowGuardError),
+        ({"a_n0": 2 ** 32}, IntegralityError),
+        ({"a_n0": 2 ** 70}, OverflowGuardError),
     ):
-        with pytest.raises(OverflowGuardError):
+        with pytest.raises(error):
             survey("17a1", replace(base, **fields), 1000)
+
+
+@pytest.mark.parametrize("label", catalog.LABELS)
+def test_tamagawa_parity_fault_aborts(class_rows, monkeypatch, tmp_path,
+                                      capsys, label):
+    # one exponent of c(n) raised by 1 at a member with a_n != 0 flips the
+    # parity of e there, so that member's k is no square (or no integer):
+    # survey_class names it, and the survey command exits 4 with nothing
+    # written
+    spec = SPECS[label]
+    n0 = spec.class_reps[0]
+    a_rows, flags, exps = (rows[n0] for rows in class_rows[label])
+    live = np.flatnonzero(flags & (a_rows != 0))
+    j = int(live[live.size // 2])
+    n = n0 + spec.table_modulus * j
+
+    def fault(row):
+        row = row.copy()
+        row[j] += 1
+        return row
+
+    base = catalog.baseline(spec, n0)
+    with pytest.raises((CasselsViolationError, IntegralityError),
+                       match=rf"at n = {n}\b"):
+        survey_class(spec, base, a_rows, flags, fault(exps), BOUND)
+    real = cli.build_tamagawa
+
+    def faulty(*args):
+        rows = real(*args)
+        return {**rows, n0: fault(rows[n0])}
+
+    monkeypatch.setattr(cli, "build_tamagawa", faulty)
+    out = tmp_path / "out"
+    assert cli.main(["survey", "--curve", label, "--classes", str(n0),
+                     "--bound", str(BOUND), "--step", "10000",
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert re.match(rf"abort: {label}.* at n = {n}\b", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_survey_class_rows_must_end_at_bound(survey, class_rows):
@@ -321,39 +367,40 @@ def test_survey_class_rows_must_end_at_bound(survey, class_rows):
 
 
 def test_survey_class_products_stay_int64(survey, class_rows):
-    # F is int32 and a Python int times an int32 array stays int32, so an
-    # anchor k0 * c_n0 of 2^31 shows whether the transfer products wrap
+    # F and the roots are int32, and an int32 squared stays int32, so an
+    # anchor k0 = 2^30 shows whether k = root^2 wraps where it is formed:
+    # the class CSV's k and selmer columns
     assert class_rows["17a1"][0][3].dtype == np.int32
     base = catalog.baseline(SPECS["17a1"], 3)
     assert base.c_n0 == 2
     big = survey("17a1", replace(base, k0=2 ** 30))
     small = survey("17a1", base)
-    assert np.array_equal(big.k, small.k * 2 ** 30)
-    assert np.array_equal(
-        big.torsion * big.k, small.torsion * small.k * 2 ** 30
-    )
+    assert np.array_equal(big.root, small.root * 2 ** 15)
+    assert int(big.root.max()) ** 2 >= 2 ** 32
+    rows = b"".join(cli._class_chunks(big)).decode().splitlines()[5:]
+    want = small.root.astype(object) ** 2 * 2 ** 30
+    assert [int(row.split(",")[2]) for row in rows] == want.tolist()
+    assert [int(row.split(",")[3]) for row in rows] == (2 * want).tolist()
 
 
 def test_class_survey_columns(survey):
-    # 16 bytes a member are held: int32 members and a, int64 k (an int32 k
-    # would wrap in t * k under numpy 2); the caller forms t * k, and
-    # l_rows the float64 l from the members, a and the anchor
-    # the anchor is held once, as base
+    # 12 bytes a member are held: int32 members, a and root; the caller
+    # forms k = root^2 and t * k in int64, and l_rows the float64 l from
+    # the members, a and the anchor; the anchor is held once, as base
     names = {f.name for f in fields(ClassSurvey)}
-    assert names == {"base", "bound", "members", "a", "k", "torsion"}
+    assert names == {"base", "bound", "members", "a", "root", "torsion"}
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
             sv = survey(label, catalog.baseline(spec, n0))
             held = [getattr(sv, name) for name in sorted(names)
                     if isinstance(getattr(sv, name), np.ndarray)]
-            assert sum(col.itemsize for col in held) == 16
-            assert [sv.members.dtype, sv.a.dtype, sv.k.dtype,
+            assert sum(col.itemsize for col in held) == 12
+            assert [sv.members.dtype, sv.a.dtype, sv.root.dtype,
                     sv.l_rows().dtype] == [
-                np.int32, np.int32, np.int64, np.float64
+                np.int32, np.int32, np.int32, np.float64
             ]
-            assert (sv.torsion * sv.k).dtype == np.int64
-            assert np.array_equal(sv.torsion * sv.k, spec.family_torsion * sv.k)
+            assert sv.torsion == spec.family_torsion
     # a member at or past 2^31 would wrap, so the bound is refused before
     # the rows are even measured against it
     spec = SPECS["11a1"]
@@ -363,9 +410,10 @@ def test_class_survey_columns(survey):
 
 
 def test_survey_class_peak_memory_per_member():
-    # 16 bytes a member are kept; the transfer's int64 temporaries (num,
-    # den, c, the int64 a) are freed before the square test and the
-    # L-values, so they are never all live at once
+    # 12 bytes a member are kept, and the transfer's int64 temporaries
+    # (the index, then the quotient, the divisor and the remainder) are
+    # never all live at once: 33.2 bytes a member at the peak, where the
+    # int64 k and its int64 products took 50.1
     bound, rep = 10**6, 3
     spec = SPECS["11a1"]
     table = theta_difference(spec.recipe, bound, spec.table_modulus)
@@ -380,7 +428,7 @@ def test_survey_class_peak_memory_per_member():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 85 * sv.members.size, peak / sv.members.size
+    assert peak <= 42 * sv.members.size, peak / sv.members.size
 
 
 def test_propagate_l_guards():
@@ -412,7 +460,7 @@ def test_rebasing_is_involutive(survey):
     spec = SPECS["14a1"]
     base = catalog.baseline(spec, 29)
     sv = survey("14a1", base, 4000)
-    live = np.flatnonzero((sv.k > 0) & (sv.members != base.n0_effective))
+    live = np.flatnonzero((sv.root > 0) & (sv.members != base.n0_effective))
     i = int(live[0])
     n = int(sv.members[i])
     l = sv.l_rows()
@@ -421,14 +469,13 @@ def test_rebasing_is_involutive(survey):
         n0_effective=n,
         a_n0=int(sv.a[i]),
         c_n0=tamagawa_by_root_count(spec.weierstrass, n),
-        k0=int(sv.k[i]),
+        k0=int(sv.root[i]) ** 2,
         l_n0=float(l[i]),
     )
     again = survey("14a1", base2, 4000)
     assert np.array_equal(again.members, sv.members)
-    assert np.array_equal(again.k, sv.k)
-    assert np.array_equal(again.torsion * again.k, sv.torsion * sv.k)
-    keep = sv.k > 0
+    assert np.array_equal(again.root, sv.root)
+    keep = sv.root > 0
     assert np.allclose(again.l_rows()[keep], l[keep], rtol=1e-12, atol=0)
 
 
@@ -440,18 +487,19 @@ def test_survey_scale_invariance(class_rows):
     base3 = replace(base, a_n0=3 * base.a_n0)
     one = survey_class(spec, base, a_rows[3], flags[3], exps[3], BOUND)
     three = survey_class(spec, base3, 3 * a_rows[3], flags[3], exps[3], BOUND)
-    assert np.array_equal(one.k, three.k)
-    assert np.array_equal(one.torsion * one.k, three.torsion * three.k)
-    keep = one.k > 0
+    assert np.array_equal(one.root, three.root)
+    keep = one.root > 0
     assert np.allclose(
         one.l_rows()[keep], three.l_rows()[keep], rtol=1e-12
     )
 
 
 def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
-    # 17a1/39 and 14a1/29 anchor away from the class rep (n0_eff 107 and
-    # 85), and 14a1/29 has k0 = 4
-    for label, n0 in (("17a1", 3), ("17a1", 39), ("14a1", 29)):
+    # 17a1/39, 14a1/29 and 34a1/53 anchor away from the class rep (n0_eff
+    # 107, 85 and 597), 14a1/29 has k0 = 4 and 34a1/53 k0 = 9; 11a1 reads
+    # c_p from the sign of D[p], and 20a1 and 34a1 from Euler's criterion
+    for label, n0 in (("17a1", 3), ("17a1", 39), ("14a1", 29), ("11a1", 3),
+                      ("20a1", 21), ("34a1", 53)):
         spec = SPECS[label]
         base = catalog.baseline(spec, n0)
         got = survey(label, base, 20000)
@@ -475,27 +523,25 @@ def test_survey_class_matches_scalar_loop(survey, coeff_series, squarefree):
             k, selmer, l_value = scalar_transfer(
                 spec.weierstrass, spec.family_torsion, anchor, n, a_n
             )
-            assert got.k[i] == k
-            assert got.torsion * got.k[i] == selmer
+            assert int(got.root[i]) ** 2 == k
+            assert got.torsion * k == selmer
             if l_value is None:
                 assert math.isnan(l[i])
             else:
                 assert l[i] == pytest.approx(l_value, rel=1e-12)
-        assert (got.k > 1).any() and (got.k == 0).any()
+        assert (got.root > 1).any() and (got.root == 0).any()
 
 
 def test_all_classes_survey_clean(survey):
-    # every class at a small bound: correct partition into buckets and
-    # square k everywhere (survey_class raises otherwise)
+    # every class at a small bound: correct partition into buckets, with
+    # root = 0 exactly where a_n = 0 (survey_class raises at a member whose
+    # k is no square)
     for label in catalog.LABELS:
         spec = SPECS[label]
         for n0 in spec.class_reps:
             sv = survey(label, catalog.baseline(spec, n0))
             assert sv.members.size > 0
             nz = sv.a != 0
-            assert np.array_equal(sv.k == 0, ~nz)
-            assert np.all(
-                sv.torsion * sv.k[nz] == spec.family_torsion * sv.k[nz]
-            )
-            assert np.all(sv.torsion * sv.k[~nz] == 0)
+            assert np.array_equal(sv.root == 0, ~nz)
+            assert sv.torsion == spec.family_torsion
             assert np.all(np.isnan(sv.l_rows()[~nz]))
