@@ -36,7 +36,7 @@ from .catalog import ClassBaseline
 from .errors import (
     CasselsViolationError,
     ConvergenceError,
-    InvalidClassError,
+    DomainError,
     NormalizationError,
     NumericError,
 )
@@ -337,11 +337,11 @@ def twisted_l1(spec, n, coeffs, precision=1e-9):
     never asserts vanishing on its own.
     """
     if n < 1 or n % 2 == 0 or math.gcd(n, spec.conductor) != 1:
-        raise InvalidClassError(f"twist factor {n} not odd/coprime")
+        raise DomainError(f"twist factor {n} not odd/coprime")
     if any(e > 1 for e in factorize(n).values()):
-        raise InvalidClassError(f"twist factor {n} not squarefree")
+        raise DomainError(f"twist factor {n} not squarefree")
     if n % spec.table_modulus not in spec.class_reps:
-        raise InvalidClassError(
+        raise DomainError(
             f"{n} mod {spec.table_modulus} is a deleted class for {spec.label}"
         )
     ntw = conductor_twist(spec, n)
@@ -464,7 +464,7 @@ def baseline_selmer(spec, n0, coeffs):
     CasselsViolationError.
     """
     if n0 not in spec.class_reps:
-        raise InvalidClassError(f"{spec.label} has no class {n0}")
+        raise DomainError(f"{spec.label} has no class {n0}")
     # locate the effective anchor independently of the frozen catalog row
     scan = 2048
     ref = reference_series(spec.recipe, scan)

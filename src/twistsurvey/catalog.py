@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import inf
 
-from .errors import DomainError, InvalidFormError, NotInCatalogError
+from .errors import DomainError, InvalidFormError
 
 LABELS = ("11a1", "14a1", "17a1", "20a1", "34a1")
 
@@ -216,7 +216,7 @@ _CURVES = _build_curves()
 
 def curve(label):
     if label not in _CURVES:
-        raise NotInCatalogError(f"unknown curve {label!r}; have {LABELS}")
+        raise DomainError(f"unknown curve {label!r}; have {LABELS}")
     return _CURVES[label]
 
 
@@ -227,7 +227,7 @@ def baseline(spec, n0, overrides=None):
     fresh derivation by bsd_oracle.baseline_selmer.
     """
     if n0 not in spec.class_reps:
-        raise NotInCatalogError(f"{spec.label} has no class {n0}")
+        raise DomainError(f"{spec.label} has no class {n0}")
     # a row holds the record's fields after curve and n0, in order
     base = ClassBaseline(spec.label, n0, *_BASELINE_ROWS[spec.label][n0])
     if overrides:
@@ -250,6 +250,21 @@ _OVERRIDE_TYPES = {
 }
 
 
+def settings_lines(text, what):
+    """(where, line, key, value) of each `key = value` line of a settings
+    file, where = "<what> line N"; text after # is a comment, blank lines
+    are skipped, and a line without = raises DomainError naming it."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{what} line {lineno}"
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DomainError(f"{where}: expected key = value")
+        yield where, line, key.strip(), value.strip()
+
+
 def parse_overrides(text):
     """Parse `curve.class.field = value` lines into an override mapping.
 
@@ -257,14 +272,7 @@ def parse_overrides(text):
     that is not positive and finite raise DomainError naming the line.
     """
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"override line {lineno}"
-        if "=" not in line:
-            raise DomainError(f"{where}: missing '='")
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
+    for where, line, lhs, rhs in settings_lines(text, "override"):
         parts = lhs.split(".")
         if len(parts) != 3:
             raise DomainError(f"{where}: want curve.class.field")

@@ -4,8 +4,8 @@ verification suites, and plottable distribution data.
 All commands are deterministic for a given configuration; --threads is
 accepted for interface stability but the heavy paths are single
 vectorized passes, so outputs are byte-identical at any thread count.
-Exit codes: 0 ok, 2 bad configuration, 3 verification failure,
-4 integrality/normalization abort.
+Exit codes: 0 ok, 2 refused input (DomainError), 3 verification
+failure, 4 integrality/normalization abort.
 """
 
 import argparse
@@ -32,14 +32,10 @@ from .errors import (
     CasselsViolationError,
     ConvergenceError,
     DomainError,
-    InsufficientDataError,
     IntegralityError,
-    InvalidClassError,
     NormalizationError,
-    NotInCatalogError,
     NumericError,
     OverflowGuardError,
-    RangeError,
 )
 from .qseries import coefficient_rows, theta_difference
 from .sieve import squarefree_rows
@@ -117,28 +113,20 @@ _CONFIG_PARSERS = {
 
 
 def parse_config(text):
-    """{key: parsed value} of flat key = value lines, each key one of
-    _CONFIG_PARSERS' and at most once; # starts a comment."""
+    """{key: parsed value} of flat key = value lines (catalog.settings_lines),
+    each key one of _CONFIG_PARSERS' and at most once."""
     out = {}
-    for idx, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise DomainError(f"config line {idx}: expected key = value")
-        key = key.strip()
-        val = val.strip()
+    for where, _, key, val in catalog.settings_lines(text, "config"):
         if key not in _CONFIG_PARSERS:
-            raise DomainError(f"config line {idx}: unknown key {key!r}")
+            raise DomainError(f"{where}: unknown key {key!r}")
         if key in out:
-            raise DomainError(f"config line {idx}: repeated key {key!r}")
+            raise DomainError(f"{where}: repeated key {key!r}")
         try:
             out[key] = _CONFIG_PARSERS[key][0](val)
         except DomainError:
             raise
         except ValueError:
-            raise DomainError(f"config line {idx}: bad value for {key}")
+            raise DomainError(f"{where}: bad value for {key}")
     return out
 
 
@@ -162,7 +150,7 @@ def make_config(args):
     spec = catalog.curve(cfg.curve)
     extra = set(cfg.classes) - set(spec.class_reps)
     if extra:
-        raise InvalidClassError(
+        raise DomainError(
             f"classes {sorted(extra)} not in {spec.label} catalog"
         )
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
@@ -525,7 +513,7 @@ def _read_class_csv(path):
     """Metadata and the n, k columns of a class CSV, as cmd_survey
     writes it: '# key value' lines (integer n0 and bound), each key once,
     with '# schema_version 1' before the header, then rows of 5 fields with
-    integer n >= 1 and k and strictly ascending n, none above the '# bound'.
+    int64 n >= 1 and k and strictly ascending n, none above the '# bound'.
     Any other line ('#' after the header too) raises DomainError naming it."""
     meta = {}
     ns = []
@@ -576,6 +564,8 @@ def _read_class_csv(path):
                 raise DomainError(f"{where}: n = {n} after n = {ns[-1]}")
             if limit is not None and n > limit:
                 raise DomainError(f"{where}: n = {n} above bound {limit}")
+            if n >= 2**63 or not -(2**63) <= k < 2**63:
+                raise DomainError(f"{where}: n and k must lie in int64")
             ns.append(n)
             ks.append(k)
     return meta, np.asarray(ns, dtype=np.int64), np.asarray(ks, dtype=np.int64)
@@ -604,7 +594,7 @@ def cmd_plot_data(args):
     _check_k(args.k)
     spec = catalog.curve(args.curve)
     if args.n0 not in spec.class_reps:
-        raise InvalidClassError(f"{args.n0} not a {spec.label} class")
+        raise DomainError(f"{args.n0} not a {spec.label} class")
     checkpoints = stats.default_checkpoints(args.bound, args.step)
     surv = survey_curve(spec, args.bound, (args.n0,))[args.n0]
     rs, x, s = stats.tally(surv.members, surv.root, checkpoints, surv.bound)
@@ -671,10 +661,17 @@ def cmd_tables(args):
 
 
 def run_theta_suite(labels, bound):
+    """Each curve's F to bound against the naive lattice reference, F
+    assembled from every residue row mod the table modulus, as survey and
+    expand read it; a failure names the least n where the two differ."""
     fails = []
     for label in labels:
         spec = catalog.curve(label)
-        fast = coefficient_rows(spec.recipe, bound, 1, (0,))[0]
+        m = spec.table_modulus
+        fast = np.empty(bound + 1, dtype=np.int32)
+        # a row r > bound is empty
+        for r, row in coefficient_rows(spec.recipe, bound, m, range(m)).items():
+            fast[r::m] = row
         ref = reference_series(spec.recipe, bound)
         if not np.array_equal(fast, ref):
             first = int(np.nonzero(fast != ref)[0][0])
@@ -975,14 +972,7 @@ def main(argv=None):
         return EXIT_OK if code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except (
-        NotInCatalogError,
-        InvalidClassError,
-        DomainError,
-        RangeError,
-        InsufficientDataError,
-        OSError,
-    ) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

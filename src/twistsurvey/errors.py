@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+DomainError is the one type of every input the program refuses, and the
+command line maps it to exit 2; the arithmetic faults of cli.ABORT_ERRORS
+abort a run with exit 4.
+"""
+
+
+class DomainError(ValueError):
+    """Input the program refuses; exit 2."""
 
 
 class InvalidFormError(ValueError):
@@ -11,18 +20,6 @@ class DimensionError(ValueError):
 
 class OverflowGuardError(ArithmeticError):
     """A coefficient could exceed the integer range it is computed in."""
-
-
-class InvalidClassError(ValueError):
-    """Residue is not a unit modulo the modulus."""
-
-
-class RangeError(ValueError):
-    """Requested limit or checkpoint is beyond the tabulated range."""
-
-
-class NotInCatalogError(LookupError):
-    """Unknown curve label."""
 
 
 class NormalizationError(ArithmeticError):
@@ -43,11 +40,3 @@ class ConvergenceError(RuntimeError):
 
 class NumericError(RuntimeError):
     """Numerical iteration failed to converge."""
-
-
-class DomainError(ValueError):
-    """Argument outside the supported domain."""
-
-
-class InsufficientDataError(ValueError):
-    """Too few usable points for a fit."""

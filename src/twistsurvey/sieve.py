@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidClassError
+from .errors import DomainError
 
 
 def primes_upto(bound: int) -> np.ndarray:
@@ -57,7 +57,7 @@ def squarefree_rows(bound, modulus, residues):
     rows = {}
     for r in residues:
         if not 0 <= r < modulus or math.gcd(r, modulus) != 1:
-            raise InvalidClassError(f"{r} is not a unit modulo {modulus}")
+            raise DomainError(f"{r} is not a unit modulo {modulus}")
         flags = np.ones((bound - r) // modulus + 1, dtype=bool)
         # n = 0, whose row is r = 0 at modulus 1, is struck by no p^2
         # when bound < 4; a row is empty when bound < r

@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    InsufficientDataError,
-    RangeError,
-)
+from .errors import DimensionError, DomainError
 
 EPSILON_BAND = 0.02
 EPSILON_STEP = 0.001
@@ -41,9 +36,9 @@ def default_checkpoints(bound, step=CHECKPOINT_STEP):
     bound = int(bound)
     step = int(step)
     if step <= 0:
-        raise RangeError("checkpoint step must be positive")
+        raise DomainError("checkpoint step must be positive")
     if bound < step:
-        raise RangeError("bound below first checkpoint")
+        raise DomainError("bound below first checkpoint")
     return range(step, bound + 1, step)
 
 
@@ -56,7 +51,7 @@ def tally(members, k, checkpoints, bound):
     # before the copy: a default_checkpoints range may be too long to hold
     top = checkpoints[-1] if len(checkpoints) else bound
     if top > bound:
-        raise RangeError(f"checkpoint {top} exceeds surveyed bound {bound}")
+        raise DomainError(f"checkpoint {top} exceeds surveyed bound {bound}")
     cps = np.asarray(checkpoints, dtype=np.int64)
     if (np.diff(cps) <= 0).any():
         raise DomainError("checkpoints must be strictly ascending")
@@ -105,7 +100,7 @@ def fit(x, s):
         raise DomainError("counts must be cumulative with 0 <= s <= x")
     keep = x >= MODEL_FLOOR
     if keep.sum() < 2:
-        raise InsufficientDataError("need >= 2 usable checkpoints")
+        raise DomainError("need >= 2 usable checkpoints")
     xk = x[keep].astype(float)
     lg = np.log(xk)
     ll = np.log(lg)

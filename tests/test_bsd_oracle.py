@@ -25,7 +25,7 @@ from twistsurvey.bsd_oracle import (
 )
 from twistsurvey.errors import (
     ConvergenceError,
-    InvalidClassError,
+    DomainError,
     NormalizationError,
     NumericError,
 )
@@ -219,16 +219,18 @@ def anchor_table(spec, *reps):
 def test_twisted_l1_rejects_bad_twist_factors():
     spec = SPECS["11a1"]
     coeffs = anchor_table(spec, 3)
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError, match=r"^twist factor 2 not odd/coprime$"):
         twisted_l1(spec, 2, coeffs)  # even
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError, match=r"^twist factor 33 not odd/coprime$"):
         twisted_l1(spec, 33, coeffs)  # shares 11 with the conductor
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError, match=r"^twist factor 9 not squarefree$"):
         twisted_l1(spec, 9, coeffs)  # not squarefree
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError,
+                       match=r"^7 mod 44 is a deleted class for 11a1$"):
         twisted_l1(spec, 7, coeffs)  # deleted class mod 44
     spec = SPECS["17a1"]
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError,
+                       match=r"^1 mod 68 is a deleted class for 17a1$"):
         # 1 mod 68 is deleted for 17a1
         twisted_l1(spec, 1, anchor_table(spec, 3))
 
@@ -287,7 +289,7 @@ def test_real_period_matches_quadrature(label, d):
 
 
 def test_baseline_selmer_rejects_unknown_class():
-    with pytest.raises(InvalidClassError):
+    with pytest.raises(DomainError, match=r"^11a1 has no class 7$"):
         baseline_selmer(SPECS["11a1"], 7, anchor_table(SPECS["11a1"], 3))
 
 

@@ -665,6 +665,28 @@ def test_verify_quick_clean(tmp_path, capsys):
     assert all(s["passed"] for s in doc["suites"])
 
 
+def test_theta_suite_checks_every_residue_row(monkeypatch):
+    # one coefficient of 11a1's row 3 mod 44 off by one, at n = 3 + 44*5:
+    # F's modulus-1 row is still right, and survey reads the faulty row
+    real = cli.coefficient_rows
+
+    def faulty(recipe, bound, modulus, residues, table=None):
+        rows = real(recipe, bound, modulus, residues, table)
+        if modulus == 44 and 3 in rows and bound >= 223:
+            rows[3] = rows[3].copy()
+            rows[3][5] += 1
+        return rows
+
+    monkeypatch.setattr(cli, "coefficient_rows", faulty)
+    recipe = catalog.curve("11a1").recipe
+    assert np.array_equal(cli.coefficient_rows(recipe, 2000, 1, (0,))[0],
+                          bsd_oracle.reference_series(recipe, 2000))
+    assert cli.run_theta_suite(catalog.LABELS, 2000) == [
+        "theta 11a1: first mismatch at n = 223"
+    ]
+    assert cli.run_theta_suite(["11a1"], 222) == []
+
+
 def test_verify_catches_square_consistent_forgery(tmp_path):
     # k0 = 4 keeps every transferred order a perfect square, so only the
     # from-scratch baseline re-derivation can notice
@@ -1091,6 +1113,19 @@ def _bad_csv(lines, case):
     if case == "no_schema_version":
         del lines[0]
         return lines, h - 1
+    if case == "k_past_int64":
+        # int64 once refused it with an OverflowError traceback (exit 1)
+        fields = lines[r].split(",")
+        fields[2] = str(10**20)
+        lines[r] = ",".join(fields)
+        return lines, r
+    if case == "n_past_int64_without_bound":
+        # with no '# bound', no bound catches it before int64 does
+        lines.remove("# bound 150000")
+        fields = lines[-1].split(",")
+        fields[0] = str(10**20)
+        lines[-1] = ",".join(fields)
+        return lines, len(lines) - 1
     assert case == "no_header"
     del lines[h]
     return lines, h
@@ -1113,6 +1148,8 @@ def _bad_csv(lines, case):
     "negative_n",
     "no_schema_version",
     "no_header",
+    "k_past_int64",
+    "n_past_int64_without_bound",
 ])
 def test_fit_rejects_malformed_csv(survey_dir, tmp_path, capsys, case):
     good = (survey_dir / "17a1_class3.csv").read_text().splitlines()
@@ -1158,6 +1195,30 @@ def test_survey_that_cannot_be_fitted_writes_nothing(tmp_path, capsys):
     assert run(["survey", "--curve", "11a1", "--bound", "400", "--step", "200",
                 "--out", str(tmp_path)]) == 2
     assert "need >= 2 usable checkpoints" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["expand", "--curve", "37a1", "--bound", "10"], "unknown curve '37a1'"),
+    (["survey", "--curve", "17a1", "--bound", "100000", "--classes", "3,4"],
+     "classes [4] not in 17a1 catalog"),
+    (["fit", "--k", "1", "--bound", "300000"],
+     "checkpoint 300000 exceeds surveyed bound 150000"),
+    (["fit", "--k", "1", "--step", "0"], "checkpoint step must be positive"),
+    (["survey", "--curve", "11a1", "--bound", "400", "--step", "200"],
+     "need >= 2 usable checkpoints"),
+], ids=["curve", "class", "fit_bound", "step", "too_small"])
+def test_each_refusal_is_one_error_line_and_exit_2(
+    survey_dir, tmp_path, capsys, monkeypatch, argv, named
+):
+    # one input for each refusal that once had a type of its own
+    if argv[0] == "fit":
+        argv = argv + ["--survey-csv", str(survey_dir / "17a1_class3.csv")]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsurvey.errors import InvalidClassError
+from twistsurvey.errors import DomainError
 from twistsurvey.sieve import factorize, first_multiple, primes_upto, squarefree_rows
 
 from oracles import is_squarefree_trial
@@ -150,7 +150,9 @@ def test_class_members_strictly_increasing_and_valid(rows_1e6):
 def test_class_members_rejects_non_unit():
     # 0 is a unit only modulo 1, and 1 is no residue modulo 1
     for modulus, n0 in ((44, 11), (44, 4), (44, 45), (44, 0), (1, 1)):
-        with pytest.raises(InvalidClassError):
+        with pytest.raises(
+            DomainError, match=rf"^{n0} is not a unit modulo {modulus}$"
+        ):
             squarefree_rows(100, modulus, (n0,))
 
 

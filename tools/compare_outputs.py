@@ -37,6 +37,11 @@ QUICK = [
     ["tables", "--curve", "11a1", *_C3],
     ["fit", "--survey-csv", "c3/11a1_class3.csv", "--k", "4",
      "--out", "fit_c3.json"],
+    # the fit's JSON on stdout
+    ["fit", "--survey-csv", "c3/11a1_class3.csv", "--k", "4"],
+    *(["plot-data", "--curve", "11a1", "--n0", "3", "--k", "4", "--bound",
+       "300000", "--step", "20000", *flags, "--out", out]
+      for flags, out in (([], "pd.dat"), (["--alpha", "0.3"], "pd_a.dat"))),
     # a 2-torsion curve: its Tamagawa rows come from Euler's criterion
     ["survey", "--curve", "34a1", "--classes", "53", "--step", "20000",
      "--bound", "300000", "--out", "c34"],
