@@ -32,14 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ClassBaseline
-from .errors import (
-    CasselsViolationError,
-    ConvergenceError,
-    DomainError,
-    NormalizationError,
-    NumericError,
-)
+from .catalog import ClassBaseline, check_class
+from .errors import AbortError, DomainError
 from .sieve import factorize, primes_upto
 
 
@@ -160,7 +154,7 @@ def _ap_shanks_mestre(spec, p):
     group order is one of those m, so when exactly one satisfies
     (p + 1 - m)^2 <= 4p it is the group order, and the returned a_p is
     exact whatever the point.  Mestre's theorem only ensures that some
-    x0 gives such a point; the loop is bounded and raises NumericError
+    x0 gives such a point; the loop is bounded and raises AbortError
     when it runs out.
     """
     c4, c6 = spec.c_invariants()
@@ -204,7 +198,7 @@ def _ap_shanks_mestre(spec, p):
             if len(hasse) == 1:
                 ap = p + 1 - hasse[0]
                 return ap if pow(d, (p - 1) // 2, p) == 1 else -ap
-    raise NumericError(
+    raise AbortError(
         f"{spec.label}: no Shanks-Mestre point in {_SHANKS_MESTRE_TRIES} "
         f"tries at p = {p}"
     )
@@ -331,7 +325,7 @@ def twisted_l1(spec, n, coeffs, precision=1e-9):
 
     (even functional equation on the retained classes), summed from the
     table coeffs (weight_two_table) to terms_needed(spec, n, precision)
-    terms; a shorter table raises ConvergenceError.  Refuses n from
+    terms; a shorter table raises AbortError.  Refuses n from
     deleted classes, where the sign is -1 and the sum above is wrong.
     A value below zero_threshold is flagged zero_consistent; the oracle
     never asserts vanishing on its own.
@@ -349,7 +343,7 @@ def twisted_l1(spec, n, coeffs, precision=1e-9):
     terms = terms_needed(spec, n, precision)
     tail = _tail_bound(terms, sqn)
     if coeffs.bound < terms:
-        raise ConvergenceError(
+        raise AbortError(
             f"need coefficients to {terms}, have {coeffs.bound}"
         )
     disc = twist_disc(n)
@@ -370,7 +364,7 @@ def _agm(u, v):
         u, v = (u + v) / 2, np.sqrt(u * v)
         if abs(u - v) < 1e-15 * abs(u):
             return (u + v) / 2
-    raise NumericError("AGM did not converge")
+    raise AbortError("AGM did not converge")
 
 
 def real_period_model(c4, c6, d):
@@ -395,7 +389,7 @@ def real_period_model(c4, c6, d):
         pair = [z for z in roots if abs(z.imag) > 1e-9 * scale]
         m = _agm(complex(e1 - pair[0]) ** 0.5, complex(e1 - pair[1]) ** 0.5)
     if abs(m.imag) > 1e-9 * abs(m.real):
-        raise NumericError(f"AGM limit not real: {m!r}")
+        raise AbortError(f"AGM limit not real: {m!r}")
     return 6.0 * math.pi / m.real
 
 
@@ -435,7 +429,7 @@ def bsd_selmer(spec, n, l1):
     with the period from AGM, c(n) from component counts and B the
     catalogued parity constant bsd_local[n % 4].  #S must sit within 1e-6
     relative of an integer and divide by t, or the class normalization is
-    wrong: NormalizationError.
+    wrong: AbortError.
     """
     t = spec.family_torsion
     period = real_period(spec, n)
@@ -443,11 +437,11 @@ def bsd_selmer(spec, n, l1):
     raw = l1 * t ** 3 / (period * c * spec.bsd_local[n % 4])
     selmer = round(raw)
     if selmer < 1 or abs(raw - selmer) > 1e-6 * selmer:
-        raise NormalizationError(
+        raise AbortError(
             f"{spec.label} n = {n}: BSD value {raw!r} not near an integer"
         )
     if selmer % t:
-        raise NormalizationError(
+        raise AbortError(
             f"{spec.label} n = {n}: selmer {selmer} not divisible by {t}"
         )
     return selmer
@@ -460,11 +454,9 @@ def baseline_selmer(spec, n0, coeffs):
     nonzero reference_series coefficient, and a_n0 that coefficient;
     c_n0 comes from component counts, l_n0 from twisted_l1 on the table
     coeffs, and #S from bsd_selmer.  A table too short for the derived
-    n0_effective raises ConvergenceError; a non-square k0 = #S / t raises
-    CasselsViolationError.
+    n0_effective, and a non-square k0 = #S / t, raise AbortError.
     """
-    if n0 not in spec.class_reps:
-        raise DomainError(f"{spec.label} has no class {n0}")
+    check_class(spec, n0)
     # locate the effective anchor independently of the frozen catalog row
     scan = 2048
     ref = reference_series(spec.recipe, scan)
@@ -472,15 +464,15 @@ def baseline_selmer(spec, n0, coeffs):
         if ref[n_eff] and not any(e > 1 for e in factorize(n_eff).values()):
             break
     else:
-        raise NormalizationError(f"{spec.label} class {n0}: no nonzero member")
+        raise AbortError(f"{spec.label} class {n0}: no nonzero member")
     ldata = twisted_l1(spec, n_eff, coeffs)
     if ldata.zero_consistent:
-        raise NormalizationError(
+        raise AbortError(
             f"{spec.label} class {n0}: anchor L-value consistent with 0"
         )
     k0 = bsd_selmer(spec, n_eff, ldata.l1) // spec.family_torsion
     if math.isqrt(k0) ** 2 != k0:
-        raise CasselsViolationError(
+        raise AbortError(
             f"{spec.label}: k = {k0} at n = {n_eff} is not a perfect square"
         )
     return ClassBaseline(

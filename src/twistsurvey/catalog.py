@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import inf
 
-from .errors import DomainError, InvalidFormError
+from .errors import DomainError
 
 LABELS = ("11a1", "14a1", "17a1", "20a1", "34a1")
 
@@ -42,7 +42,7 @@ class BinaryQuadraticForm:
 
     def __post_init__(self):
         if self.a <= 0 or self.discriminant() >= 0:
-            raise InvalidFormError(
+            raise ValueError(
                 f"({self.a},{self.b},{self.c}) is not positive definite"
             )
 
@@ -220,14 +220,19 @@ def curve(label):
     return _CURVES[label]
 
 
+def check_class(spec, n0):
+    """Refuse n0 unless it is one of the curve's class representatives."""
+    if n0 not in spec.class_reps:
+        raise DomainError(f"{spec.label} has no class {n0}")
+
+
 def baseline(spec, n0, overrides=None):
     """Frozen baseline for a class, with any overrides of its fields.
 
     `verify`'s baseline_reproduction suite compares every field with a
     fresh derivation by bsd_oracle.baseline_selmer.
     """
-    if n0 not in spec.class_reps:
-        raise DomainError(f"{spec.label} has no class {n0}")
+    check_class(spec, n0)
     # a row holds the record's fields after curve and n0, in order
     base = ClassBaseline(spec.label, n0, *_BASELINE_ROWS[spec.label][n0])
     if overrides:

@@ -5,7 +5,7 @@ All commands are deterministic for a given configuration; --threads is
 accepted for interface stability but the heavy paths are single
 vectorized passes, so outputs are byte-identical at any thread count.
 Exit codes: 0 ok, 2 refused input (DomainError), 3 verification
-failure, 4 integrality/normalization abort.
+failure, 4 a derived quantity failing its check (AbortError).
 """
 
 import argparse
@@ -28,15 +28,7 @@ from .bsd_oracle import (
     twisted_l1,
     weight_two_table,
 )
-from .errors import (
-    CasselsViolationError,
-    ConvergenceError,
-    DomainError,
-    IntegralityError,
-    NormalizationError,
-    NumericError,
-    OverflowGuardError,
-)
+from .errors import AbortError, DomainError
 from .qseries import coefficient_rows, theta_difference
 from .sieve import squarefree_rows
 from .waldspurger import MEMBER_LIMIT, build_tamagawa, propagate_l, survey_class
@@ -60,13 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_ABORT = 4
-# faults that abort a run with EXIT_ABORT; the cassels suite records them
-ABORT_ERRORS = (
-    IntegralityError,
-    NormalizationError,
-    CasselsViolationError,
-    OverflowGuardError,
-)
 
 
 def _status(msg):
@@ -148,19 +133,17 @@ def make_config(args):
     if not cfg.curve:
         raise DomainError("no curve given")
     spec = catalog.curve(cfg.curve)
-    extra = set(cfg.classes) - set(spec.class_reps)
-    if extra:
-        raise DomainError(
-            f"classes {sorted(extra)} not in {spec.label} catalog"
-        )
+    for rep in cfg.classes:
+        catalog.check_class(spec, rep)
     checkpoints = stats.default_checkpoints(cfg.bound, cfg.checkpoint_step)
     return cfg, spec, checkpoints, catalog.load_overrides(cfg.overrides)
 
 
 def _check_bound(bound):
-    """survey's and expand's refusal, before anything is allocated: class
-    members are int32, and expand's D there would be gigabytes mapped
-    lazily, not refused."""
+    """survey's, expand's and fit's refusal, before anything is allocated:
+    class members are int32, expand's D there would be gigabytes mapped
+    lazily, not refused, and fit's grid to a larger surveyed bound would
+    not fit in memory."""
     if bound >= MEMBER_LIMIT:
         raise DomainError(f"bound {bound} is not below 2^31")
 
@@ -298,20 +281,20 @@ def _encode_rows(columns):
 
 
 def _int_chars(v):
-    """str(int(x)) for each x of the integer array v, as uint8 character
-    columns from left to right: '-' where x < 0, then the digits of |x|,
-    each taken by one division of the whole column by 10, with the
+    """str(int(x)) for each x of the int32 or int64 array v, as uint8
+    character columns from left to right: '-' where x < 0, then the digits
+    of |x|, each taken by one division of the whole column by 10, with the
     leading zeros left 0."""
-    neg = v < 0
-    u = v.astype(np.uint64)
-    # |x| modulo 2^64, which is exact for every int64 x, -2^63 included
-    u = np.where(neg, np.uint64(0) - u, u)
+    # |x| read as uint64 is exact for every int64 x: |-2^63| wraps to
+    # -2^63, whose bits as uint64 are 2^63
+    u = np.abs(v, dtype=np.int64).view(np.uint64)
     cols = []
     for i in range(len(str(int(u.max(initial=0))))):
         q = u // 10
         digit = (u - q * 10).astype(np.uint8) + ord("0")
         cols.append(digit if i == 0 else digit * (u > 0))
         u = q
+    neg = v < 0
     if neg.any():
         cols.append(neg.astype(np.uint8) * ord("-"))
     return cols[::-1]
@@ -347,19 +330,15 @@ def _float_chars(x):
     fast &= (gap > 2 * np.spacing(prod)) & (m > 1e11) & (m < 1e12)
     m = np.where(fast, m, 0).astype(np.int64)
     whole, frac = np.divmod(m, _POW10[11 - e])
-    # the 11 - e fraction digits moved to the left of a 15-digit field, so
-    # every fraction is taken 15 digits by the scalar 10
+    # the 11 - e fraction digits moved to the left of a 15-digit field, and
+    # a leading 1 keeps its leading zeros, so every fraction has 15 digits
     frac *= _POW10[4 + e]
-    cols = []
+    digits = _int_chars(frac + 10**15)[1:]
     stripped = np.ones(x.size, dtype=bool)
-    for _ in range(15):
-        q = frac // 10
-        digit = (frac - q * 10).astype(np.uint8)
-        stripped &= digit == 0
-        cols.append((digit + ord("0")) * ~stripped)
-        frac = q
-    cols.append(~stripped * np.uint8(ord(".")))
-    cols = _int_chars(whole) + cols[::-1]
+    for col in reversed(digits):
+        stripped &= col == ord("0")
+        col *= ~stripped
+    cols = _int_chars(whole) + [~stripped * np.uint8(ord("."))] + digits
     for col in cols:
         col[~fast] = 0
     slow = ~fast & ~np.isnan(x)
@@ -577,6 +556,7 @@ def cmd_fit(args):
     if ns.size == 0:
         raise DomainError(f"{args.survey_csv}: no data rows")
     surveyed = int(meta.get("bound", ns[-1]))
+    _check_bound(surveyed)
     bound = surveyed if args.bound is None else args.bound
     checkpoints = stats.default_checkpoints(bound, args.step)
     kv, x, s = stats.tally(ns, ks, checkpoints, surveyed)
@@ -593,8 +573,7 @@ def cmd_fit(args):
 def cmd_plot_data(args):
     _check_k(args.k)
     spec = catalog.curve(args.curve)
-    if args.n0 not in spec.class_reps:
-        raise DomainError(f"{args.n0} not a {spec.label} class")
+    catalog.check_class(spec, args.n0)
     checkpoints = stats.default_checkpoints(args.bound, args.step)
     surv = survey_curve(spec, args.bound, (args.n0,))[args.n0]
     rs, x, s = stats.tally(surv.members, surv.root, checkpoints, surv.bound)
@@ -690,7 +669,7 @@ def run_cassels_suite(labels, bound, overrides, surveys):
         try:
             spec = catalog.curve(label)
             surveys[label] = survey_curve(spec, bound, None, overrides)
-        except ABORT_ERRORS as exc:
+        except AbortError as exc:
             fails.append(f"cassels {label}: {exc}")
     return fails
 
@@ -770,7 +749,7 @@ def run_waldspurger_suite(surveys, pairs, tables):
                     )
                 try:
                     bsd_k = bsd_selmer(spec, n, direct) // spec.family_torsion
-                except NormalizationError as exc:
+                except AbortError as exc:
                     fails.append(f"{where}: {exc}")
                     continue
                 if root * root != bsd_k:
@@ -811,7 +790,7 @@ def run_baseline_suite(reps_by_label, tables, overrides=None):
             want = catalog.baseline(spec, rep, overrides=overrides)
             try:
                 got = baseline_selmer(spec, rep, tables[label])
-            except (NormalizationError, ConvergenceError, NumericError) as exc:
+            except AbortError as exc:
                 fails.append(f"baseline {label}/{rep}: {exc}")
                 continue
             for field in dataclasses.fields(want):
@@ -979,7 +958,7 @@ def main(argv=None):
         # an allocation refused inside the interpreter carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
-    except ABORT_ERRORS as exc:
+    except AbortError as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .catalog import ThetaRecipe
-from .errors import DimensionError, OverflowGuardError
+from .errors import AbortError
 
 _INT16_LIMIT = 2**15
 _INT32_LIMIT = 2**31
@@ -68,7 +68,7 @@ def theta_difference(recipe: ThetaRecipe, bound: int, modulus: int):
     the origin included.  Every addition from f has f's sign, so with N+
     and N- those sums over the forms of each sign, every partial sum of
     D[m] lies in [-N-, N+].  D is int16 when max(N+, N-) < 2^15 and int32
-    when it is < 2^31; otherwise OverflowGuardError is raised before D
+    when it is < 2^31; otherwise AbortError is raised before D
     is allocated (max(N+, N-) < 10^5 for every catalogued curve at any
     bound below 2^31).  A weight of D's dtype keeps np.add.at on its fast
     same-type loop.
@@ -90,7 +90,7 @@ def theta_difference(recipe: ThetaRecipe, bound: int, modulus: int):
              + form.b * np.outer(res, res)) % modulus] = True
     reach = max(npm.values())
     if reach >= _INT32_LIMIT:
-        raise OverflowGuardError(f"max(N+, N-) = {reach} reaches 2^31")
+        raise AbortError(f"max(N+, N-) = {reach} reaches 2^31")
     slot = np.where(hit, np.cumsum(hit) - 1, -1)
     size = bound // modulus + 1
     dtype = np.int16 if reach < _INT16_LIMIT else np.int32
@@ -145,14 +145,14 @@ def coefficient_rows(recipe, bound, modulus, residues, table=None) -> dict:
     diff, slot = table
     size = bound // modulus + 1
     if slot.shape != (modulus,) or diff.shape != ((slot >= 0).sum(), size):
-        raise DimensionError(
+        raise ValueError(
             f"need the reached rows of D mod {modulus}, {size} long, "
             f"got {diff.shape} for {slot.size} residues"
         )
     zmax = math.isqrt(bound // recipe.unary_t)
     peak = max(int(diff.max(initial=0)), -int(diff.min(initial=0)))
     if peak * (2 * zmax + 1) >= _INT32_LIMIT:
-        raise OverflowGuardError(
+        raise AbortError(
             f"max|D| * (2*zmax + 1) = {peak} * {2 * zmax + 1} reaches 2^31"
         )
     # a run of this many rows sums inside D's dtype (see the module docstring)

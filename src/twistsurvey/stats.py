@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 EPSILON_BAND = 0.02
 EPSILON_STEP = 0.001
@@ -95,7 +95,7 @@ def fit(x, s):
     x = np.asarray(x)
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[1] != x.size:
-        raise DimensionError("s needs one column per checkpoint of x")
+        raise ValueError("s needs one column per checkpoint of x")
     if ((s < 0) | (s > x)).any() or (np.diff(np.vstack([x, s])) < 0).any():
         raise DomainError("counts must be cumulative with 0 <= s <= x")
     keep = x >= MODEL_FLOOR

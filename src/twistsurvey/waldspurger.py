@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ClassBaseline
-from .errors import (
-    CasselsViolationError,
-    DimensionError,
-    IntegralityError,
-    OverflowGuardError,
-)
+from .errors import AbortError
 from .qseries import difference_at
 from .sieve import factorize, first_multiple, primes_upto
 
@@ -132,7 +127,7 @@ def build_tamagawa(spec, table, bound, flags):
     survey_class), and e_r[j] <= 2*omega(n) stays far inside int8.
     """
     if bound >= MEMBER_LIMIT:
-        raise OverflowGuardError(f"bound {bound} leaves the int32 members")
+        raise AbortError(f"bound {bound} leaves the int32 members")
     modulus = spec.table_modulus
     ps = primes_upto(math.isqrt(bound))
     ps = ps[modulus % ps != 0]
@@ -197,21 +192,21 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     a_row, squarefree and tamagawa are the class's rows of
     qseries.coefficient_rows, sieve.squarefree_rows and build_tamagawa,
     each to bound: entry j stands for n = n0 + M*j <= bound, and c(n) =
-    1 << tamagawa[j]; a row of another length raises DimensionError.
-    The first member with a_n != 0 whose e has the other parity raises
-    CasselsViolationError with its k, or IntegralityError if that k is no
-    integer, as does any inexact root (the class normalization is wrong);
-    a bound >= 2^31, or an anchor whose operands leave int64 or whose roots
-    reach ROOT_LIMIT, raises OverflowGuardError.  Members with a_n = 0 land
+    1 << tamagawa[j]; a row of another length raises ValueError.  Each
+    check below raises AbortError, its message naming the check: the first
+    member with a_n != 0 whose e has the other parity (with its k, or as a
+    non-integral k if that k is no integer), any inexact root (the class
+    normalization is wrong), a bound >= 2^31, and an anchor whose operands
+    leave int64 or whose roots reach ROOT_LIMIT.  Members with a_n = 0 land
     in the root = 0 bucket with no L-value.  L is not formed here
     (ClassSurvey.l_rows).
     """
     if bound >= MEMBER_LIMIT:
-        raise OverflowGuardError(f"bound {bound} leaves the int32 members")
+        raise AbortError(f"bound {bound} leaves the int32 members")
     where = f"{spec.label} class {baseline.n0}"
     size = (bound - baseline.n0) // spec.table_modulus + 1
     if not a_row.size == squarefree.size == tamagawa.size == size:
-        raise DimensionError(
+        raise ValueError(
             f"{where}: rows of length {a_row.size}, {squarefree.size}, "
             f"{tamagawa.size} do not end at bound {bound}"
         )
@@ -227,7 +222,7 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
     a0 = abs(baseline.a_n0)
 
     def nonintegral(i):
-        return IntegralityError(f"{where}: non-integral k at n = {members[i]}")
+        return AbortError(f"{where}: non-integral k at n = {members[i]}")
 
     wrong = np.flatnonzero((a_members != 0) & ((e & 1) != par))
     if wrong.size:
@@ -235,13 +230,13 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
         k, rest = divmod(big * int(a_members[i]) ** 2, a0 * a0 << int(e[i]))
         if rest:
             raise nonintegral(i)
-        raise CasselsViolationError(
+        raise AbortError(
             f"{spec.label}: k = {k} at n = {int(members[i])} is not a "
             f"perfect square"
         )
     if max(r * int(np.abs(a_members).max(initial=1)),
            a0 << (int(e.max(initial=0)) + 1) // 2) >= 2 ** 63:
-        raise OverflowGuardError(
+        raise AbortError(
             f"{where}: the anchor's transfer products leave int64"
         )
     # every member left has a_n = 0 or e of parity p
@@ -253,7 +248,7 @@ def survey_class(spec, baseline, a_row, squarefree, tamagawa, bound):
         raise nonintegral(bad[0])
     root //= den
     if root.max(initial=0) >= ROOT_LIMIT:
-        raise OverflowGuardError(f"{where}: a root of k reaches 2^26")
+        raise AbortError(f"{where}: a root of k reaches 2^26")
     return ClassSurvey(
         baseline, bound, members, a_members, root.astype(np.int32),
         spec.family_torsion,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistsurvey import bsd_oracle, catalog, cli, qseries, sieve, stats, waldspurger
-from twistsurvey.errors import DomainError
+from twistsurvey.errors import AbortError, DomainError
 
 from oracles import is_squarefree_trial, naive_recipe_series
 
@@ -783,8 +783,8 @@ def test_extended_verify_runs_propagation_only_for_11a1(tmp_path, monkeypatch,
     ("run_waldspurger_suite", "waldspurger"), ("run_zero_suite", "zero"),
 ])
 def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
-    # a frozen anchor with k0 = 2 makes 17a1's survey raise
-    # CasselsViolationError; cassels records it once and leaves 17a1 out of
+    # a frozen anchor with k0 = 2 makes 17a1's survey raise AbortError
+    # (no perfect square); cassels records it once and leaves 17a1 out of
     # the surveys, so the reading suite runs, adds nothing of 17a1, and
     # still checks the curve whose survey went through
     row = catalog._BASELINE_ROWS["17a1"][3]
@@ -810,8 +810,8 @@ def test_survey_reading_suites_record_an_abort(monkeypatch, suite, prefix):
 
 
 def test_survey_abort_is_one_cassels_failure(tmp_path, monkeypatch):
-    # a frozen anchor with k0 = 2 makes survey_curve raise
-    # CasselsViolationError; cassels records it once instead of aborting
+    # a frozen anchor with k0 = 2 makes survey_curve raise AbortError (no
+    # perfect square); cassels records it once instead of aborting
     # verify, and the suites that read the survey check nothing of 17a1
     row = catalog._BASELINE_ROWS["17a1"][3]
     monkeypatch.setitem(catalog._BASELINE_ROWS["17a1"], 3, row[:3] + (2, row[4]))
@@ -828,6 +828,56 @@ def test_survey_abort_is_one_cassels_failure(tmp_path, monkeypatch):
             suites["baseline_reproduction"]["failures"]] == [
         "baseline 17a1/3: k0"
     ]
+
+
+def _verify_failures(tmp_path, capsys):
+    """{suite: failures} of a quick verify of 17a1, which must exit 3 with
+    no traceback."""
+    out = tmp_path / "report.json"
+    assert run(["verify", "--curve", "17a1", "--depth", "quick",
+                "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    return {s["name"]: s["failures"]
+            for s in json.loads(out.read_text())["suites"]}
+
+
+def test_bsd_fault_is_one_waldspurger_failure(tmp_path, monkeypatch, capsys):
+    # an AGM that fails inside bsd_selmer at one pair pick is that pair's
+    # failure; it once ended verify with a traceback (exit 1)
+    spec = catalog.curve("17a1")
+    surv = cli.survey_curve(spec, cli._DEPTHS["quick"][1], (3,))[3]
+    bad = int(surv.members[cli._pair_picks(surv, 1)[0]])
+    real = bsd_oracle.real_period
+
+    def period(spec, n):
+        if n == bad:
+            raise AbortError("AGM did not converge")
+        return real(spec, n)
+
+    monkeypatch.setattr(bsd_oracle, "real_period", period)
+    failures = _verify_failures(tmp_path, capsys)
+    assert failures.pop("waldspurger_pairs") == [
+        f"waldspurger 17a1/3 n={bad}: AGM did not converge"
+    ]
+    assert all(f == [] for f in failures.values()), failures
+
+
+def test_non_square_derived_anchor_is_one_baseline_failure(
+    tmp_path, monkeypatch, capsys
+):
+    # a non-square k0 that the oracle derives is that anchor's failure; it
+    # once ended verify with exit 4
+    real = bsd_oracle.bsd_selmer
+
+    def selmer(spec, n, l1):
+        return 2 * real(spec, n, l1) if n == 3 else real(spec, n, l1)
+
+    monkeypatch.setattr(bsd_oracle, "bsd_selmer", selmer)
+    failures = _verify_failures(tmp_path, capsys)
+    assert failures.pop("baseline_reproduction") == [
+        "baseline 17a1/3: 17a1: k = 2 at n = 3 is not a perfect square"
+    ]
+    assert all(f == [] for f in failures.values()), failures
 
 
 def test_verify_surveys_each_curve_once_under_the_overrides(tmp_path,
@@ -1051,7 +1101,8 @@ def test_oversized_anchor_exits_cleanly(tmp_path, capsys, k0):
 
 def _bad_csv(lines, case):
     """Put one defect into a class CSV.  Returns the lines and the index
-    of the line the reader must name."""
+    of the line the reader must name (None when the defect is the
+    surveyed bound, which fit names instead)."""
     lines = list(lines)
     h = lines.index(cli.CSV_HEADER)
     r = h + 4  # a data row inside the file
@@ -1126,6 +1177,11 @@ def _bad_csv(lines, case):
         fields[0] = str(10**20)
         lines[-1] = ",".join(fields)
         return lines, len(lines) - 1
+    if case == "bound_past_2^31":
+        # two rows under a bound no survey writes: the grid to it once
+        # failed to allocate, and fit said only "out of memory"
+        lines[lines.index("# bound 150000")] = f"# bound {10**20}"
+        return lines[: h + 3], None
     assert case == "no_header"
     del lines[h]
     return lines, h
@@ -1150,6 +1206,7 @@ def _bad_csv(lines, case):
     "no_header",
     "k_past_int64",
     "n_past_int64_without_bound",
+    "bound_past_2^31",
 ])
 def test_fit_rejects_malformed_csv(survey_dir, tmp_path, capsys, case):
     good = (survey_dir / "17a1_class3.csv").read_text().splitlines()
@@ -1158,7 +1215,10 @@ def test_fit_rejects_malformed_csv(survey_dir, tmp_path, capsys, case):
     bad.write_text("\n".join(lines) + "\n")
     assert run(["fit", "--survey-csv", str(bad), "--k", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad} line {named + 1}: "), err
+    if named is None:
+        assert err == f"error: bound {10**20} is not below 2^31\n", err
+    else:
+        assert err.startswith(f"error: {bad} line {named + 1}: "), err
 
 
 @pytest.mark.parametrize("flags", [
@@ -1201,13 +1261,15 @@ def test_survey_that_cannot_be_fitted_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["expand", "--curve", "37a1", "--bound", "10"], "unknown curve '37a1'"),
     (["survey", "--curve", "17a1", "--bound", "100000", "--classes", "3,4"],
-     "classes [4] not in 17a1 catalog"),
+     "17a1 has no class 4"),
+    (["plot-data", "--curve", "17a1", "--n0", "4", "--k", "1", "--bound",
+      "100000"], "17a1 has no class 4"),
     (["fit", "--k", "1", "--bound", "300000"],
      "checkpoint 300000 exceeds surveyed bound 150000"),
     (["fit", "--k", "1", "--step", "0"], "checkpoint step must be positive"),
     (["survey", "--curve", "11a1", "--bound", "400", "--step", "200"],
      "need >= 2 usable checkpoints"),
-], ids=["curve", "class", "fit_bound", "step", "too_small"])
+], ids=["curve", "class", "plot_class", "fit_bound", "step", "too_small"])
 def test_each_refusal_is_one_error_line_and_exit_2(
     survey_dir, tmp_path, capsys, monkeypatch, argv, named
 ):
@@ -1468,8 +1530,9 @@ _float_values = st.one_of(
 )
 
 
-@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1]),
-                min_size=1, max_size=40))
+@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [0, -1, -(2**63), 2**63 - 1, -(2**31), 2**31 - 1]
+), min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_encode_rows_integers_match_str(values):
     col = np.array(values, dtype=np.int64)

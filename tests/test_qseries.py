@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from twistsurvey import catalog, qseries
 from twistsurvey.catalog import BinaryQuadraticForm, ThetaRecipe
-from twistsurvey.errors import DimensionError, InvalidFormError, OverflowGuardError
+from twistsurvey.errors import AbortError
 from twistsurvey.qseries import coefficient_rows, difference_at, theta_difference
 
 from oracles import naive_recipe_series, naive_theta, shifted_add_product
@@ -73,11 +73,11 @@ def unary(t, bound):
 
 
 def test_form_rejects_non_positive_definite():
-    with pytest.raises(InvalidFormError):
+    with pytest.raises(ValueError, match=r"^\(-1,0,11\) is not positive definite$"):
         BinaryQuadraticForm(-1, 0, 11)
-    with pytest.raises(InvalidFormError):
+    with pytest.raises(ValueError, match=r"^\(1,5,1\) is not positive definite$"):
         BinaryQuadraticForm(1, 5, 1)  # discriminant 21 > 0
-    with pytest.raises(InvalidFormError):
+    with pytest.raises(ValueError, match=r"^\(1,2,1\) is not positive definite$"):
         BinaryQuadraticForm(1, 2, 1)  # discriminant 0
 
 
@@ -290,7 +290,7 @@ def test_theta_difference_guards_its_reach(monkeypatch):
         return real(shape, dtype)
 
     monkeypatch.setattr(np, "zeros", zeros)
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(AbortError, match=rf"^max\(N\+, N-\) = {reach} reaches 2\^31$"):
         theta_difference(RECIPE_11A1, bound, 44)
     assert shapes and all(len(shape) < 2 for shape in shapes), shapes
     for label in catalog.LABELS:
@@ -326,12 +326,13 @@ def test_series_mul_unary_square_q2_coefficient():
 
 def test_series_bound_mismatch_raises():
     # rows of the wrong length, or a slot map of the wrong modulus
-    with pytest.raises(DimensionError):
+    need = "^need the reached rows of D mod"
+    with pytest.raises(ValueError, match=rf"{need} 1, 6 long, got \(1, 7\) for 1 "):
         coefficient_rows(RECIPE_11A1, 5, 1, (0,), as_table(np.zeros(7, np.int64)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=rf"{need} 2, 4 long, got \(1, 7\) for 1 "):
         coefficient_rows(RECIPE_11A1, 6, 2, (0,), as_table(np.zeros(7, np.int64)))
     rows, slot = as_table(np.zeros(7, np.int64), 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=rf"{need} 2, 4 long, got \(1, 4\) for 2 "):
         coefficient_rows(RECIPE_11A1, 6, 2, (0,), (rows[:1], slot))
 
 
@@ -341,13 +342,14 @@ def test_series_overflow_guard():
     got = times_unary(1, [edge, edge, -edge, 0])
     assert got.tolist() == [edge, 3 * edge, edge, -2 * edge]
     assert got.dtype == np.int32 and not got.flags.writeable
-    with pytest.raises(OverflowGuardError):
+    guard = r"^max\|D\| \* \(2\*zmax \+ 1\) = {} \* {} reaches 2\^31$"
+    with pytest.raises(AbortError, match=guard.format(edge + 1, 3)):
         times_unary(1, [edge + 1, 0, 0, 0])
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(AbortError, match=guard.format(2**30, 3)):
         times_unary(1, [0, 0, 2**30, -(2**30)])
     # no shift fits below t, so D itself only has to fit
     assert times_unary(4, [2**30, -(2**30), 0, 0])[0] == 2**30
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(AbortError, match=guard.format(2**31, 1)):
         times_unary(4, [2**31, 0, 0, 0])
 
 
@@ -530,7 +532,7 @@ def test_coefficient_rows_guard_and_residues():
     table = as_table([edge, edge, -edge, 0], 2, (), np.int64)
     rows = coefficient_rows(recipe, 3, 2, (0, 1), table)
     assert rows[0].tolist() == [edge, edge] and rows[1].tolist() == [3 * edge, -2 * edge]
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(AbortError, match=rf"= {edge + 1} \* 3 reaches 2\^31$"):
         coefficient_rows(recipe, 3, 2, (1,), as_table([edge + 1, 0, 0, 0], 2))
     with pytest.raises(ValueError):
         coefficient_rows(recipe, 3, 2, (2,), as_table([1, 0, 0, 0], 2))

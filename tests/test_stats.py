@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistsurvey import catalog, cli, stats
-from twistsurvey.errors import DimensionError, DomainError
+from twistsurvey.errors import DomainError
 from twistsurvey.qseries import coefficient_rows, theta_difference
 from twistsurvey.sieve import squarefree_rows
 from twistsurvey.stats import default_checkpoints, fit, ratios, sigma, tally
@@ -43,7 +43,7 @@ def test_default_checkpoints():
 
 
 def test_ratio_series_invariants():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="^s needs one column per checkpoint of x$"):
         fit((1, 2), [(1,)])
     with pytest.raises(DomainError):
         tally([1], [0], (2, 2), 10)  # not ascending

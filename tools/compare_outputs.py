@@ -7,8 +7,9 @@ Each tree is a checkout with the package under src/.  Its commands run
 as `python -m twistsurvey.cli ARGS`, with that src/ alone on PYTHONPATH,
 one after another in one fresh temporary directory per tree, so a later
 command reads what an earlier one wrote (fit reads a survey's class CSV);
-each directory starts with the one overrides file OVERRIDES, which the
-abort and verify-failure commands read.
+each directory starts with the files of INPUTS: the overrides file, which
+the abort and verify-failure commands read, and a class CSV that fit
+refuses.
 For each command the exit codes, stdout and stderr are compared, stderr
 with its elapsed times ("1.2s") masked; then every file written, byte
 for byte, and the set of directories left, empty ones too.  Each
@@ -27,9 +28,17 @@ import tempfile
 from pathlib import Path
 
 _C3 = ["--classes", "23,3", "--step", "20000", "--bound", "300000"]
-# forged anchors: 17a1 class 7's k is then no square (exit 4), and 34a1
-# class 53's is four times the frozen one (exit 3 in verify)
-OVERRIDES = ("anchors.ov", "17a1.7.k0 = 2\n34a1.53.k0 = 36\n")
+OVERRIDES = "anchors.ov"
+HUGE_CSV = "huge_bound.csv"
+INPUTS = {
+    # forged anchors: 17a1 class 7's k is then no square (exit 4), and
+    # 34a1 class 53's is four times the frozen one (exit 3 in verify)
+    OVERRIDES: "17a1.7.k0 = 2\n34a1.53.k0 = 36\n",
+    # two rows under a surveyed bound that no survey writes
+    HUGE_CSV: "# schema_version 1\n# curve 11a1\n# n0 3\n"
+              f"# bound {10**20}\nn,a_n,k,selmer,L\n"
+              "3,1,1,1,1\n47,1,1,1,1\n",
+}
 QUICK = [
     *(["expand", "--curve", "11a1", "--bound", str(b), "--out", f"an_{b}.csv"]
       for b in (1, 2, 43, 44, 45, 100, 3000)),
@@ -53,9 +62,14 @@ QUICK = [
     ["expand", "--curve", "11a1", "--bound", "0", "--out", "an_0.csv"],
     ["survey", "--curve", "11a1", "--bound", str(10**15), "--out", "huge"],
     ["expand", "--curve", "11a1", "--bound", str(10**15), "--out", "an_huge.csv"],
+    ["survey", "--curve", "17a1", "--classes", "3,4", "--bound", "100000",
+     "--out", "c17_class4"],
+    ["plot-data", "--curve", "17a1", "--n0", "4", "--k", "1", "--bound",
+     "100000", "--out", "pd_class4.dat"],
+    ["fit", "--survey-csv", HUGE_CSV, "--k", "1", "--out", "fit_huge.json"],
     # aborted: exit 4 once class 3 is staged, nothing left
     ["survey", "--curve", "17a1", "--classes", "3,7", "--bound", "100000",
-     "--overrides", OVERRIDES[0], "--out", "c17_abort"],
+     "--overrides", OVERRIDES, "--out", "c17_abort"],
 ]
 FULL = QUICK + [
     ["expand", "--curve", "11a1", "--bound", "8090677",
@@ -70,7 +84,7 @@ FULL = QUICK + [
     ["verify", "--depth", "quick", "--out", "verify_quick.json"],
     ["verify", "--depth", "extended", "--out", "verify_extended.json"],
     ["verify", "--curve", "34a1", "--depth", "quick", "--overrides",
-     OVERRIDES[0], "--out", "verify_34a1_forged.json"],
+     OVERRIDES, "--out", "verify_34a1_forged.json"],
 ]
 _ELAPSED = re.compile(rb"\d+\.\ds\b")
 
@@ -96,7 +110,8 @@ def run_tree(tree, commands):
     None} of every directory they left."""
     results = []
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
-        Path(work, OVERRIDES[0]).write_text(OVERRIDES[1])
+        for name, text in INPUTS.items():
+            Path(work, name).write_text(text)
         for argv in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "twistsurvey.cli", *argv],
